@@ -38,13 +38,11 @@ from .errors import (
     ValidationError,
 )
 from .superops import (
-    KrausStep,
     Superoperator,
     dissipator,
     drazin,
     is_trace_annihilating,
     jump_superop,
-    kraus_step,
     liouvillian,
     no_jump_generator,
     sandwich,
@@ -57,13 +55,10 @@ from .superops import (
     vec,
 )
 from .model import (
-    ChannelId,
     FeedbackModel,
-    WisemanModel,
     feedback_model,
     no_feedback,
     validate,
-    wiseman_generator,
 )
 from .hybrid import (
     ExtendedGenerator,
@@ -82,7 +77,6 @@ from .dynamics import (
     evolve_memory_resolved,
     feedback_steady_state,
     memory_distribution_rate,
-    memory_resolved_rhs,
 )
 from .fcs import (
     CorrelationSamples,

@@ -13,6 +13,7 @@ thread pools (applied before numpy loads when the console script starts).
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -31,7 +32,7 @@ from .fcs import (
     two_point_correlation,
 )
 from .hybrid import embed, extended_liouvillian, marginals
-from .model import feedback_model, validate
+from .model import feedback_model
 from .models import (
     MaserParams,
     QubitParams,
@@ -80,7 +81,14 @@ def _expect_str(obj, path):
 def _expect_number(obj, path):
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         _fail(path, f"expected a number, got {type(obj).__name__}")
-    return float(obj)
+    try:
+        x = float(obj)
+    except OverflowError:
+        x = math.inf
+    # json accepts NaN and Infinity, which no parameter can take
+    if not math.isfinite(x):
+        _fail(path, f"expected a finite number, got {x}")
+    return x
 
 
 def _expect_int(obj, path):
@@ -107,7 +115,7 @@ def _no_extra_keys(cfg, allowed, path):
 
 def _entry_to_complex(obj, path):
     if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return complex(obj)
+        return complex(_expect_number(obj, path))
     if isinstance(obj, list) and len(obj) == 2:
         re = _expect_number(obj[0], f"{path}[0]")
         im = _expect_number(obj[1], f"{path}[1]")
@@ -185,14 +193,15 @@ def _canon_builtin_params(name, params, path):
 
 
 def _build_builtin(name, canon_params):
+    """Model and parameter object of a builtin from its canonical parameters."""
     p = canon_params
     if name == "qubit_cooling":
         qp = QubitParams(
             nbar=p["nbar"], gamma=p["gamma"], lam=p["lam"], delta=p["delta"]
         )
         if p["mode"] == "feedback":
-            return validate(qubit_cooling_model(qp))
-        return validate(qubit_baseline_model(qp, drive_on=p["mode"] == "always_on"))
+            return qubit_cooling_model(qp), qp
+        return qubit_baseline_model(qp, drive_on=p["mode"] == "always_on"), qp
     mp = MaserParams(
         nl=p["nl"],
         nr=p["nr"],
@@ -203,19 +212,7 @@ def _build_builtin(name, canon_params):
         wl=p.get("wl"),
         wr=p.get("wr"),
     )
-    return validate(
-        maser_model(mp, feedback=p["feedback"], classical=p["classical"])
-    )
-
-
-def _builtin_params_obj(name, canon_params):
-    p = canon_params
-    if name == "qubit_cooling":
-        return QubitParams(nbar=p["nbar"], gamma=p["gamma"], lam=p["lam"], delta=p["delta"])
-    return MaserParams(
-        nl=p["nl"], nr=p["nr"], gl=p["gl"], gr=p["gr"],
-        lam=p["lam"], delta=p["delta"], wl=p.get("wl"), wr=p.get("wr"),
-    )
+    return maser_model(mp, feedback=p["feedback"], classical=p["classical"]), mp
 
 
 def model_from_config(mcfg, path="model"):
@@ -224,13 +221,19 @@ def model_from_config(mcfg, path="model"):
     Returns (model, canonical section).  Exactly one of ``builtin`` and
     ``dim`` selects the source.
     """
+    model, canon, _ = _model_from_config(mcfg, path)
+    return model, canon
+
+
+def _model_from_config(mcfg, path):
+    """(model, canonical section, builtin parameter object or None)."""
     mcfg = _expect_map(mcfg, path)
     if "builtin" in mcfg:
         _no_extra_keys(mcfg, {"builtin", "params"}, path)
         name = _expect_str(mcfg["builtin"], f"{path}.builtin")
         canon_params = _canon_builtin_params(name, mcfg.get("params", {}), f"{path}.params")
-        model = _build_builtin(name, canon_params)
-        return model, {"builtin": name, "params": canon_params}
+        model, params = _build_builtin(name, canon_params)
+        return model, {"builtin": name, "params": canon_params}, params
 
     _no_extra_keys(
         mcfg, {"dim", "channels", "hamiltonians", "jump_ops", "silent_ops"}, path
@@ -279,16 +282,14 @@ def model_from_config(mcfg, path="model"):
             for mem, m in spec.items()
         }
 
-    model = validate(
-        feedback_model(
-            dim=dim,
-            channels=channels,
-            hamiltonians=hams,
-            jump_ops=jump_ops,
-            silent_ops=silent_ops or None,
-        )
+    model = feedback_model(
+        dim=dim,
+        channels=channels,
+        hamiltonians=hams,
+        jump_ops=jump_ops,
+        silent_ops=silent_ops or None,
     )
-    return model, model_to_config(model)
+    return model, model_to_config(model), None
 
 
 def model_to_config(model):
@@ -324,16 +325,16 @@ def model_to_config(model):
 # weights / initial / grids
 
 
-def _weights_from_config(wcfg, model, builtin, path="weights"):
+def _weights_from_config(wcfg, model, params, path="weights"):
+    """Weights and their canonical section; ``params`` is the builtin's or None."""
     if wcfg is None:
         return None, None
     if isinstance(wcfg, str):
         if wcfg == "activity":
             return CountingWeights.activity(model.channels), "activity"
         if wcfg == "work":
-            if builtin is None or builtin[0] != "maser":
+            if not isinstance(params, MaserParams):
                 _fail(path, "'work' weights are defined for the maser builtin only")
-            params = _builtin_params_obj(*builtin)
             if params.wl is None or params.wr is None:
                 _fail(path, "'work' weights need maser params wl and wr")
             return work_weights(params), "work"
@@ -440,6 +441,8 @@ def _grid_from_config(gcfg, path, allow_negative=True):
         _fail(path, "expected an array of numbers or {linspace/logspace: [...]}")
     if not vals:
         _fail(path, "grid must be non-empty")
+    if not all(math.isfinite(x) for x in vals):
+        _fail(path, "grid values must be finite")
     if not allow_negative and min(vals) < 0:
         _fail(path, "grid values must be non-negative")
     return vals
@@ -632,12 +635,12 @@ def parse_config(raw):
     if "task" not in raw:
         _fail("config", "missing 'task' section")
 
-    model, model_canon = model_from_config(raw["model"])
+    model, model_canon, params = _model_from_config(raw["model"], "model")
     builtin = None
     if "builtin" in model_canon:
         builtin = (model_canon["builtin"], model_canon["params"])
 
-    weights, weights_canon = _weights_from_config(raw.get("weights"), model, builtin)
+    weights, weights_canon = _weights_from_config(raw.get("weights"), model, params)
 
     initial = None
     initial_canon = None
@@ -729,7 +732,7 @@ def _run_spectrum(ctx, out):
 def _run_noise(ctx, out):
     model, weights = ctx["model"], ctx["weights"]
     ext = extended_liouvillian(model)
-    state = feedback_steady_state(model)
+    state = feedback_steady_state(model, ext=ext)
     current = average_current(ext, weights, state)
     noise = steady_noise(ext, weights, state=state)
     background = noise_background(ext, weights, state)
@@ -820,22 +823,19 @@ def _run_sweep(ctx, out):
             merged = _canon_builtin_params(
                 name, {**base, **overrides, **point}, "task.variants"
             )
-            model = _build_builtin(name, merged)
-            weights, _ = _weights_from_config(
-                weights_cfg, model, (name, merged)
-            )
-            state = feedback_steady_state(model)
+            model, params = _build_builtin(name, merged)
+            weights, _ = _weights_from_config(weights_cfg, model, params)
+            ext = extended_liouvillian(model)
+            state = feedback_steady_state(model, ext=ext)
             if inner == "steady":
                 row += _state_row(model, state)
                 if weights is not None:
-                    ext = extended_liouvillian(model)
                     current = average_current(ext, weights, state)
                     row.append(_fmt(current))
                     if name == "maser" and weights_cfg == "work":
                         scale = merged["gl"] * (merged["wl"] - merged["wr"])
                         row.append(_fmt(current / scale))
             else:
-                ext = extended_liouvillian(model)
                 current = average_current(ext, weights, state)
                 noise = steady_noise(ext, weights, state=state)
                 row += [_fmt(current), _fmt(noise)]
@@ -944,7 +944,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except JumpFeedbackError as exc:
+    except (JumpFeedbackError, np.linalg.LinAlgError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

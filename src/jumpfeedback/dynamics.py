@@ -1,20 +1,19 @@
 """Deterministic propagation of the joint system-memory state.
 
-Two interchangeable routes are provided: direct integration of the
-memory-resolved master equation (one coupled block per memory value), and
-exponentiation of the extended Lindbladian on the hybrid space.  Both
-preserve block-diagonality, hermiticity, and total trace; they agree to the
-integration tolerance and are tested against each other.
+Two interchangeable routes act on the memory-block generator of
+:func:`extended_liouvillian`: adaptive integration of its linear ODE, and
+matrix exponentials.  Both preserve hermiticity and total trace; they agree
+to the integration tolerance and are tested against each other.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
+import scipy.linalg
 
 from .errors import IntegrationError, PositivityError, ValidationError
 from .hybrid import HybridState, extended_liouvillian
-from .superops import steady_state, vec, unvec
+from .superops import stationary_vector
 
 __all__ = [
     "EvolutionResult",
@@ -22,6 +21,7 @@ __all__ = [
     "evolve_extended",
     "feedback_steady_state",
     "memory_distribution_rate",
+    "propagate",
 ]
 
 POSITIVITY_ABORT = 1e-6
@@ -61,45 +61,30 @@ def _check_blocks_positive(blocks, labels, t):
             )
 
 
-def memory_resolved_rhs(model):
-    """Right-hand side of the memory-resolved feedback master equation.
+def propagate(ext, vector, times, start=0.0):
+    """Memory-block vectors at each non-decreasing time, starting at ``start``.
 
-    Returns a function mapping stacked blocks ``(m, d, d)`` to their time
-    derivative: for each memory value k,
-
-        d rho(k)/dt = -i[H(k), rho(k)] - (1/2){W(k), rho(k)}
-                      + sum_q L_k(q) rho(q) L_k(q)^dag
-                      + sum_s S(k) rho(k) S(k)^dag,
-
-    with W(k) the total loss operator at memory k (silent channels
-    included).  When the model is hamiltonian-only the gain term contracts
-    the pre-summed marginal, which is algebraically identical.
+    Returns an array whose row i is exp((times[i] - start) L) ``vector``,
+    reached step by step.  One exponential is computed per distinct step:
+    steps that differ only by the rounding of the grid points (a float
+    ``linspace`` has several) share the propagator of their mean, so the
+    accumulated time does not drift.
     """
-    m = model.n_channels
-    hams = model.hamiltonians
-    losses = np.stack([model.loss_operator(q) for q in range(m)])
-    jumps = model.jump_ops
-    silents = model.silent_ops
-    ham_only = model.hamiltonian_only and len(model.silent_labels) == 0
-
-    def rhs(blocks):
-        out = np.einsum("kab,kbc->kac", -1j * hams, blocks)
-        out += np.einsum("kab,kcb->kac", 1j * blocks, hams.conj())
-        out -= 0.5 * (
-            np.einsum("kab,kbc->kac", losses, blocks)
-            + np.einsum("kab,kbc->kac", blocks, losses)
-        )
-        if ham_only:
-            total = blocks.sum(axis=0)
-            ops = jumps[:, 0]
-            out += np.einsum("kab,bc,kdc->kad", ops, total, ops.conj())
-        else:
-            out += np.einsum("kqab,qbc,kqdc->kad", jumps, blocks, jumps.conj())
-            if len(silents):
-                out += np.einsum("skab,kbc,skdc->kad", silents, blocks, silents.conj())
-        return out
-
-    return rhs
+    steps = np.diff(times, prepend=start)
+    tol = 4.0 * np.finfo(float).eps * np.abs(times).max(initial=abs(start))
+    order = np.argsort(steps, kind="stable")
+    ordered = steps[order]
+    first = np.diff(ordered, prepend=-np.inf) > tol
+    group = np.empty(len(steps), dtype=int)
+    group[order] = np.cumsum(first) - 1
+    bounds = np.flatnonzero(first)
+    means = np.add.reduceat(ordered, bounds) / np.diff(np.append(bounds, len(ordered)))
+    propagators = [scipy.linalg.expm(dt * ext.matrix) for dt in means]
+    out = np.empty((len(steps), len(vector)), dtype=complex)
+    for i, g in enumerate(group):
+        vector = propagators[g] @ vector
+        out[i] = vector
+    return out
 
 
 def evolve_memory_resolved(model, state0, times, rtol=1e-10, atol=1e-12):
@@ -119,23 +104,19 @@ def evolve_memory_resolved(model, state0, times, rtol=1e-10, atol=1e-12):
     -------
     EvolutionResult
     """
+    import scipy.integrate
+
     times = _check_times(times)
     if state0.labels != model.channels:
         raise ValidationError("state labels do not match model channels")
-    m, d = model.n_channels, model.dim
-    rhs = memory_resolved_rhs(model)
-
-    def f(_, y):
-        return rhs(y.reshape(m, d, d)).ravel()
-
-    y0 = state0.blocks.astype(complex).ravel()
     if times[-1] == times[0]:
-        states = tuple(HybridState(state0.labels, y0.reshape(m, d, d).copy()) for _ in times)
+        states = tuple(HybridState(state0.labels, state0.blocks.copy()) for _ in times)
         return EvolutionResult(times=times, states=states, method="memory-resolved-ode")
+    ext = extended_liouvillian(model)
     sol = scipy.integrate.solve_ivp(
-        f,
+        lambda _, y: ext.matrix @ y,
         (times[0], times[-1]),
-        y0,
+        ext.vector(state0).astype(complex),
         t_eval=times,
         method="DOP853",
         rtol=rtol,
@@ -145,52 +126,49 @@ def evolve_memory_resolved(model, state0, times, rtol=1e-10, atol=1e-12):
         raise IntegrationError(f"memory-resolved integration failed: {sol.message}")
     states = []
     for i, t in enumerate(times):
-        blocks = sol.y[:, i].reshape(m, d, d)
-        _check_blocks_positive(blocks, state0.labels, t)
-        states.append(HybridState(state0.labels, blocks))
+        state = ext.state(sol.y[:, i])
+        _check_blocks_positive(state.blocks, state.labels, t)
+        states.append(state)
     return EvolutionResult(times=times, states=tuple(states), method="memory-resolved-ode")
 
 
 def evolve_extended(model, state0, times, ext=None):
-    """Propagate with matrix exponentials of the extended Lindbladian.
+    """Propagate with matrix exponentials of the memory-block generator.
 
-    Repeated step sizes reuse the cached propagator, so uniform grids cost
-    a single exponential.  ``ext`` allows passing a prebuilt
-    ExtendedGenerator to skip reassembly.
+    One exponential is computed per distinct step of the grid (see
+    :func:`propagate`): a float ``linspace`` grid costs a few, an arbitrary
+    grid one per step.  ``ext`` allows passing a prebuilt ExtendedGenerator
+    to skip reassembly.
     """
     times = _check_times(times)
     if state0.labels != model.channels:
         raise ValidationError("state labels do not match model channels")
     if ext is None:
         ext = extended_liouvillian(model)
-    gen = ext.generator
-    v = vec(state0.to_matrix())
-    propagators = {}
+    vectors = propagate(ext, ext.vector(state0), times[1:], start=times[0])
     states = [state0]
-    for i in range(1, len(times)):
-        dt = times[i] - times[i - 1]
-        if dt not in propagators:
-            propagators[dt] = gen.expm(dt).matrix
-        v = propagators[dt] @ v
-        full = unvec(v, gen.dim)
-        state = HybridState.from_matrix(state0.labels, full, offblock_tol=1e-10)
-        _check_blocks_positive(state.blocks, state.labels, times[i])
+    for t, v in zip(times[1:], vectors):
+        state = ext.state(v)
+        _check_blocks_positive(state.blocks, state.labels, t)
         states.append(state)
     return EvolutionResult(times=times, states=tuple(states), method="extended-exponential")
 
 
 def feedback_steady_state(model, ext=None):
-    """Unique stationary HybridState of the extended Lindbladian.
+    """Unique stationary HybridState of the feedback dynamics.
 
     Raises :class:`DegenerateSteadyStateError` when the kernel is not
-    one-dimensional (e.g. disconnected memory sectors).
+    one-dimensional (e.g. disconnected memory sectors) and
+    :class:`PositivityError` when a hermitized block has an eigenvalue
+    below -1e-10.
     """
     if ext is None:
         ext = extended_liouvillian(model)
-    full = steady_state(ext.generator)
-    state = HybridState.from_matrix(model.channels, full, offblock_tol=1e-8)
-    # hermitize blocks; steady_state already normalized and checked positivity
+    state = ext.state(stationary_vector(ext.matrix, ext.trace_row))
     blocks = 0.5 * (state.blocks + state.blocks.conj().transpose(0, 2, 1))
+    low = np.linalg.eigvalsh(blocks).min()
+    if low < -1e-10:
+        raise PositivityError(f"stationary state has negative eigenvalue {low:.3e}")
     return HybridState(model.channels, blocks)
 
 

@@ -3,19 +3,24 @@
 Charge is accumulated per memory transition: a jump of channel k while the
 memory reads q adds the weight ``nu[k, q]``.  Channel-resolved counting
 (weights independent of q) is the special case of constant rows.  All
-quantities below refer to the extended generator of a feedback model; with
-a trivial (no-feedback) model they reduce to standard Lindblad counting
-statistics.
+quantities below act on the memory-block generator of a feedback model
+(:func:`extended_liouvillian`); with a trivial (no-feedback) model they
+reduce to standard Lindblad counting statistics.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
-from .dynamics import feedback_steady_state
-from .errors import DimensionError, ResolventError, StencilError, ValidationError
-from .superops import Superoperator, drazin, sandwich, spectral_gap, trace_vector, vec
+from .dynamics import feedback_steady_state, propagate
+from .errors import (
+    DegenerateSteadyStateError,
+    DimensionError,
+    ResolventError,
+    StencilError,
+    ValidationError,
+)
+from .superops import bordered, spectral_gap
 
 __all__ = [
     "CountingWeights",
@@ -97,33 +102,19 @@ def _check_weights(ext, weights):
         raise ValidationError("weights channels do not match the model")
 
 
-def _weighted_jump_matrix(ext, nu):
-    """sum over (k, q) of nu[k, q] * sandwich(extended jump op)."""
-    m = ext.model.n_channels
-    dim = ext.hybrid_dim
-    mat = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for k in range(m):
-        for q in range(m):
-            w = nu[k, q]
-            if w == 0.0:
-                continue
-            op = ext.jump_ops[k * m + q]
-            if not op.any():
-                continue
-            mat += w * sandwich(op).matrix
-    return mat
-
-
 def current_superop(ext, weights):
-    """Weighted jump superoperator J X = sum nu[k,q] L_kq X L_kq^dag."""
+    """Weighted jump superoperator J X = sum nu[k,q] L_k(q) X L_k(q)^dag.
+
+    A matrix on the memory-block vectors of ``ext``.
+    """
     _check_weights(ext, weights)
-    return Superoperator(ext.hybrid_dim, _weighted_jump_matrix(ext, weights.per_transition))
+    return ext.gain_matrix(weights.per_transition)
 
 
 def second_moment_superop(ext, weights):
     """Same as :func:`current_superop` with squared weights (noise background)."""
     _check_weights(ext, weights)
-    return Superoperator(ext.hybrid_dim, _weighted_jump_matrix(ext, weights.per_transition**2))
+    return ext.gain_matrix(weights.per_transition**2)
 
 
 def _real_scalar(z, what, tol=1e-8):
@@ -136,28 +127,47 @@ def _real_scalar(z, what, tol=1e-8):
 def average_current(ext, weights, state):
     """Mean charge rate Tr[J rho] in the given hybrid state."""
     j = current_superop(ext, weights)
-    return _real_scalar(np.trace(j(state.to_matrix())), "average current")
+    return _real_scalar(ext.trace_row @ (j @ ext.vector(state)), "average current")
 
 
 def noise_background(ext, weights, state):
     """Self-correlation background K = Tr[H2 rho], the delta weight at tau=0."""
     h2 = second_moment_superop(ext, weights)
-    return _real_scalar(np.trace(h2(state.to_matrix())), "noise background")
+    return _real_scalar(ext.trace_row @ (h2 @ ext.vector(state)), "noise background")
 
 
 def _resolve_stationary(ext, state):
-    """Return (state, vectorized state), computing and checking stationarity."""
+    """Return (state, memory-block vector), computing and checking stationarity."""
     if state is None:
         state = feedback_steady_state(ext.model, ext=ext)
-    v = vec(state.to_matrix())
-    resid = np.linalg.norm(ext.generator.matrix @ v)
-    scale = max(1.0, np.abs(ext.generator.matrix).max())
+    v = ext.vector(state)
+    resid = np.linalg.norm(ext.matrix @ v)
+    scale = max(1.0, np.abs(ext.matrix).max())
     if resid > 1e-8 * scale:
         raise ValidationError(
             f"state is not stationary (||L rho|| = {resid:.3e}); "
             "the two-time formulas below assume stationarity"
         )
     return state, v
+
+
+def _zero_frequency_term(ext, jmat, v):
+    """Re Tr[J L+ Q J rho_ss] from one bordered solve, without forming L+.
+
+    The system [[L, rho_ss], [t, 0]] [x; mu] = [Q J rho_ss; 0] has the
+    unique solution x = L+ Q J rho_ss, mu = 0 when the stationary state is
+    unique (Landi et al., PRX Quantum 5, 020201, 2024).
+    """
+    t = ext.trace_row
+    jv = jmat @ v
+    rhs = np.append(jv - v * (t @ jv), 0.0)
+    try:
+        x = np.linalg.solve(bordered(ext.matrix, v, t), rhs)[:-1]
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateSteadyStateError(
+            "bordered generator is singular; the stationary state is not unique"
+        ) from exc
+    return _real_scalar(t @ (jmat @ x), "zero-frequency term", tol=1e-6)
 
 
 @dataclass(frozen=True)
@@ -189,20 +199,14 @@ def two_point_correlation(ext, weights, taus, state=None):
         raise ValidationError("lags must be non-negative (F is even in tau)")
     order = np.argsort(taus, kind="stable")
     state, v = _resolve_stationary(ext, state)
-    jmat = current_superop(ext, weights).matrix
-    t = trace_vector(ext.hybrid_dim)
+    jmat = current_superop(ext, weights)
+    tj = ext.trace_row @ jmat
     jv = jmat @ v
-    current = _real_scalar(t @ jv, "average current")
+    current = _real_scalar(ext.trace_row @ jv, "average current")
     background = noise_background(ext, weights, state)
     values = np.empty(len(taus))
-    y = jv
-    prev = 0.0
-    for idx in order:
-        dt = taus[idx] - prev
-        if dt > 0:
-            y = ext.generator.expm(dt).matrix @ y
-            prev = taus[idx]
-        values[idx] = _real_scalar(t @ (jmat @ y), "correlation value") - current**2
+    for idx, y in zip(order, propagate(ext, jv, taus[order])):
+        values[idx] = _real_scalar(tj @ y, "correlation value") - current**2
     return CorrelationSamples(
         taus=taus, values=values, background=background, current=current
     )
@@ -222,31 +226,26 @@ def power_spectrum(ext, weights, omegas, state=None):
 
     S(omega) = K + 2 Re Tr[J (i omega - L)^{-1} Q J rho_ss] with Q the
     projector off the stationary state; at omega = 0 the resolvent is
-    replaced by the Drazin inverse, so S(0) equals the zero-frequency
-    noise.
+    replaced by the Drazin inverse (one bordered solve), so S(0) equals the
+    zero-frequency noise.
     """
     omegas = np.asarray(omegas, dtype=float)
     if omegas.ndim != 1 or len(omegas) == 0:
         raise ValidationError("omegas must be a non-empty 1-d array")
     state, v = _resolve_stationary(ext, state)
-    jmat = current_superop(ext, weights).matrix
-    t = trace_vector(ext.hybrid_dim)
-    lmat = ext.generator.matrix
+    jmat = current_superop(ext, weights)
+    t = ext.trace_row
+    lmat = ext.matrix
     n = lmat.shape[0]
     background = noise_background(ext, weights, state)
     jv = jmat @ v
     # project off the stationary direction before the resolvent
     b = jv - v * (t @ jv)
     tj = t @ jmat
-    dz = None
     values = np.empty(len(omegas))
     for i, w in enumerate(omegas):
         if w == 0.0:
-            if dz is None:
-                dz = drazin(ext.generator, state.to_matrix()).matrix
-            values[i] = background - 2.0 * _real_scalar(
-                tj @ (dz @ jv), "zero-frequency term", tol=1e-6
-            )
+            values[i] = background - 2.0 * _zero_frequency_term(ext, jmat, v)
             continue
         a = 1j * w * np.eye(n) - lmat
         try:
@@ -263,15 +262,13 @@ def power_spectrum(ext, weights, omegas, state=None):
 
 
 def steady_noise(ext, weights, state=None):
-    """Zero-frequency noise D = K - 2 Tr[J L+ J rho_ss] via the Drazin inverse."""
+    """Zero-frequency noise D = K - 2 Tr[J L+ J rho_ss], L+ the Drazin inverse.
+
+    L+ is applied through one bordered solve and never formed.
+    """
     state, v = _resolve_stationary(ext, state)
-    jmat = current_superop(ext, weights).matrix
-    t = trace_vector(ext.hybrid_dim)
-    dz = drazin(ext.generator, state.to_matrix()).matrix
     background = noise_background(ext, weights, state)
-    d = background - 2.0 * _real_scalar(
-        (t @ jmat) @ (dz @ (jmat @ v)), "zero-frequency term", tol=1e-6
-    )
+    d = background - 2.0 * _zero_frequency_term(ext, current_superop(ext, weights), v)
     if d < -1e-10:
         raise ValidationError(f"zero-frequency noise came out negative ({d:.3e})")
     return d
@@ -285,19 +282,20 @@ def noise_by_quadrature(ext, weights, state=None, t_max=None, gap_factor=40.0):
     ``t_max`` defaults to ``gap_factor / spectral_gap``, far past the
     slowest decay.  Shares only the generator with :func:`steady_noise`.
     """
+    import scipy.integrate
+
     state, v = _resolve_stationary(ext, state)
     if t_max is None:
-        gap = spectral_gap(ext.generator)
+        gap = spectral_gap(ext)
         if gap <= 0:
             raise ValidationError("generator has no spectral gap; pass t_max explicitly")
         t_max = gap_factor / gap
-    jmat = current_superop(ext, weights).matrix
-    t = trace_vector(ext.hybrid_dim)
+    jmat = current_superop(ext, weights)
     jv = jmat @ v
-    current = (t @ jv).real
-    tj = t @ jmat
+    current = (ext.trace_row @ jv).real
+    tj = ext.trace_row @ jmat
     # eigen-propagation keeps each integrand sample cheap
-    evals, vecs = np.linalg.eig(ext.generator.matrix)
+    evals, vecs = np.linalg.eig(ext.matrix)
     coeff_r = np.linalg.solve(vecs, jv)
     coeff_l = tj @ vecs
 
@@ -310,11 +308,13 @@ def noise_by_quadrature(ext, weights, state=None, t_max=None, gap_factor=40.0):
 
 
 def tilted_generator(ext, weights, chi):
-    """Counting-field generator: jump gains reweighted by exp(chi * nu[k,q])."""
+    """Counting-field generator: jump gains reweighted by exp(chi * nu[k,q]).
+
+    A matrix on the memory-block vectors of ``ext``.
+    """
     _check_weights(ext, weights)
     factors = np.exp(chi * weights.per_transition) - 1.0
-    mat = ext.generator.matrix + _weighted_jump_matrix(ext, factors)
-    return Superoperator(ext.hybrid_dim, mat)
+    return ext.matrix + ext.gain_matrix(factors)
 
 
 def _dominant_eigenvalue(mat, min_gap, chi):
@@ -351,7 +351,7 @@ def tilted_cumulants(ext, weights, chi_step=1e-4):
     """
     if chi_step <= 0:
         raise ValidationError("chi_step must be positive")
-    base_evals = np.linalg.eigvals(ext.generator.matrix)
+    base_evals = np.linalg.eigvals(ext.matrix)
     if len(base_evals) > 1:
         order = np.argsort(base_evals.real)[::-1]
         gap0 = base_evals[order[0]].real - base_evals[order[1]].real
@@ -361,12 +361,7 @@ def tilted_cumulants(ext, weights, chi_step=1e-4):
     lam = {}
     for n in (-2, -1, 0, 1, 2):
         chi = n * chi_step
-        if n == 0:
-            lam[n] = _dominant_eigenvalue(ext.generator.matrix, min_gap, chi)
-        else:
-            lam[n] = _dominant_eigenvalue(
-                tilted_generator(ext, weights, chi).matrix, min_gap, chi
-            )
+        lam[n] = _dominant_eigenvalue(tilted_generator(ext, weights, chi), min_gap, chi)
     h = chi_step
     current = (8.0 * (lam[1] - lam[-1]) - (lam[2] - lam[-2])) / (12.0 * h)
     noise = (-lam[2] + 16.0 * lam[1] - 30.0 * lam[0] + 16.0 * lam[-1] - lam[-2]) / (

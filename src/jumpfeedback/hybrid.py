@@ -1,14 +1,22 @@
 """Hybrid system-memory construction.
 
 The joint state of system and jump memory is block diagonal,
-rho_sm = sum_k rho(k) (x) |k><k|.  Internally the memory index is major:
-the full matrix is ``(m*d, m*d)`` and block (k, q) is the contiguous
-submatrix ``[k*d:(k+1)*d, q*d:(q+1)*d]``.  An extended operator built from a
-system operator A acting in memory sector (k, q) is ``kron(|k><q|, A)``.
+rho_sm = sum_k rho(k) (x) |k><k|, and the feedback dynamics never creates
+coherences between memory values.  Every deterministic quantity therefore
+lives in the memory-block sector: the stack of column-stacked conditional
+blocks vec(rho(0)), ..., vec(rho(m-1)), of length m*d^2.
+:class:`ExtendedGenerator` is the generator on that sector and the only
+place that knows its layout.
 
-The extended generator assembled here is an ordinary Lindbladian on the
-enlarged space; restricted to block-diagonal states its action reproduces
-the memory-resolved feedback master equation block by block.
+The paper form of the same dynamics is an ordinary Lindbladian on the full
+hybrid space, kept here as a reference.  The memory index is major: the
+full matrix is ``(m*d, m*d)``, block (k, q) is the contiguous submatrix
+``[k*d:(k+1)*d, q*d:(q+1)*d]``, and an extended operator built from a
+system operator A acting in memory sector (k, q) is ``kron(|k><q|, A)``.
+Restricted to block-diagonal states,
+``liouvillian(extended_hamiltonian(model), [*extended_jumps(model),
+*extended_silent_jumps(model)])`` acts block by block as
+:class:`ExtendedGenerator` does.
 """
 
 from dataclasses import dataclass
@@ -17,7 +25,7 @@ import numpy as np
 
 from .errors import DimensionError, PositivityError, ValidationError
 from .model import FeedbackModel
-from .superops import Superoperator, liouvillian
+from .superops import no_jump_generator, sandwich, trace_vector
 
 __all__ = [
     "HybridState",
@@ -246,42 +254,64 @@ def extended_silent_jumps(model):
 
 @dataclass(frozen=True)
 class ExtendedGenerator:
-    """Lindbladian on the hybrid space plus its building blocks.
+    """Feedback generator restricted to block-diagonal hybrid states.
 
-    ``jump_ops[k * m + q]`` are the monitored extended operators (k-major);
-    ``silent_ops`` collects the unmonitored ones.  ``generator`` is the full
-    Lindbladian including both.
+    ``matrix`` is ``(m*d^2, m*d^2)`` and acts on :meth:`vector` of a
+    HybridState, the stacked vec(rho(k)) with the memory index major.  Its
+    block (k, q) of size d^2 maps vec(rho(q)) to its contribution to
+    d vec(rho(k))/dt.
     """
 
     model: FeedbackModel
-    hamiltonian: np.ndarray
-    jump_ops: np.ndarray
-    silent_ops: np.ndarray
-    generator: Superoperator
+    matrix: np.ndarray
+
+    def vector(self, state):
+        """Stacked column-stacked blocks vec(rho(0)), ..., vec(rho(m-1))."""
+        return state.blocks.transpose(0, 2, 1).reshape(-1)
+
+    def state(self, vector):
+        """HybridState whose blocks are stacked in ``vector``."""
+        m, d = self.model.n_channels, self.model.dim
+        blocks = np.asarray(vector).reshape(m, d, d).transpose(0, 2, 1)
+        return HybridState(self.model.channels, blocks)
 
     @property
-    def hybrid_dim(self):
-        return self.hamiltonian.shape[0]
+    def trace_row(self):
+        """Row t with t @ vector(state) = sum_k Tr[rho(k)]."""
+        return np.tile(trace_vector(self.model.dim), self.model.n_channels)
+
+    def gain_matrix(self, nu):
+        """Weighted jump gains: nu[k, q] * sandwich(L_k(q)) on block (k, q)."""
+        return _gain_matrix(self.model, nu)
+
+
+def _gain_matrix(model, nu):
+    m, n = model.n_channels, model.dim**2
+    mat = np.zeros((m * n, m * n), dtype=complex)
+    for k in range(m):
+        for q in range(m):
+            if nu[k, q] != 0.0:
+                mat[k * n : (k + 1) * n, q * n : (q + 1) * n] = (
+                    nu[k, q] * sandwich(model.jump_ops[k, q]).matrix
+                )
+    return mat
 
 
 def extended_liouvillian(model):
-    """Assemble the extended generator of a feedback model.
+    """Assemble the generator of a feedback model on the memory-block sector.
 
-    The result is a plain Lindbladian: commutator with the block-diagonal
-    Hamiltonian plus one dissipator per extended jump operator (monitored
-    and silent).  It preserves block-diagonality, and restricted to
-    block-diagonal states its diagonal blocks obey the memory-resolved
-    feedback master equation.
+    Block (k, k) is the no-jump generator of memory value k (Hamiltonian
+    H(k), losses of every monitored and silent operator acting at k) plus
+    the gains of the silent operators, which leave the memory at k; block
+    (k, q) adds the gain of L_k(q), which moves the memory from q to k.
     """
-    ham = extended_hamiltonian(model)
-    jumps = extended_jumps(model)
-    silents = extended_silent_jumps(model)
-    all_ops = list(jumps) + list(silents)
-    gen = liouvillian(ham, all_ops)
-    return ExtendedGenerator(
-        model=model,
-        hamiltonian=ham,
-        jump_ops=jumps,
-        silent_ops=silents,
-        generator=gen,
-    )
+    m, n = model.n_channels, model.dim**2
+    mat = _gain_matrix(model, np.ones((m, m)))
+    for k in range(m):
+        silents = list(model.silent_ops[:, k])
+        drift = no_jump_generator(model.hamiltonians[k], [*model.jump_ops[:, k], *silents])
+        block = mat[k * n : (k + 1) * n, k * n : (k + 1) * n]
+        block += drift.matrix
+        for s in silents:
+            block += sandwich(s).matrix
+    return ExtendedGenerator(model=model, matrix=mat)

@@ -11,28 +11,15 @@ counted).
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, ValidationError
-from .superops import Superoperator, liouvillian, sandwich, trace_vector
 
 __all__ = [
-    "ChannelId",
     "FeedbackModel",
     "feedback_model",
     "validate",
     "no_feedback",
-    "WisemanModel",
-    "wiseman_generator",
 ]
-
-
-@dataclass(frozen=True)
-class ChannelId:
-    """A jump channel: human-readable label plus its position in the alphabet."""
-
-    label: str
-    index: int
 
 
 def _canonical_ops(arr, shape, name):
@@ -102,10 +89,6 @@ class FeedbackModel:
     @property
     def n_channels(self):
         return len(self.channels)
-
-    @property
-    def channel_ids(self):
-        return tuple(ChannelId(label, i) for i, label in enumerate(self.channels))
 
     def channel_index(self, label):
         try:
@@ -275,65 +258,3 @@ def no_feedback(h, jump_ops, labels=None):
         jump_ops=jumps,
     )
     return validate(model)
-
-
-@dataclass(frozen=True)
-class WisemanModel:
-    """Memoryless feedback: a fixed recovery generator per channel.
-
-    ``feedback_generators[k]`` is the generator K(k) whose exponential is
-    slammed onto the state right after a type-k jump; ``None`` means no
-    recovery on that channel.
-    """
-
-    hamiltonian: np.ndarray
-    jump_ops: tuple
-    feedback_generators: tuple
-
-    def __post_init__(self):
-        h = np.ascontiguousarray(np.asarray(self.hamiltonian, dtype=complex))
-        object.__setattr__(self, "hamiltonian", h)
-        object.__setattr__(
-            self,
-            "jump_ops",
-            tuple(np.ascontiguousarray(np.asarray(l, dtype=complex)) for l in self.jump_ops),
-        )
-        object.__setattr__(self, "feedback_generators", tuple(self.feedback_generators))
-        if len(self.feedback_generators) != len(self.jump_ops):
-            raise DimensionError("need one feedback generator slot per jump operator")
-
-
-def wiseman_generator(model, trace_tol=1e-10):
-    """Generator of the memoryless-feedback master equation.
-
-    Each jump gain term L_k . L_k^dag is post-processed by exp(K(k)); the
-    drift part is untouched, so with all K(k) = 0 this is the plain
-    Lindbladian.
-
-    Parameters
-    ----------
-    model : WisemanModel
-    trace_tol : float
-        Each K(k) must be trace-annihilating within this tolerance.
-    """
-    h = model.hamiltonian
-    d = h.shape[0]
-    t = trace_vector(d)
-    mat = liouvillian(h, model.jump_ops).matrix.copy()
-    for k, l in enumerate(model.jump_ops):
-        gen_k = model.feedback_generators[k]
-        if gen_k is None:
-            continue
-        kmat = gen_k.matrix if isinstance(gen_k, Superoperator) else np.asarray(gen_k, dtype=complex)
-        if kmat.shape != (d * d, d * d):
-            raise DimensionError(
-                f"feedback generator {k} has shape {kmat.shape}, expected {(d*d, d*d)}"
-            )
-        defect = np.abs(t @ kmat).max()
-        if defect > trace_tol * max(1.0, np.abs(kmat).max()):
-            raise ValidationError(
-                f"feedback generator {k} is not trace-annihilating (defect {defect:.3e})"
-            )
-        jump_mat = sandwich(l).matrix
-        mat += (scipy.linalg.expm(kmat) - np.eye(d * d)) @ jump_mat
-    return Superoperator(d, mat)

@@ -24,7 +24,6 @@ from .errors import (
 
 __all__ = [
     "Superoperator",
-    "KrausStep",
     "vec",
     "unvec",
     "trace_vector",
@@ -35,7 +34,8 @@ __all__ = [
     "liouvillian",
     "jump_superop",
     "no_jump_generator",
-    "kraus_step",
+    "bordered",
+    "stationary_vector",
     "steady_state",
     "drazin",
     "is_trace_annihilating",
@@ -222,53 +222,61 @@ def no_jump_generator(h, jump_ops=()):
     return Superoperator(gen.dim, mat)
 
 
-@dataclass(frozen=True)
-class KrausStep:
-    """One-step Kraus decomposition of the unraveled evolution.
+def bordered(matrix, column, row):
+    """The square matrix [[matrix, column], [row, 0]].
 
-    ``no_jump`` is V_0 = 1 - i*dt*H_eff with H_eff = H - (i/2) sum L^dag L;
-    ``jumps[k]`` is sqrt(dt) L_k.  The completeness defect
-    ``V_0^dag V_0 + sum V_k^dag V_k - 1`` equals dt^2 H_eff^dag H_eff exactly,
-    so it shrinks quadratically with the step.
+    With ``row`` the trace row and ``column`` a unit-trace kernel vector of
+    a trace-annihilating generator L, it is invertible exactly when the
+    kernel of L is one-dimensional; solving it with right-hand side
+    [b; 0] for trace-free b gives [L+ b; 0], L+ the Drazin inverse.
     """
-
-    dt: float
-    no_jump: np.ndarray
-    jumps: tuple
-    h_eff: np.ndarray
-
-    def completeness_defect(self):
-        d = self.no_jump.shape[0]
-        total = self.no_jump.conj().T @ self.no_jump
-        for v in self.jumps:
-            total = total + v.conj().T @ v
-        return np.linalg.norm(total - np.eye(d), 2)
+    n = len(row)
+    out = np.zeros((n + 1, n + 1), dtype=complex)
+    out[:n, :n] = matrix
+    out[:n, n] = column
+    out[n, :n] = row
+    return out
 
 
-def kraus_step(h, jump_ops, dt):
-    """First-order Kraus operators for one unraveling step of size ``dt``."""
-    h = _as_operator(h, "hamiltonian")
-    _require_hermitian(h, "hamiltonian")
-    if dt <= 0:
-        raise ValidationError(f"step size must be positive, got {dt}")
-    d = h.shape[0]
-    h_eff = h.astype(complex).copy()
-    vks = []
-    for k, l in enumerate(jump_ops):
-        l = _as_operator(l, f"jump operator {k}")
-        if l.shape[0] != d:
-            raise DimensionError(f"jump operator {k} has dimension {l.shape[0]}, expected {d}")
-        h_eff -= 0.5j * (l.conj().T @ l)
-        vks.append(np.sqrt(dt) * l)
-    v0 = np.eye(d) - 1j * dt * h_eff
-    return KrausStep(dt=float(dt), no_jump=v0, jumps=tuple(vks), h_eff=h_eff)
+def stationary_vector(matrix, trace_row, kernel_rtol=1e-9):
+    """Unit-trace kernel vector of a generator with a one-dimensional kernel.
+
+    The kernel is extracted from a full SVD of ``matrix``.  A second
+    singular value below ``kernel_rtol`` times the largest raises
+    :class:`DegenerateSteadyStateError`, and so does a kernel vector whose
+    trace ``trace_row @ x`` vanishes.  Shared by :func:`steady_state` and
+    the memory-block stationary state.
+    """
+    _, s, vh = np.linalg.svd(matrix)
+    if len(s) > 1:
+        if s[0] == 0.0 or s[-2] < kernel_rtol * s[0]:
+            # count the near-zero singular values for the diagnostic
+            thresh = kernel_rtol * (s[0] if s[0] > 0 else 1.0)
+            kdim = int(np.sum(s < thresh)) if s[0] > 0 else len(s)
+            raise DegenerateSteadyStateError(
+                f"generator kernel is {kdim}-dimensional (need exactly 1); "
+                "the stationary state is not unique",
+                kernel_dim=kdim,
+            )
+    x = vh[-1].conj()
+    tr = trace_row @ x
+    if abs(tr) < 1e-8 * np.linalg.norm(x):
+        raise DegenerateSteadyStateError(
+            "kernel element is traceless; no normalizable stationary state", kernel_dim=1
+        )
+    # The SVD's kernel vector can carry round-off of order eps ||L|| / s[-2]
+    # along the slow modes, enough to turn tiny populations negative; one
+    # bordered solve with it as the border column removes that.
+    rhs = np.zeros(len(x) + 1, dtype=complex)
+    rhs[-1] = 1.0
+    return np.linalg.solve(bordered(matrix, x / tr, trace_row), rhs)[:-1]
 
 
 def steady_state(gen, pos_tol=1e-10, kernel_rtol=1e-9):
     """Stationary density matrix of a trace-annihilating generator.
 
-    The kernel is extracted from a full SVD; the result is hermitized and
-    trace-normalized.
+    The kernel is extracted by :func:`stationary_vector`; the result is
+    trace-normalized and hermitized.
 
     Parameters
     ----------
@@ -287,26 +295,8 @@ def steady_state(gen, pos_tol=1e-10, kernel_rtol=1e-9):
     ndarray
         Density matrix with ``gen(rho) = 0``.
     """
-    m = gen.matrix
-    _, s, vh = np.linalg.svd(m)
-    if len(s) > 1:
-        if s[0] == 0.0 or s[-2] < kernel_rtol * s[0]:
-            # count the near-zero singular values for the diagnostic
-            thresh = kernel_rtol * (s[0] if s[0] > 0 else 1.0)
-            kdim = int(np.sum(s < thresh)) if s[0] > 0 else len(s)
-            raise DegenerateSteadyStateError(
-                f"generator kernel is {kdim}-dimensional (need exactly 1); "
-                "the stationary state is not unique",
-                kernel_dim=kdim,
-            )
-    x = unvec(vh[-1].conj(), gen.dim)
+    x = unvec(stationary_vector(gen.matrix, trace_vector(gen.dim), kernel_rtol), gen.dim)
     x = 0.5 * (x + x.conj().T)
-    tr = np.trace(x).real
-    if abs(tr) < 1e-8 * np.linalg.norm(x):
-        raise DegenerateSteadyStateError(
-            "kernel element is traceless; no normalizable stationary state", kernel_dim=1
-        )
-    x = x / tr
     evals = np.linalg.eigvalsh(x)
     if evals.min() < -pos_tol:
         raise PositivityError(
@@ -320,8 +310,11 @@ def drazin(gen, rho_ss, check_tol=1e-9):
 
     With P X = Tr[X] rho_ss and Q = 1 - P, the inverse is
     ``Q (L Q + P)^{-1} Q``.  The defining identities
-    L L+ = L+ L = 1 - P and L+ P = P L+ = 0 are verified to ``check_tol``
-    in the spectral norm.
+    L L+ = L+ L = 1 - P and L+ P = P L+ = 0 are verified in the spectral
+    norm to ``check_tol`` relative to ||L|| ||L+||, the scale of their
+    round-off, so slow but well-separated modes are not mistaken for a
+    degenerate kernel; that one is caught by the singular-value test of
+    :func:`stationary_vector`.
 
     Parameters
     ----------
@@ -329,7 +322,7 @@ def drazin(gen, rho_ss, check_tol=1e-9):
     rho_ss : ndarray
         Stationary state of ``gen`` (see :func:`steady_state`).
     check_tol : float
-        Absolute tolerance for the identity checks; set to None to skip.
+        Relative tolerance for the identity checks; set to None to skip.
     """
     d = gen.dim
     n = d * d
@@ -345,16 +338,19 @@ def drazin(gen, rho_ss, check_tol=1e-9):
         ) from exc
     dz = q @ inv_q
     if check_tol is not None:
+        norm_l = np.linalg.norm(gen.matrix, 2)
+        # L+ P and P L+ carry the units of L+; times ||L|| they compare like the rest
         resid = max(
             np.linalg.norm(gen.matrix @ dz - q, 2),
             np.linalg.norm(dz @ gen.matrix - q, 2),
-            np.linalg.norm(dz @ p, 2),
-            np.linalg.norm(p @ dz, 2),
+            norm_l * np.linalg.norm(dz @ p, 2),
+            norm_l * np.linalg.norm(p @ dz, 2),
         )
-        if resid > check_tol:
+        scale = norm_l * np.linalg.norm(dz, 2)
+        if resid > check_tol * scale:
             raise DegenerateSteadyStateError(
-                f"Drazin identities violated (residual {resid:.3e}); "
-                "generator kernel is likely degenerate"
+                f"Drazin identities violated (residual {resid:.3e}, "
+                f"scale ||L|| ||L+|| = {scale:.3e})"
             )
     return Superoperator(d, dz)
 

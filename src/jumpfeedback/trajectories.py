@@ -50,9 +50,6 @@ def trajectory_stream(master_seed, index):
     return np.random.Generator(np.random.Philox(ss))
 
 
-_make_stream = trajectory_stream
-
-
 @dataclass(frozen=True)
 class TrajectoryRecord:
     """Full event record of one trajectory.
@@ -472,7 +469,7 @@ def sample_trajectory(
     """
     if rng is None:
         rng = 0
-    stream = _make_stream(rng, 0) if isinstance(rng, (int, np.integer)) else rng
+    stream = trajectory_stream(rng, 0) if isinstance(rng, (int, np.integer)) else rng
     k0_idx = model.channel_index(k0)
     tables, states, memory, charge, _, recorder = _run_batch(
         model,
@@ -551,7 +548,7 @@ def mc_estimate(
     if dist.min() < 0 or abs(dist.sum() - 1.0) > 1e-10:
         raise ValidationError("memory0 must be a probability distribution")
 
-    streams = [_make_stream(master_seed, i) for i in range(n_traj)]
+    streams = [trajectory_stream(master_seed, i) for i in range(n_traj)]
     cum = np.cumsum(dist)
     memories0 = np.array(
         [int(np.searchsorted(cum, s.random(), side="right")) for s in streams]

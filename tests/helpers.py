@@ -2,7 +2,15 @@
 
 import numpy as np
 
-from jumpfeedback import feedback_model, validate
+from jumpfeedback import (
+    extended_hamiltonian,
+    extended_jumps,
+    extended_silent_jumps,
+    feedback_model,
+    liouvillian,
+    sandwich,
+    validate,
+)
 
 
 def random_hermitian(rng, d, scale=1.0):
@@ -48,3 +56,23 @@ def random_no_feedback_ops(rng, dim=3, n_channels=2, scale=0.6):
     h = random_hermitian(rng, dim)
     ops = [random_operator(rng, dim, scale) for _ in range(n_channels)]
     return h, ops
+
+
+def dense_oracle(model):
+    """The paper-form Lindbladian on the full (m*d)-dimensional hybrid space."""
+    return liouvillian(
+        extended_hamiltonian(model),
+        [*extended_jumps(model), *extended_silent_jumps(model)],
+    )
+
+
+def dense_gain(model, nu):
+    """sum of nu[k, q] * sandwich(kron(|k><q|, L_k(q))) on the full hybrid space."""
+    m = model.n_channels
+    ops = extended_jumps(model)
+    size = (m * model.dim) ** 2
+    mat = np.zeros((size, size), dtype=complex)
+    for k in range(m):
+        for q in range(m):
+            mat += nu[k, q] * sandwich(ops[k * m + q]).matrix
+    return mat

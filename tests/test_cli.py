@@ -114,11 +114,53 @@ class TestVerbs:
         assert rc == 1
         assert err.startswith("error: DegenerateSteadyStateError:")
 
+    @pytest.mark.parametrize("verb", ["run", "validate"])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, verb):
+        # json reads NaN and Infinity; every numeric entry must reject them
+        cfg = base_config(tmp_path, {"kind": "steady"})
+        cfg["model"]["params"]["nbar"] = float("nan")
+        cfg["model"]["params"]["gamma"] = float("inf")
+        rc = main([verb, write_config(tmp_path, cfg)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: model.params.nbar: expected a finite number")
+        assert not os.path.exists(tmp_path / "t_steady.csv")
+
+    def test_non_finite_matrix_entry_is_config_error(self, tmp_path, capsys):
+        cfg = base_config(tmp_path, {"kind": "steady"})
+        cfg["model"] = {
+            "dim": 1,
+            "channels": ["a"],
+            "jump_ops": {"a": [[[1.0, float("-inf")]]]},
+        }
+        rc = main(["validate", write_config(tmp_path, cfg)])
+        assert rc == 2
+        assert "model.jump_ops.a[0][0][1]: expected a finite number" in capsys.readouterr().err
+
+    def test_linear_algebra_failure_exits_one(self, tmp_path, capsys):
+        # finite but overflowing rates fill the generator with inf and nan
+        cfg = base_config(tmp_path, {"kind": "steady"})
+        cfg["model"] = {
+            "builtin": "maser",
+            "params": {"nl": 1e300, "nr": 8.0, "gl": 1e300, "gr": 0.1},
+        }
+        with np.errstate(all="ignore"):
+            rc = main(["run", write_config(tmp_path, cfg)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: LinAlgError:")
+
 
 class TestConfigErrors:
     def check(self, cfg, match):
         with pytest.raises(ConfigError, match=match):
             parse_config(cfg)
+
+    def test_grid_values_must_be_finite(self, tmp_path):
+        cfg = base_config(tmp_path, {"kind": "spectrum", "omegas": {"logspace": [0, 400, 3]}})
+        cfg["weights"] = "activity"
+        with np.errstate(over="ignore"):
+            self.check(cfg, "task.omegas: grid values must be finite")
 
     def test_unknown_top_level_key(self, tmp_path):
         cfg = base_config(tmp_path, {"kind": "steady"})

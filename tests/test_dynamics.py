@@ -14,12 +14,18 @@ from jumpfeedback import (
     liouvillian,
     marginals,
     memory_distribution_rate,
-    memory_resolved_rhs,
     no_feedback,
     steady_state,
 )
+from jumpfeedback import dynamics
 
-from helpers import random_density, random_hermitian, random_model, random_operator
+from helpers import (
+    dense_oracle,
+    random_density,
+    random_hermitian,
+    random_model,
+    random_operator,
+)
 
 
 def initial_state(rng, model):
@@ -63,6 +69,41 @@ class TestCrossMethod:
             assert abs(s.memory_dist.sum() - 1.0) < 1e-9
 
 
+class TestPropagation:
+    def test_one_exponential_per_distinct_step(self, monkeypatch):
+        rng = np.random.default_rng(62)
+        model = random_model(rng, dim=2, n_channels=2)
+        ext = extended_liouvillian(model)
+        state0 = initial_state(rng, model)
+        times = np.linspace(0.0, 6.0, 601)
+        # the float grid has several steps that differ only by rounding
+        assert len(set(np.diff(times))) > 1
+        calls = []
+        expm = dynamics.scipy.linalg.expm
+
+        def counting_expm(a):
+            calls.append(a)
+            return expm(a)
+
+        monkeypatch.setattr(dynamics.scipy.linalg, "expm", counting_expm)
+        res = evolve_extended(model, state0, times, ext=ext)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        for i in (1, 300, 600):
+            direct = expm(times[i] * ext.matrix) @ ext.vector(state0)
+            npt.assert_allclose(ext.vector(res.states[i]), direct, atol=1e-12)
+
+    def test_distinct_steps_stay_exact(self):
+        rng = np.random.default_rng(63)
+        model = random_model(rng, dim=2, n_channels=2)
+        ext = extended_liouvillian(model)
+        v0 = ext.vector(initial_state(rng, model))
+        times = np.array([0.5, 0.5, 1.25, 3.0])
+        out = dynamics.propagate(ext, v0, times)
+        for t, v in zip(times, out):
+            npt.assert_allclose(v, dynamics.scipy.linalg.expm(t * ext.matrix) @ v0, atol=1e-13)
+
+
 class TestInputChecks:
     def test_decreasing_times_rejected(self):
         rng = np.random.default_rng(53)
@@ -91,9 +132,9 @@ class TestSteadyState:
     def test_fixed_point_of_blockwise_rhs(self):
         rng = np.random.default_rng(56)
         model = random_model(rng, dim=3, n_channels=2, silent=1)
-        ss = feedback_steady_state(model)
-        rhs = memory_resolved_rhs(model)
-        assert np.abs(rhs(ss.blocks)).max() < 1e-10
+        ext = extended_liouvillian(model)
+        ss = feedback_steady_state(model, ext=ext)
+        assert np.abs(ext.matrix @ ext.vector(ss)).max() < 1e-10
         assert abs(ss.memory_dist.sum() - 1.0) < 1e-12
 
     def test_matches_dense_steady_state_of_extension(self):
@@ -101,7 +142,7 @@ class TestSteadyState:
         model = random_model(rng, dim=2, n_channels=3)
         ext = extended_liouvillian(model)
         ss = feedback_steady_state(model, ext=ext)
-        dense = steady_state(ext.generator)
+        dense = steady_state(dense_oracle(model))
         npt.assert_allclose(ss.to_matrix(), dense, atol=1e-9)
 
     def test_long_time_evolution_converges_to_it(self):
@@ -138,3 +179,14 @@ class TestMemoryRate:
         numeric = (res.states[1].memory_dist - state0.memory_dist) / h
         analytic = memory_distribution_rate(model, state0)
         npt.assert_allclose(numeric, analytic, atol=1e-4)
+
+
+def test_package_import_leaves_scipy_integrate_unloaded():
+    import subprocess
+    import sys
+
+    code = "import sys, jumpfeedback; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

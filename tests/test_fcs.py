@@ -125,6 +125,20 @@ class TestCrossRoutes:
         assert abs(jt - j) < 1e-6 * max(1.0, abs(j))
         assert abs(dt - d) < 1e-4 * max(1.0, abs(d))
 
+    def test_slow_maser_noise_matches_tilted_route(self):
+        # at gl = gr = 1e-7 the noise is 1.8e-7, five orders below the
+        # current scale; the bordered solve still resolves it
+        from jumpfeedback import MaserParams, maser_model, work_weights
+
+        params = MaserParams(nl=0.3, nr=8.0, gl=1e-7, gr=1e-7, wl=8.0, wr=2.0)
+        model = maser_model(params)
+        ext = extended_liouvillian(model)
+        weights = work_weights(params)
+        d = steady_noise(ext, weights)
+        _, d_tilt = tilted_cumulants(ext, weights, chi_step=1e-2)
+        assert abs(d - 1.7985e-7) < 1e-11
+        assert abs(d_tilt - d) < 1e-4 * d
+
     def test_spectrum_is_real_and_even(self):
         _, ext, weights = random_setup(73, dim=2, n_channels=3)
         omegas = np.array([-3.0, -1.0, -0.2, 0.2, 1.0, 3.0])

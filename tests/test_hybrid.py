@@ -8,13 +8,16 @@ from jumpfeedback import (
     HybridState,
     ValidationError,
     embed,
+    extended_jumps,
     extended_liouvillian,
+    extended_silent_jumps,
     marginals,
-    memory_resolved_rhs,
+    unvec,
     validate_hybrid_state,
+    vec,
 )
 
-from helpers import random_density, random_model
+from helpers import dense_gain, dense_oracle, random_density, random_model
 
 
 class TestHybridState:
@@ -95,14 +98,13 @@ class TestExtendedConstruction:
     def test_jump_operator_layout(self):
         rng = np.random.default_rng(36)
         model = random_model(rng, dim=2, n_channels=3)
-        ext = extended_liouvillian(model)
+        ops = extended_jumps(model)
         m, d = 3, 2
-        assert ext.hybrid_dim == m * d
-        assert ext.jump_ops.shape == (m * m, m * d, m * d)
+        assert ops.shape == (m * m, m * d, m * d)
         # entry k*m + q moves block q to block k with L_k(q)
         for k in range(m):
             for q in range(m):
-                op = ext.jump_ops[k * m + q]
+                op = ops[k * m + q]
                 npt.assert_array_equal(
                     op[k * d : (k + 1) * d, q * d : (q + 1) * d], model.jump_ops[k, q]
                 )
@@ -113,10 +115,10 @@ class TestExtendedConstruction:
     def test_silent_ops_keep_memory(self):
         rng = np.random.default_rng(37)
         model = random_model(rng, dim=2, n_channels=2, silent=1)
-        ext = extended_liouvillian(model)
-        assert ext.silent_ops.shape == (2, 4, 4)
+        ops = extended_silent_jumps(model)
+        assert ops.shape == (2, 4, 4)
         for q in range(2):
-            op = ext.silent_ops[q]
+            op = ops[q]
             npt.assert_array_equal(
                 op[q * 2 : (q + 1) * 2, q * 2 : (q + 1) * 2], model.silent_ops[0, q]
             )
@@ -124,10 +126,9 @@ class TestExtendedConstruction:
     def test_generator_preserves_block_diagonality(self):
         rng = np.random.default_rng(38)
         model = random_model(rng, dim=2, n_channels=2, silent=1)
-        ext = extended_liouvillian(model)
         blocks = np.stack([0.5 * random_density(rng, 2), 0.5 * random_density(rng, 2)])
         state = HybridState(labels=model.channels, blocks=blocks)
-        moved = ext.generator(state.to_matrix())
+        moved = dense_oracle(model)(state.to_matrix())
         # off-diagonal memory blocks stay exactly zero
         HybridState.from_matrix(model.channels, moved, offblock_tol=1e-14)
 
@@ -136,32 +137,42 @@ class TestExtendedConstruction:
         for silent in (0, 2):
             model = random_model(rng, dim=3, n_channels=2, silent=silent)
             ext = extended_liouvillian(model)
-            rhs = memory_resolved_rhs(model)
             blocks = np.stack(
                 [0.25 * random_density(rng, 3), 0.75 * random_density(rng, 3)]
             )
             state = HybridState(labels=model.channels, blocks=blocks)
-            via_ext = HybridState.from_matrix(
-                model.channels, ext.generator(state.to_matrix()), offblock_tol=None
+            via_dense = HybridState.from_matrix(
+                model.channels, dense_oracle(model)(state.to_matrix()), offblock_tol=None
             )
-            npt.assert_allclose(rhs(blocks), via_ext.blocks, atol=1e-12)
+            npt.assert_allclose(
+                ext.state(ext.matrix @ ext.vector(state)).blocks, via_dense.blocks, atol=1e-12
+            )
 
-    def test_hamiltonian_only_path_agrees_with_generic(self):
-        import dataclasses
+    def test_layout_roundtrip_and_trace_row(self):
+        rng = np.random.default_rng(41)
+        model = random_model(rng, dim=3, n_channels=2)
+        ext = extended_liouvillian(model)
+        state = embed(model.channels, [0.3, 0.7], random_density(rng, 3))
+        v = ext.vector(state)
+        assert v.shape == (2 * 9,)
+        npt.assert_array_equal(ext.state(v).blocks, state.blocks)
+        assert abs(ext.trace_row @ v - 1.0) < 1e-14
+        # the generator preserves the total trace
+        assert np.abs(ext.trace_row @ ext.matrix).max() < 1e-12
 
-        from jumpfeedback import no_feedback
-        from helpers import random_hermitian, random_operator
-
-        rng = np.random.default_rng(40)
-        h = random_hermitian(rng, 3)
-        ops = [random_operator(rng, 3) for _ in range(2)]
-        model = no_feedback(h, ops)
-        assert model.hamiltonian_only
-        # force the generic gain-summation branch on the same operators
-        generic = dataclasses.replace(model, hamiltonian_only=False)
-        blocks = np.stack([0.5 * random_density(rng, 3), 0.5 * random_density(rng, 3)])
+    def test_gain_matrix_matches_dense_weighted_jumps(self):
+        rng = np.random.default_rng(42)
+        model = random_model(rng, dim=2, n_channels=3, silent=1)
+        ext = extended_liouvillian(model)
+        nu = rng.normal(size=(3, 3))
+        blocks = np.stack([random_density(rng, 2) / 3 for _ in range(3)])
+        state = HybridState(labels=model.channels, blocks=blocks)
+        via_dense = HybridState.from_matrix(
+            model.channels,
+            unvec(dense_gain(model, nu) @ vec(state.to_matrix()), 6),
+        )
         npt.assert_allclose(
-            memory_resolved_rhs(model)(blocks),
-            memory_resolved_rhs(generic)(blocks),
+            ext.state(ext.gain_matrix(nu) @ ext.vector(state)).blocks,
+            via_dense.blocks,
             atol=1e-12,
         )

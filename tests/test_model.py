@@ -1,4 +1,4 @@
-"""Model containers: feedback models, the trivial wrapper, memoryless feedback."""
+"""Model containers: feedback models and the trivial wrapper."""
 
 import numpy as np
 import numpy.testing as npt
@@ -6,13 +6,9 @@ import pytest
 
 from jumpfeedback import (
     ValidationError,
-    WisemanModel,
-    dissipator,
     feedback_model,
-    liouvillian,
     no_feedback,
     validate,
-    wiseman_generator,
 )
 
 from helpers import random_hermitian, random_operator
@@ -137,52 +133,3 @@ class TestNoFeedback:
     def test_label_length_mismatch(self):
         with pytest.raises(ValidationError):
             no_feedback(np.zeros((2, 2)), [SM], labels=["a", "b"])
-
-
-class TestWiseman:
-    def test_zero_feedback_reduces_to_lindblad(self):
-        rng = np.random.default_rng(21)
-        h = random_hermitian(rng, 3)
-        ops = [random_operator(rng, 3) for _ in range(2)]
-        model = WisemanModel(
-            hamiltonian=h,
-            jump_ops=tuple(ops),
-            feedback_generators=(None, np.zeros((9, 9))),
-        )
-        gen = wiseman_generator(model)
-        npt.assert_allclose(gen.matrix, liouvillian(h, ops).matrix, atol=1e-12)
-
-    def test_recovery_rotates_post_jump_state(self):
-        # driven decaying qubit; after each decay jump apply a pi pulse,
-        # which flips the freshly reset qubit back to the excited state
-        from jumpfeedback import spost, spre, steady_state
-
-        h = 0.2 * SX
-        flip = (-0.5j * np.pi) * (spre(SX).matrix - spost(SX).matrix)
-        with_fb = WisemanModel(
-            hamiltonian=h, jump_ops=(SM,), feedback_generators=(flip,)
-        )
-        without = WisemanModel(
-            hamiltonian=h, jump_ops=(SM,), feedback_generators=(None,)
-        )
-        rho_fb = steady_state(wiseman_generator(with_fb))
-        rho_plain = steady_state(wiseman_generator(without))
-        assert rho_fb[1, 1].real > rho_plain[1, 1].real + 0.3
-
-    def test_rejects_trace_leaking_generator(self):
-        bad = np.eye(4)
-        model = WisemanModel(
-            hamiltonian=np.zeros((2, 2)),
-            jump_ops=(SM,),
-            feedback_generators=(bad,),
-        )
-        with pytest.raises(ValidationError, match="trace"):
-            wiseman_generator(model)
-
-    def test_generator_slot_count_enforced(self):
-        with pytest.raises(Exception):
-            WisemanModel(
-                hamiltonian=np.zeros((2, 2)),
-                jump_ops=(SM,),
-                feedback_generators=(),
-            )

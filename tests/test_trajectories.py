@@ -14,7 +14,6 @@ from jumpfeedback import (
     ValidationError,
     average_current,
     charge_from_record,
-    current_superop,
     drazin,
     extended_liouvillian,
     feedback_steady_state,
@@ -29,6 +28,8 @@ from jumpfeedback import (
     vec,
     work_weights,
 )
+
+from helpers import dense_gain, dense_oracle
 
 
 def poisson_model(gamma):
@@ -49,15 +50,15 @@ def expected_charge(model, weights, rho0, mem_dist, horizon, burn_in=0.0):
     window using the Drazin inverse, so the transient from the factorized
     initial condition is handled exactly.
     """
-    ext = extended_liouvillian(model)
+    gen = dense_oracle(model)
     blocks = np.stack([p * np.asarray(rho0, complex) for p in mem_dist])
     v0 = vec(HybridState(model.channels, blocks).to_matrix())
-    ss = feedback_steady_state(model, ext=ext)
-    dz = drazin(ext.generator, ss.to_matrix()).matrix
-    t = trace_vector(ext.hybrid_dim)
-    jmat = current_superop(ext, weights).matrix
+    ss = feedback_steady_state(model)
+    dz = drazin(gen, ss.to_matrix()).matrix
+    t = trace_vector(gen.dim)
+    jmat = dense_gain(model, weights.per_transition)
     p_ss = np.outer(vec(ss.to_matrix()), t)
-    window = ext.generator.expm(horizon).matrix - ext.generator.expm(burn_in).matrix
+    window = gen.expm(horizon).matrix - gen.expm(burn_in).matrix
     integral = (horizon - burn_in) * (p_ss @ v0) + dz @ (window @ v0)
     return float(np.real(t @ (jmat @ integral)))
 
@@ -143,12 +144,12 @@ def expected_charge_discrete(model, weights, rho0, mem_dist, horizon, dt, burn_i
     step sum of dt * Tr[J rho_step] over the counting window.  Comparing
     against this isolates sampler defects from the O(dt) scheme bias.
     """
-    ext = extended_liouvillian(model)
+    gen = dense_oracle(model)
     blocks = np.stack([p * np.asarray(rho0, complex) for p in mem_dist])
     v = vec(HybridState(model.channels, blocks).to_matrix())
-    t = trace_vector(ext.hybrid_dim)
-    jrow = t @ current_superop(ext, weights).matrix
-    euler = np.eye(len(v)) + dt * ext.generator.matrix
+    t = trace_vector(gen.dim)
+    jrow = t @ dense_gain(model, weights.per_transition)
+    euler = np.eye(len(v)) + dt * gen.matrix
     n_steps = int(round(horizon / dt))
     total = 0.0
     for step in range(n_steps):
