@@ -767,6 +767,7 @@ def _run_trajectories(ctx, out):
         header += [f"freq({ch})", f"freq_se({ch})"]
         row += [_fmt(f), _fmt(se)]
     out.add("trajectories", header, [row])
+    out.extras["jump_events"] = est.jump_events
 
     if task["dump"]:
         rows = []

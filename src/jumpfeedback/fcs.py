@@ -348,6 +348,13 @@ def tilted_cumulants(ext, weights, chi_step=1e-4):
     -------
     (J, D) : tuple of float
         First and second scaled cumulants of the counted charge.
+
+    Raises
+    ------
+    StencilError
+        If the dominant eigenvalue is not isolated along the stencil, or if
+        the stencil's round-off estimate (64/12) eps ||L||_2 / chi_step^2
+        exceeds 1e-2 |D|; the message names a larger ``chi_step``.
     """
     if chi_step <= 0:
         raise ValidationError("chi_step must be positive")
@@ -367,4 +374,14 @@ def tilted_cumulants(ext, weights, chi_step=1e-4):
     noise = (-lam[2] + 16.0 * lam[1] - 30.0 * lam[0] + 16.0 * lam[-1] - lam[-2]) / (
         12.0 * h * h
     )
+    # eigenvalue round-off eps * ||L|| enters the second difference with the
+    # stencil's weights (64 / 12) and is divided by h^2
+    roundoff = 64.0 / 12.0 * np.finfo(float).eps * np.linalg.norm(ext.matrix, 2) / h**2
+    if roundoff > 1e-2 * abs(noise):
+        # 10% above the step that meets the bound, so the printed value does too
+        wider = 1.1 * h * np.sqrt(roundoff / (1e-2 * abs(noise))) if noise else 10.0 * h
+        raise StencilError(
+            f"stencil round-off {roundoff:.2e} is not small against the noise "
+            f"{noise:.3e} at chi_step={h:.1e}; use a chi_step of at least {wider:.1e}"
+        )
     return current, noise

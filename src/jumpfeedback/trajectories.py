@@ -1,20 +1,30 @@
 """Stochastic jump trajectories of feedback models.
 
-Two sampling schemes share one batched engine:
+Two sampling schemes share one event-driven engine.  Each round finds the
+next jump of every active trajectory in one vectorized search, then applies
+all those jumps through one path: channel pick, state update, charge, grid
+snapshots, records and memory.
 
 * ``"waiting-time"`` (default): between jumps the conditional state evolves
-  under the no-jump propagator exp(-i H_eff(k) t); the next jump time is
-  drawn by inverse-transform sampling of the survival probability
-  (bisection on a monotone exponential sum), the channel from the relative
-  jump rates at that instant.  No time-discretization error.
+  under the no-jump propagator exp(-i H_eff(k) t), and its trace, the
+  survival probability S(t), is a sum of exponentials.  The next jump time
+  solves S(t) = u (inverse-transform sampling) by a safeguarded Newton
+  iteration on log S, falling back to bisection when a step leaves the
+  bracket; the channel follows the relative jump rates at that instant.
+  No time-discretization error.
 * ``"fixed-step"``: the literal discrete unraveling with step dt; channel q
   fires with probability dt * Tr[L_q rho L_q^dag], otherwise the normalized
-  no-jump map is applied.
+  no-jump map 1 + dt L_0(k) is applied.  One matrix product with a table
+  built from powers of that map gives the jump weights over the next
+  LOOKAHEAD steps; a trajectory jumps at its first step whose uniform falls
+  below them, or advances by the whole window.  Jumps are exactly those of
+  stepping one dt at a time.
 
 Randomness is drawn from counter-based per-trajectory streams derived from
 ``(master_seed, trajectory_index)``, so results are bit-for-bit reproducible
-and independent of batching.  Monitored jumps reset the memory to their
-channel; silent jumps update the state only and never carry charge.
+and independent of batching and thread count.  Monitored jumps reset the
+memory to their channel; silent jumps update the state only and never
+carry charge.
 """
 
 from dataclasses import dataclass
@@ -23,7 +33,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError
-from .superops import no_jump_generator, sandwich, vec
 
 __all__ = [
     "TrajectoryRecord",
@@ -34,8 +43,12 @@ __all__ = [
     "trajectory_stream",
 ]
 
-UNIFORM_BLOCK = 1024  # uniforms pre-drawn per trajectory by the fixed-step scheme
+UNIFORM_BLOCK = 1024  # uniforms pre-drawn per trajectory, fixed-step: one per step
+WAITING_BLOCK = 128  # the same for the waiting-time scheme: two per jump
 MAX_STEP_PROBABILITY = 0.05
+LOOKAHEAD = 32  # fixed-step steps searched for a jump per round
+ROOT_TOLERANCE = 1e-14  # relative step at which a jump-time root has converged
+MAX_ROOT_ITERATIONS = 100
 
 
 def trajectory_stream(master_seed, index):
@@ -44,7 +57,8 @@ def trajectory_stream(master_seed, index):
     In :func:`mc_estimate` the stream's first uniform samples the initial
     memory value; everything after that is consumed by the sampling engine.
     Replaying a batch member by hand therefore means drawing that uniform
-    before handing the stream to :func:`sample_trajectory`.
+    before handing the stream to :func:`sample_trajectory`.  The engine
+    uses the stream's uniforms in order but draws them in whole blocks.
     """
     ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(index),))
     return np.random.Generator(np.random.Philox(ss))
@@ -110,8 +124,10 @@ class McEstimate:
     """Monte Carlo summary over a batch of trajectories.
 
     Charges are accumulated over [burn_in, horizon]; memory frequencies are
-    occupation fractions at the horizon.  ``grid_charges`` (trajectories x
-    grid points) is filled only when a charge grid was requested.
+    occupation fractions at the horizon.  ``jump_events`` counts the jumps
+    the batch applied, monitored and silent.  ``grid_charges``
+    (trajectories x grid points) is filled only when a charge grid was
+    requested.
     """
 
     n_traj: int
@@ -126,257 +142,300 @@ class McEstimate:
     memory_labels: tuple
     memory_freq: np.ndarray
     memory_freq_se: np.ndarray
+    jump_events: int
     charge_grid: Optional[np.ndarray] = None
     grid_charges: Optional[np.ndarray] = None
     records: Optional[tuple] = None
 
 
 # ---------------------------------------------------------------------------
-# shared precomputation
+# engine
 
 
-class _EngineTables:
-    """Per-memory operator tables shared by both schemes."""
+def _sandwich(op, rho):
+    """op rho op^dag for every matrix of a stack rho."""
+    # contracting with the stack index last keeps einsum's inner loops long
+    x = np.einsum("ab,bcn->acn", op, np.ascontiguousarray(rho.transpose(1, 2, 0)))
+    return np.ascontiguousarray(np.einsum("acn,dc->adn", x, op.conj()).transpose(2, 0, 1))
 
-    def __init__(self, model, weights, dt=None):
+
+def _normalized(rho):
+    return rho / np.einsum("naa->n", rho).real[:, None, None]
+
+
+def _survival(coeff, decay, t):
+    """S(t) = Re sum_ab coeff_ab exp((kappa_a + kappa_b^*) t) and dS/dt, row by row.
+
+    ``coeff`` is hermitian, so with E = exp(kappa t) and y = coeff E^*,
+    S = Re E.y and dS/dt = 2 Re (kappa E).y.
+    """
+    e = np.exp(t[:, None] * decay)
+    y = np.einsum("nab,nb->na", coeff, e.conj())
+    return np.einsum("na,na->n", e, y).real, 2.0 * np.einsum("na,na->n", decay * e, y).real
+
+
+def _jump_time(coeff, decay, u, t_max):
+    """Solve S(t) = u for t in (0, t_max], S the survival of :func:`_survival`.
+
+    Requires S(0) = 1 > u >= S(t_max) with S non-increasing.  Newton steps
+    on log S - log u start at t = 0 (the first one is the exponential
+    estimate -log(u) / rate); a step that leaves the bracket [lo, hi] kept
+    around the root is replaced by bisection.  Every element stops on its
+    own test, so its arithmetic never depends on the rest of the batch.
+    """
+    t = np.zeros(len(u))
+    idx = np.arange(len(u))
+    lo, hi, x, log_u = np.zeros(len(u)), np.array(t_max, dtype=float), t.copy(), np.log(u)
+    for _ in range(MAX_ROOT_ITERATIONS):
+        s, ds = _survival(coeff, decay, x)
+        above = s > u
+        lo = np.where(above, x, lo)
+        hi = np.where(above, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = x - (np.log(s) - log_u) * s / ds
+        tol = ROOT_TOLERANCE * np.maximum(x, 1.0)
+        # a converged step may land on or just past a bracket end, so the
+        # convergence test comes before the bracket test
+        converged = np.abs(new - x) <= tol
+        bisect = ~(converged | ((new > lo) & (new < hi)))
+        new[bisect] = 0.5 * (lo[bisect] + hi[bisect])
+        t[idx] = new
+        keep = ~(converged | (hi - lo <= tol))
+        if not keep.any():
+            break
+        idx, coeff, decay, u, log_u = idx[keep], coeff[keep], decay[keep], u[keep], log_u[keep]
+        lo, hi, x = lo[keep], hi[keep], new[keep]
+    return t
+
+
+class _Batch:
+    """A batch of trajectories: per-memory operator tables, the state of
+    every trajectory, and the one path that applies jumps for both schemes.
+
+    States are flattened row-major, r = rho.ravel(), wherever a scheme
+    needs vectors, so a stack of states reshapes to rows without a copy.
+    """
+
+    def __init__(self, model, weights, rho0, memories0, streams, burn_in, grid, record, block):
         if weights.channels != model.channels:
             raise ValidationError("weights channels do not match the model")
-        m, d = model.n_channels, model.dim
-        s = len(model.silent_labels)
-        self.model = model
-        self.m, self.d, self.s = m, d, s
+        m, d, n = model.n_channels, model.dim, len(memories0)
+        self.m, self.d, self.n_ops = m, d, m + len(model.silent_labels)
         self.labels = model.channels + model.silent_labels
         # ops[k]: all channels conditioned on memory k, monitored first
         self.ops = [
-            np.concatenate([model.jump_ops[:, k], model.silent_ops[:, k]], axis=0)
-            if s
+            np.concatenate([model.jump_ops[:, k], model.silent_ops[:, k]])
+            if model.silent_labels
             else model.jump_ops[:, k]
             for k in range(m)
         ]
-        self.loss = [model.loss_operator(k) for k in range(m)]
+        loss = [model.loss_operator(k) for k in range(m)]
+        self.h_eff = [model.hamiltonians[k] - 0.5j * w for k, w in enumerate(loss)]
+        self.max_rate = max(np.linalg.eigvalsh(w).max() for w in loss)
+        # rate_rows[k] @ r = Tr[L_q rho L_q^dag] for every channel q
+        self.rate_rows = [
+            np.stack([(op.conj().T @ op).T.ravel() for op in ops]) for ops in self.ops
+        ]
         # charge added when channel c fires at memory k (silent rows are 0)
-        self.charge_table = np.zeros((m + s, m))
+        self.charge_table = np.zeros((self.n_ops, m))
         self.charge_table[:m, :] = weights.per_transition
-        self.max_rate = max(np.linalg.eigvalsh(w).max() for w in self.loss)
+
+        rho0 = _check_density(rho0, d)
+        self.states = np.broadcast_to(rho0, (n, d, d)).astype(complex).copy()
+        self.memory = np.asarray(memories0, dtype=np.intp).copy()
+        self.burn_in = burn_in
+        self.grid = grid
+        self.charge = np.zeros(n)
+        self.snapshots = np.zeros((n, len(grid))) if grid is not None else None
+        self.jump_events = 0
+        self.records = [[] for _ in range(n)] if record else None  # (time, channel, memory)
+        # pre-drawn uniforms: row i holds a block of stream i, ptr[i] is the
+        # next unused column (block: draw a new block first)
+        self.streams = streams
+        self.block = block
+        self.uniform_buf = np.empty((n, block))
+        self.ptr = np.full(n, block)
+
+    def uniforms(self, idx, width):
+        """The next ``width`` uniforms of each trajectory in ``idx``, without using them.
+
+        A window stops at the end of the trajectory's block; columns past
+        it repeat the block's last uniform and must not be used.
+        """
+        for i in idx[self.ptr[idx] == self.block]:
+            self.streams[i].random(out=self.uniform_buf[i])
+            self.ptr[i] = 0
+        cols = np.minimum(self.ptr[idx, None] + np.arange(width), self.block - 1)
+        return self.uniform_buf[idx[:, None], cols]
+
+    def draw(self, idx):
+        u = self.uniforms(idx, 1)[:, 0]
+        self.ptr[idx] += 1
+        return u
+
+    def apply_jumps(self, sel, t_jump, u, dt=None):
+        """One jump for each trajectory in ``sel`` at times ``t_jump``.
+
+        The channel is picked with uniform ``u`` from the jump weights
+        Tr[L_q rho L_q^dag] of the current state: in proportion to them
+        (waiting-time), or as the step's outcome when channel q fires with
+        probability dt times its weight (fixed-step, ``dt`` given).
+        """
+        ks = self.memory[sel]
+        rho = self.states[sel]
+        w = np.empty((len(sel), self.n_ops))
+        for k in np.unique(ks):
+            g = ks == k
+            w[g] = np.einsum("nx,qx->nq", rho[g].reshape(-1, self.d**2), self.rate_rows[k]).real
         if dt is not None:
-            if dt <= 0:
-                raise ValidationError("dt must be positive")
-            if dt * self.max_rate > MAX_STEP_PROBABILITY:
-                raise ValidationError(
-                    f"dt * max total rate = {dt * self.max_rate:.3g} exceeds "
-                    f"{MAX_STEP_PROBABILITY}; reduce the step"
-                )
+            w *= dt
+        cum = np.cumsum(np.clip(w, 0.0, None), axis=1)
+        target = u if dt is not None else u * cum[:, -1]
+        picks = np.minimum((cum <= target[:, None]).sum(axis=1), self.n_ops - 1)
+        pair = ks * self.n_ops + picks
+        for code in np.unique(pair):
+            g = pair == code
+            op = self.ops[code // self.n_ops][code % self.n_ops]
+            self.states[sel[g]] = _normalized(_sandwich(op, rho[g]))
+        gains = self.charge_table[picks, ks]
+        counted = t_jump >= self.burn_in
+        self.charge[sel[counted]] += gains[counted]
+        if self.snapshots is not None:
+            cols = np.searchsorted(self.grid, t_jump, side="left")
+            for i, col, g, ok in zip(sel, cols, gains, counted):
+                if ok and g != 0.0 and col < len(self.grid):
+                    self.snapshots[i, col:] += g
+        if self.records is not None:
+            for i, event in zip(sel, zip(t_jump, picks.tolist(), ks.tolist())):
+                self.records[i].append(event)
+        mono = picks < self.m
+        self.memory[sel[mono]] = picks[mono]
+        self.jump_events += len(sel)
 
-    def waiting_tables(self):
-        """Eigen-decomposed no-jump propagators for the waiting-time scheme."""
-        tables = []
-        for k in range(self.m):
-            h_eff = self.model.hamiltonians[k] - 0.5j * self.loss[k]
-            evals, v = np.linalg.eig(h_eff)
-            cond = np.linalg.cond(v)
-            if not np.isfinite(cond) or cond > 1e10:
-                raise ValidationError(
-                    f"H_eff at memory {self.model.channels[k]!r} is near-defective "
-                    f"(eigenvector condition {cond:.2e}); waiting-time sampling "
-                    "is unreliable, use the fixed-step scheme"
-                )
-            vinv = np.linalg.inv(v)
-            gram = v.conj().T @ v
-            rates = (-1j * (evals[:, None] - evals[None, :].conj())).ravel()
-            tables.append((evals, v, vinv, gram, rates))
-        return tables
+    def record(self, i, initial_memory, horizon):
+        events = np.array(self.records[i], dtype=float).reshape(-1, 3)
+        return TrajectoryRecord(
+            labels=self.labels,
+            n_monitored=self.m,
+            initial_memory=int(initial_memory),
+            jump_times=events[:, 0].copy(),
+            jump_channels=events[:, 1].astype(np.intp),
+            memory_before=events[:, 2].astype(np.intp),
+            final_state=self.states[i],
+            final_memory=int(self.memory[i]),
+            horizon=float(horizon),
+            burn_in=float(self.burn_in),
+            charge=float(self.charge[i]),
+        )
 
-    def fixed_tables(self, dt):
-        """Step matrices for the fixed-step scheme (row-vector convention)."""
-        step_t, probe, jump_mats = [], [], []
-        for k in range(self.m):
-            gen0 = no_jump_generator(self.model.hamiltonians[k], list(self.ops[k]))
-            n = self.d * self.d
-            step_t.append((np.eye(n) + dt * gen0.matrix).T.copy())
-            w_cols = np.stack(
-                [vec((op.conj().T @ op).conj()) for op in self.ops[k]], axis=1
+
+def _run_waiting(batch, horizon):
+    """Each round samples the next jump of every active trajectory exactly.
+
+    With H_eff(k) = V diag(lambda) V^-1 and a = V^-1 rho V^-dag, the
+    unnormalized state after time t without a jump is V (a * E E^dag) V^dag,
+    E = exp(kappa t) with kappa = -i lambda, and its trace is the survival
+    sum_ab a_ab gram_ab E_a E_b^* with gram = (V^dag V)^T.
+    """
+    tables = []
+    for k in range(batch.m):
+        evals, v = np.linalg.eig(batch.h_eff[k])
+        cond = np.linalg.cond(v)
+        if not np.isfinite(cond) or cond > 1e10:
+            raise ValidationError(
+                f"H_eff at memory {batch.labels[k]!r} is near-defective "
+                f"(eigenvector condition {cond:.2e}); waiting-time sampling "
+                "is unreliable, use the fixed-step scheme"
             )
-            probe.append(w_cols)
-            jump_mats.append([sandwich(op).matrix for op in self.ops[k]])
-        return step_t, probe, jump_mats
+        tables.append((-1j * evals, v, np.linalg.inv(v), (v.conj().T @ v).T))
+    decay, v, vinv, gram = map(np.stack, zip(*tables))
+    t = np.zeros(len(batch.memory))
+    active = np.arange(len(t))
+    while active.size:
+        ks = batch.memory[active]
+        groups = [(k, ks == k) for k in np.unique(ks)]
+        a = np.empty((len(active), batch.d, batch.d), dtype=complex)
+        for k, g in groups:
+            a[g] = _sandwich(vinv[k], batch.states[active[g]])
+        coeff, kappa = a * gram[ks], decay[ks]
+        t_wait = horizon - t[active]
+        u = batch.draw(active)
+        jumps = u >= _survival(coeff, kappa, t_wait)[0]
+        t_wait[jumps] = _jump_time(coeff[jumps], kappa[jumps], u[jumps], t_wait[jumps])
+        # conditional states at the jump instants, or at the horizon
+        e = np.exp(t_wait[:, None] * kappa)
+        a *= e[:, :, None] * e[:, None, :].conj()
+        for k, g in groups:
+            batch.states[active[g]] = _normalized(_sandwich(v[k], a[g]))
+        t[active] = np.where(jumps, t[active] + t_wait, horizon)
+        active = active[jumps]
+        batch.apply_jumps(active, t[active], batch.draw(active))
 
 
-def _survival(coeff, rates, tvals):
-    return np.einsum("nj,nj->n", coeff, np.exp(np.multiply.outer(tvals, rates))).real
+def _run_fixed(batch, horizon, dt):
+    """Each round finds the first jumping step of every active trajectory
+    within its next LOOKAHEAD steps, or advances it by the whole window.
 
-
-class _Recorder:
-    def __init__(self, n, enabled):
-        self.enabled = enabled
-        if enabled:
-            self.times = [[] for _ in range(n)]
-            self.channels = [[] for _ in range(n)]
-            self.before = [[] for _ in range(n)]
-
-    def add(self, idx, t, channel, mem_before):
-        if self.enabled:
-            self.times[idx].append(t)
-            self.channels[idx].append(channel)
-            self.before[idx].append(mem_before)
-
-
-def _run_waiting(tables, states, memory, streams, horizon, burn_in, grid, recorder):
-    n = states.shape[0]
-    d = tables.d
-    wtabs = tables.waiting_tables()
-    t = np.zeros(n)
-    charge = np.zeros(n)
-    active = np.ones(n, dtype=bool)
-    snapshots = np.zeros((n, len(grid))) if grid is not None else None
-    while np.any(active):
-        for k in range(tables.m):
-            idx = np.where(active & (memory == k))[0]
-            if len(idx) == 0:
-                continue
-            evals, v, vinv, gram, rates = wtabs[k]
-            rho_g = states[idx]
-            a = np.einsum("ab,nbc,dc->nad", vinv, rho_g, vinv.conj())
-            coeff = (a * gram.T[None, :, :]).reshape(len(idx), d * d)
-            t_rem = horizon - t[idx]
-            u = np.array([streams[i].random() for i in idx])
-            s_end = _survival(coeff, rates, t_rem)
-            will_jump = u >= s_end
-
-            # finish trajectories that survive to the horizon
-            done = ~will_jump
-            if np.any(done):
-                sel = idx[done]
-                e = np.exp(-1j * np.multiply.outer(t_rem[done], evals))
-                a_t = a[done] * (e[:, :, None] * e[:, None, :].conj())
-                rho_end = np.einsum("ab,nbc,dc->nad", v, a_t, v.conj())
-                rho_end /= s_end[done][:, None, None]
-                states[sel] = rho_end
-                t[sel] = horizon
-                active[sel] = False
-
-            if not np.any(will_jump):
-                continue
-            sel = idx[will_jump]
-            cj = coeff[will_jump]
-            uj = u[will_jump]
-            hi = t_rem[will_jump].copy()
-            lo = np.zeros(len(sel))
-            # fixed depth keeps the arithmetic independent of batch makeup;
-            # 60 halvings exhaust double precision for any practical horizon
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                s_mid = _survival(cj, rates, mid)
-                above = s_mid > uj
-                lo = np.where(above, mid, lo)
-                hi = np.where(above, hi, mid)
-            t_star = 0.5 * (lo + hi)
-
-            # conditional state at the jump instant
-            e = np.exp(-1j * np.multiply.outer(t_star, evals))
-            a_t = a[will_jump] * (e[:, :, None] * e[:, None, :].conj())
-            rho_star = np.einsum("ab,nbc,dc->nad", v, a_t, v.conj())
-            norm = np.einsum("naa->n", rho_star).real
-            rho_star /= norm[:, None, None]
-
-            # channel from the relative rates at t_star
-            ops_k = tables.ops[k]
-            w = np.einsum("qab,nbc,qac->nq", ops_k, rho_star, ops_k.conj()).real
-            w = np.clip(w, 0.0, None)
-            cum = np.cumsum(w, axis=1)
-            u2 = np.array([streams[i].random() for i in sel])
-            target = u2 * cum[:, -1]
-            picks = np.minimum(
-                (cum <= target[:, None]).sum(axis=1), tables.m + tables.s - 1
-            )
-
-            t_jump = t[sel] + t_star
-            for q in np.unique(picks):
-                qi = picks == q
-                op = ops_k[q]
-                new = np.einsum("ab,nbc,dc->nad", op, rho_star[qi], op.conj())
-                tr = np.einsum("naa->n", new).real
-                states[sel[qi]] = new / tr[:, None, None]
-            counted = t_jump >= burn_in
-            gains = tables.charge_table[picks, k]
-            charge[sel[counted]] += gains[counted]
-            if snapshots is not None:
-                cols = np.searchsorted(grid, t_jump, side="left")
-                for i, col, g, ok in zip(sel, cols, gains, counted):
-                    if ok and g != 0.0 and col < len(grid):
-                        snapshots[i, col:] += g
-            if recorder.enabled:
-                for j, i in enumerate(sel):
-                    recorder.add(i, t_jump[j], int(picks[j]), k)
-            t[sel] = t_jump
-            memory[sel[picks < tables.m]] = picks[picks < tables.m]
-    return charge, snapshots
-
-
-def _run_fixed(tables, states, memory, streams, horizon, burn_in, grid, recorder, dt):
-    n, d = states.shape[0], tables.d
-    step_t, probe, jump_mats = tables.fixed_tables(dt)
+    With P = (1 + dt L_0(k))^T acting on state rows r, ``powers[k, s]`` is
+    P^s, and for a real row [Re r, Im r] the product with ``look[k]`` holds,
+    for each of the next LOOKAHEAD steps s, the unnormalized jump
+    probabilities dt Tr[L_q rho_s L_q^dag] and the trace of rho_s, r P^s.
+    """
+    if dt is None:
+        raise ValidationError("fixed-step scheme needs dt")
+    if dt <= 0:
+        raise ValidationError("dt must be positive")
+    if dt * batch.max_rate > MAX_STEP_PROBABILITY:
+        raise ValidationError(
+            f"dt * max total rate = {dt * batch.max_rate:.3g} exceeds "
+            f"{MAX_STEP_PROBABILITY}; reduce the step"
+        )
     n_steps = int(round(horizon / dt))
     if abs(n_steps * dt - horizon) > 1e-9 * max(1.0, horizon):
         raise ValidationError("horizon must be an integer number of steps")
-    vecs = np.stack([vec(states[i]) for i in range(n)])
-    charge = np.zeros(n)
-    snapshots = np.zeros((n, len(grid))) if grid is not None else None
-    tr_idx = (np.arange(d) * d + np.arange(d))  # trace positions of a vec'd matrix
-    buf = np.empty((n, UNIFORM_BLOCK))
-    for step in range(n_steps):
-        off = step % UNIFORM_BLOCK
-        if off == 0:
-            for i in range(n):
-                buf[i] = streams[i].random(UNIFORM_BLOCK)
-        u = buf[:, off]
-        t_jump = (step + 1) * dt
-        # group by the memory at the start of the step so a jump cannot
-        # re-trigger in its destination group within the same step
-        mem_step = memory.copy()
-        for k in range(tables.m):
-            idx = np.where(mem_step == k)[0]
-            if len(idx) == 0:
-                continue
-            vg = vecs[idx]
-            probs = dt * (vg @ probe[k]).real
-            np.clip(probs, 0.0, None, out=probs)
-            cum = np.cumsum(probs, axis=1)
-            total = cum[:, -1]
-            ug = u[idx]
-            jumped = ug < total
-            # no-jump update, renormalized
-            stay = ~jumped
-            if np.any(stay):
-                moved = vg[stay] @ step_t[k]
-                tr = moved[:, tr_idx].sum(axis=1).real
-                vecs[idx[stay]] = moved / tr[:, None]
-            if np.any(jumped):
-                picks = (cum[jumped] <= ug[jumped][:, None]).sum(axis=1)
-                picks = np.minimum(picks, tables.m + tables.s - 1)
-                sel = idx[jumped]
-                for q in np.unique(picks):
-                    qi = picks == q
-                    moved = vecs[sel[qi]] @ jump_mats[k][q].T
-                    tr = moved[:, tr_idx].sum(axis=1).real
-                    vecs[sel[qi]] = moved / tr[:, None]
-                counted = t_jump >= burn_in
-                gains = tables.charge_table[picks, k]
-                if counted:
-                    charge[sel] += gains
-                if snapshots is not None and counted:
-                    col = np.searchsorted(grid, t_jump, side="left")
-                    if col < len(grid):
-                        for i, g in zip(sel, gains):
-                            if g != 0.0:
-                                snapshots[i, col:] += g
-                if recorder.enabled:
-                    for j, i in enumerate(sel):
-                        recorder.add(i, t_jump, int(picks[j]), k)
-                mono = picks < tables.m
-                memory[sel[mono]] = picks[mono]
-    for i in range(n):
-        states[i] = vecs[i].reshape(d, d, order="F")
-    return charge, snapshots
+    d = batch.d
+    eye = np.eye(d)
+    powers, look = [], []
+    for h, rate_rows in zip(batch.h_eff, batch.rate_rows):
+        # L_0 rho = -i (H_eff rho - rho H_eff^dag) on row-major rows
+        step_t = (np.eye(d * d) - 1j * dt * (np.kron(h, eye) - np.kron(eye, h.conj()))).T
+        pw = [np.eye(d * d, dtype=complex)]
+        for _ in range(LOOKAHEAD):
+            pw.append(pw[-1] @ step_t)
+        cols = np.concatenate([dt * rate_rows.T, eye.reshape(d * d, 1)], axis=1)
+        table = np.stack([p @ cols for p in pw[:LOOKAHEAD]], axis=1)
+        look.append(np.concatenate([table.real, -table.imag]).reshape(2 * d * d, -1))
+        powers.append(np.stack(pw))
+    look, powers = np.stack(look), np.stack(powers)
+
+    step = np.zeros(len(batch.memory), dtype=np.intp)
+    active = np.arange(len(step))
+    ahead = np.arange(LOOKAHEAD)
+    while active.size:
+        u = batch.uniforms(active, LOOKAHEAD)
+        width = np.minimum(
+            LOOKAHEAD,
+            np.minimum(batch.block - batch.ptr[active], n_steps - step[active]),
+        )
+        ks = batch.memory[active]
+        rows = batch.states[active].reshape(len(active), d * d)
+        hit = ahead < width[:, None]
+        for k in np.unique(ks):
+            g = ks == k
+            x = np.concatenate([rows[g].real, rows[g].imag], axis=1) @ look[k]
+            x = x.reshape(-1, LOOKAHEAD, batch.n_ops + 1)
+            hit[g] &= u[g] * x[:, :, -1] < np.clip(x[:, :, :-1], 0.0, None).sum(axis=2)
+        jumped = hit.any(axis=1)
+        advance = np.where(jumped, hit.argmax(axis=1), width)
+        moved = np.einsum("ni,nij->nj", rows, powers[ks, advance])
+        batch.states[active] = _normalized(moved.reshape(-1, d, d))
+        sel = active[jumped]
+        u_jump = u[jumped, advance[jumped]]
+        advance[jumped] += 1  # the jumping step itself
+        step[active] += advance
+        batch.ptr[active] += advance
+        batch.apply_jumps(sel, step[sel] * dt, u_jump, dt)
+        active = active[step[active] < n_steps]
 
 
 def _check_density(rho, d):
@@ -393,45 +452,26 @@ def _check_density(rho, d):
 
 
 def _run_batch(
-    model,
-    weights,
-    rho0,
-    memories0,
-    streams,
-    horizon,
-    scheme,
-    dt,
-    burn_in,
-    grid,
-    collect_records,
+    model, weights, rho0, memories0, streams, horizon, scheme, dt, burn_in, grid, record
 ):
     if horizon <= 0:
         raise ValidationError("horizon must be positive")
     if not 0.0 <= burn_in < horizon:
         raise ValidationError("burn_in must lie in [0, horizon)")
-    tables = _EngineTables(model, weights, dt=dt if scheme == "fixed-step" else None)
-    rho0 = _check_density(rho0, model.dim)
-    n = len(memories0)
-    states = np.broadcast_to(rho0, (n, model.dim, model.dim)).astype(complex).copy()
-    memory = np.asarray(memories0, dtype=np.intp).copy()
-    recorder = _Recorder(n, collect_records)
     if grid is not None:
         grid = np.asarray(grid, dtype=float)
         if np.any(np.diff(grid) < 0) or grid.min() < 0 or grid.max() > horizon:
             raise ValidationError("charge grid must be ascending within [0, horizon]")
-    if scheme == "waiting-time":
-        charge, snapshots = _run_waiting(
-            tables, states, memory, streams, horizon, burn_in, grid, recorder
-        )
-    elif scheme == "fixed-step":
-        if dt is None:
-            raise ValidationError("fixed-step scheme needs dt")
-        charge, snapshots = _run_fixed(
-            tables, states, memory, streams, horizon, burn_in, grid, recorder, dt
-        )
-    else:
+    if scheme not in ("waiting-time", "fixed-step"):
         raise ValidationError(f"unknown scheme {scheme!r}")
-    return tables, states, memory, charge, snapshots, recorder
+    fixed = scheme == "fixed-step"
+    block = UNIFORM_BLOCK if fixed else WAITING_BLOCK
+    batch = _Batch(model, weights, rho0, memories0, streams, burn_in, grid, record, block)
+    if fixed:
+        _run_fixed(batch, horizon, dt)
+    else:
+        _run_waiting(batch, horizon)
+    return batch
 
 
 def sample_trajectory(
@@ -461,7 +501,9 @@ def sample_trajectory(
         Integer seeds derive the stream as trajectory 0 of that master
         seed.  To replay member i of an :func:`mc_estimate` batch, take
         :func:`trajectory_stream`, draw one uniform (the batch spends it
-        on the initial memory), then pass the stream here.
+        on the initial memory), then pass the stream here; the replay is
+        exact.  The stream is left advanced by whole blocks of uniforms,
+        not by the number the trajectory used.
     dt : float
         Step size, fixed-step scheme only.
     burn_in : float
@@ -471,32 +513,10 @@ def sample_trajectory(
         rng = 0
     stream = trajectory_stream(rng, 0) if isinstance(rng, (int, np.integer)) else rng
     k0_idx = model.channel_index(k0)
-    tables, states, memory, charge, _, recorder = _run_batch(
-        model,
-        weights,
-        rho0,
-        np.array([k0_idx]),
-        [stream],
-        horizon,
-        scheme,
-        dt,
-        burn_in,
-        None,
-        True,
+    batch = _run_batch(
+        model, weights, rho0, [k0_idx], [stream], horizon, scheme, dt, burn_in, None, True
     )
-    return TrajectoryRecord(
-        labels=tables.labels,
-        n_monitored=model.n_channels,
-        initial_memory=k0_idx,
-        jump_times=np.asarray(recorder.times[0], dtype=float),
-        jump_channels=np.asarray(recorder.channels[0], dtype=np.intp),
-        memory_before=np.asarray(recorder.before[0], dtype=np.intp),
-        final_state=states[0],
-        final_memory=int(memory[0]),
-        horizon=float(horizon),
-        burn_in=float(burn_in),
-        charge=float(charge[0]),
-    )
+    return batch.record(0, k0_idx, horizon)
 
 
 def mc_estimate(
@@ -555,47 +575,24 @@ def mc_estimate(
     )
     np.clip(memories0, 0, m - 1, out=memories0)
 
-    tables, states, memory, charge, snapshots, recorder = _run_batch(
-        model,
-        weights,
-        rho0,
-        memories0,
-        streams,
-        horizon,
-        scheme,
-        dt,
-        burn_in,
-        charge_grid,
-        collect_records,
+    batch = _run_batch(
+        model, weights, rho0, memories0, streams, horizon, scheme, dt, burn_in,
+        charge_grid, collect_records,
     )
 
+    charge = batch.charge
     mean = charge.mean()
     centered = charge - mean
     var = centered @ centered / (n_traj - 1) if n_traj > 1 else 0.0
     mean_se = np.sqrt(var / n_traj)
     m4 = np.mean(centered**4)
     var_se = np.sqrt(max(m4 - var**2, 0.0) / n_traj)
-    freq = np.bincount(memory, minlength=m) / n_traj
+    freq = np.bincount(batch.memory, minlength=m) / n_traj
     freq_se = np.sqrt(freq * (1.0 - freq) / n_traj)
 
     records = None
     if collect_records:
-        records = tuple(
-            TrajectoryRecord(
-                labels=tables.labels,
-                n_monitored=m,
-                initial_memory=int(memories0[i]),
-                jump_times=np.asarray(recorder.times[i], dtype=float),
-                jump_channels=np.asarray(recorder.channels[i], dtype=np.intp),
-                memory_before=np.asarray(recorder.before[i], dtype=np.intp),
-                final_state=states[i],
-                final_memory=int(memory[i]),
-                horizon=float(horizon),
-                burn_in=float(burn_in),
-                charge=float(charge[i]),
-            )
-            for i in range(n_traj)
-        )
+        records = tuple(batch.record(i, memories0[i], horizon) for i in range(n_traj))
 
     return McEstimate(
         n_traj=n_traj,
@@ -610,7 +607,8 @@ def mc_estimate(
         memory_labels=model.channels,
         memory_freq=freq,
         memory_freq_se=freq_se,
+        jump_events=batch.jump_events,
         charge_grid=None if charge_grid is None else np.asarray(charge_grid, dtype=float),
-        grid_charges=snapshots,
+        grid_charges=batch.snapshots,
         records=records,
     )

@@ -8,8 +8,11 @@ from jumpfeedback import (
     extended_silent_jumps,
     feedback_model,
     liouvillian,
+    no_jump_generator,
     sandwich,
+    unvec,
     validate,
+    vec,
 )
 
 
@@ -76,3 +79,48 @@ def dense_gain(model, nu):
         for q in range(m):
             mat += nu[k, q] * sandwich(ops[k * m + q]).matrix
     return mat
+
+
+def fixed_step_reference(model, weights, rho0, k0, stream, horizon, dt, burn_in=0.0):
+    """The fixed-step unraveling stepped one dt at a time, one uniform per step.
+
+    Channel q fires in a step with probability dt * Tr[L_q rho L_q^dag]; a
+    step without a jump applies the normalized no-jump map 1 + dt L_0(k).
+    Returns (jump_times, jump_channels, memory_before, final_state, charge).
+    """
+    m, d = model.n_channels, model.dim
+    ops = [
+        np.concatenate([model.jump_ops[:, k], model.silent_ops[:, k]])
+        if model.silent_labels
+        else model.jump_ops[:, k]
+        for k in range(m)
+    ]
+    probes = [
+        np.stack([vec((op.conj().T @ op).conj()) for op in ops_k], axis=1) for ops_k in ops
+    ]
+    steps = [
+        (np.eye(d * d) + dt * no_jump_generator(model.hamiltonians[k], list(ops[k])).matrix).T
+        for k in range(m)
+    ]
+    tr_idx = np.arange(d) * (d + 1)
+    v = vec(np.asarray(rho0, dtype=complex))
+    k = k0
+    times, channels, before, charge = [], [], [], 0.0
+    for step in range(int(round(horizon / dt))):
+        u = stream.random()
+        cum = np.cumsum(np.clip(dt * (v @ probes[k]).real, 0.0, None))
+        if u < cum[-1]:
+            q = min(int((cum <= u).sum()), len(ops[k]) - 1)
+            v = v @ sandwich(ops[k][q]).matrix.T
+            t = (step + 1) * dt
+            if q < m and t >= burn_in:
+                charge += weights.per_transition[q, k]
+            times.append(t)
+            channels.append(q)
+            before.append(k)
+            if q < m:
+                k = q
+        else:
+            v = v @ steps[k]
+        v = v / v[tr_idx].sum().real
+    return np.array(times), np.array(channels), np.array(before), unvec(v, d), charge

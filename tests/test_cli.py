@@ -378,7 +378,7 @@ class TestTrajectoriesTask:
         return cfg
 
     def test_summary_matches_direct_estimate(self, tmp_path):
-        _, _, files = run_config(self.traj_config(tmp_path))
+        report, _, files = run_config(self.traj_config(tmp_path))
         header, rows = read_csv(files[0])
         assert header[:5] == [
             "n_traj",
@@ -406,6 +406,9 @@ class TestTrajectoriesTask:
         assert float(row[2]) == est.mean_charge_se
         assert float(row[3]) == est.var_charge
         assert float(row[5]) == est.memory_freq[0]
+        # activity weights count every jump of this model once
+        assert report["extras"]["jump_events"] == est.jump_events
+        assert est.jump_events == round(25 * est.mean_charge)
 
     def test_jump_dump_replays_records(self, tmp_path):
         _, _, files = run_config(self.traj_config(tmp_path, dump=True))

@@ -6,6 +6,7 @@ import pytest
 
 from jumpfeedback import (
     CountingWeights,
+    StencilError,
     ValidationError,
     average_current,
     embed,
@@ -138,6 +139,23 @@ class TestCrossRoutes:
         _, d_tilt = tilted_cumulants(ext, weights, chi_step=1e-2)
         assert abs(d - 1.7985e-7) < 1e-11
         assert abs(d_tilt - d) < 1e-4 * d
+
+    def test_stencil_round_off_raises_and_names_a_wider_step(self):
+        # the default chi_step = 1e-4 returned D = 1.43e-7 here; its
+        # eigenvalue round-off alone is 2.4e-7
+        from jumpfeedback import MaserParams, maser_model, work_weights
+
+        params = MaserParams(nl=0.3, nr=8.0, gl=1e-7, gr=1e-7, wl=8.0, wr=2.0)
+        model = maser_model(params)
+        ext = extended_liouvillian(model)
+        weights = work_weights(params)
+        with pytest.raises(StencilError, match="chi_step of at least") as info:
+            tilted_cumulants(ext, weights)
+        # the named step passes the check, which bounds the round-off by 1e-2 |D|
+        wider = float(str(info.value).rsplit(" ", 1)[-1])
+        assert wider > 1e-4
+        _, d_tilt = tilted_cumulants(ext, weights, chi_step=wider)
+        assert abs(d_tilt - 1.7985e-7) < 1e-2 * 1.7985e-7
 
     def test_spectrum_is_real_and_even(self):
         _, ext, weights = random_setup(73, dim=2, n_channels=3)

@@ -1,5 +1,9 @@
 """Stochastic trajectory sampling: distributions, determinism, bookkeeping."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -29,7 +33,15 @@ from jumpfeedback import (
     work_weights,
 )
 
-from helpers import dense_gain, dense_oracle
+import jumpfeedback
+from jumpfeedback.trajectories import _jump_time
+from helpers import (
+    dense_gain,
+    dense_oracle,
+    fixed_step_reference,
+    random_density,
+    random_model,
+)
 
 
 def poisson_model(gamma):
@@ -135,6 +147,65 @@ class TestWaitingTimeDistribution:
         assert abs(est.mean_charge - target) < 5.0 * est.mean_charge_se
         assert abs(est.var_charge - target) < 5.0 * est.var_charge_se
 
+
+def survival_samples(model, rng, n_states=40, t_max=40.0):
+    """Exponential-sum survivals S(t) = Re sum_ab c_ab exp(r_ab t) of random states.
+
+    For every memory value, random states give the coefficients c of the
+    no-jump trace in the eigenbasis of H_eff; uniforms u are drawn in
+    [S(t_max), 1), where the root of S(t) = u lies in (0, t_max].
+    """
+    coeffs, decays = [], []
+    for k in range(model.n_channels):
+        h_eff = model.hamiltonians[k] - 0.5j * model.loss_operator(k)
+        evals, v = np.linalg.eig(h_eff)
+        vinv = np.linalg.inv(v)
+        gram_t = (v.conj().T @ v).T
+        for _ in range(n_states):
+            rho = random_density(rng, model.dim)
+            coeffs.append((vinv @ rho @ vinv.conj().T) * gram_t)
+            decays.append(-1j * evals)
+    coeff, decay = np.array(coeffs), np.array(decays)
+    rates = decay[:, :, None] + decay[:, None, :].conj()
+
+    def survival(t):
+        return np.einsum("nab,nab->n", coeff, np.exp(rates * t[:, None, None])).real
+
+    t_max = np.full(len(coeff), t_max)
+    s_end = survival(t_max)
+    u = s_end + (1.0 - s_end) * rng.random(len(coeff))
+    return coeff, decay, u, t_max, survival
+
+
+class TestJumpTimeRoot:
+    @pytest.mark.parametrize("which", ["maser", "qubit"])
+    def test_newton_root_matches_bisection(self, which):
+        rng = np.random.default_rng(120)
+        if which == "maser":
+            model = maser_model(
+                MaserParams(nl=1.0, nr=2.0, gl=0.5, gr=0.5, lam=1.0, delta=0.0, wl=8.0, wr=2.0)
+            )
+        else:
+            model = qubit_setup(nbar=1.0, gamma=0.8)[0]
+        coeff, decay, u, t_max, survival = survival_samples(model, rng)
+        root = _jump_time(coeff, decay, u, t_max)
+        lo, hi = np.zeros(len(u)), t_max.copy()
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            above = survival(mid) > u
+            lo = np.where(above, mid, lo)
+            hi = np.where(above, hi, mid)
+        assert np.abs(root - 0.5 * (lo + hi)).max() < 1e-12
+        assert np.abs(survival(root) - u).max() < 4 * np.finfo(float).eps
+
+    def test_each_root_independent_of_the_batch(self):
+        rng = np.random.default_rng(121)
+        model = qubit_setup(nbar=1.0, gamma=0.8)[0]
+        coeff, decay, u, t_max, _ = survival_samples(model, rng)
+        batch = _jump_time(coeff, decay, u, t_max)
+        for i in (0, 7, len(u) - 1):
+            sl = slice(i, i + 1)
+            assert _jump_time(coeff[sl], decay[sl], u[sl], t_max[sl])[0] == batch[i]
 
 def expected_charge_discrete(model, weights, rho0, mem_dist, horizon, dt, burn_in=0.0):
     """Exact mean charge of the fixed-step chain.
@@ -246,6 +317,41 @@ class TestCrossScheme:
         assert err < 5.0 * est.mean_charge_se / window
 
 
+class TestFixedStepLookahead:
+    """The lookahead search reproduces stepping one dt at a time."""
+
+    def cases(self):
+        model, weights, rho0 = qubit_setup(nbar=1.0, gamma=0.8)
+        # 1250 steps: crosses the first uniform block, not a whole number of
+        # lookahead windows
+        yield model, weights, rho0, 12.5, 0.01
+        rng = np.random.default_rng(122)
+        silent = random_model(rng, dim=2, n_channels=2, scale=0.5, silent=1)
+        nu = CountingWeights(silent.channels, rng.normal(size=(2, 2)))
+        yield silent, nu, random_density(rng, 2), 12.1, 0.01
+
+    def test_engine_matches_plain_stepper(self):
+        for model, weights, rho0, horizon, dt in self.cases():
+            fired = []
+            for i in range(3):
+                k0 = i % model.n_channels
+                rec = sample_trajectory(
+                    model, weights, rho0, model.channels[k0], horizon,
+                    scheme="fixed-step", rng=trajectory_stream(123, i), dt=dt, burn_in=1.0,
+                )
+                times, channels, before, final, charge = fixed_step_reference(
+                    model, weights, rho0, k0, trajectory_stream(123, i), horizon, dt, 1.0
+                )
+                assert len(times) > 5
+                npt.assert_array_equal(rec.jump_times, times)
+                npt.assert_array_equal(rec.jump_channels, channels)
+                npt.assert_array_equal(rec.memory_before, before)
+                assert rec.charge == charge
+                npt.assert_allclose(rec.final_state, final, rtol=0, atol=1e-12)
+                fired.extend(channels)
+            if model.silent_labels:
+                assert max(fired) >= model.n_channels
+
 class TestDeterminism:
     def test_same_seed_bitwise_identical(self):
         model, weights, rho0 = qubit_setup()
@@ -306,6 +412,62 @@ class TestDeterminism:
                 npt.assert_array_equal(solo.memory_before, rec.memory_before)
                 npt.assert_array_equal(solo.final_state, rec.final_state)
                 assert solo.charge == rec.charge
+
+
+    def test_batch_size_and_replay_past_a_uniform_block(self):
+        # both horizons use more than UNIFORM_BLOCK uniforms per trajectory
+        model, weights, rho0 = qubit_setup(nbar=1.0, gamma=0.8)
+        for scheme, dt, horizon in [("waiting-time", None, 600.0), ("fixed-step", 0.02, 22.0)]:
+            small, large = (
+                mc_estimate(
+                    model, weights, rho0, [0.5, 0.5], horizon, n,
+                    scheme=scheme, master_seed=109, dt=dt, collect_records=True,
+                )
+                for n in (3, 9)
+            )
+            # two uniforms per waiting-time jump, one per fixed step
+            used = 2 * max(len(r.jump_times) for r in small.records) if dt is None else round(horizon / dt)
+            assert used > 1024
+            for i, (ra, rb) in enumerate(zip(small.records, large.records)):
+                stream = trajectory_stream(109, i)
+                stream.random()  # the batch spends this on the initial memory
+                solo = sample_trajectory(
+                    model, weights, rho0, model.channels[ra.initial_memory], horizon,
+                    scheme=scheme, rng=stream, dt=dt,
+                )
+                for rec in (rb, solo):
+                    npt.assert_array_equal(ra.jump_times, rec.jump_times)
+                    npt.assert_array_equal(ra.jump_channels, rec.jump_channels)
+                    npt.assert_array_equal(ra.final_state, rec.final_state)
+                    assert ra.charge == rec.charge
+                    assert ra.final_memory == rec.final_memory
+
+    def test_thread_count_never_changes_a_batch(self):
+        code = (
+            "import hashlib, numpy as np, jumpfeedback as jf\n"
+            "p = jf.MaserParams(nl=1.0, nr=2.0, gl=0.5, gr=0.5, lam=1.0, delta=0.0, wl=8.0, wr=2.0)\n"
+            "model, w = jf.maser_model(p), jf.work_weights(p)\n"
+            "mem0 = {c: 0.25 for c in model.channels}\n"
+            "h = hashlib.sha256()\n"
+            "for scheme, horizon, dt in (('waiting-time', 8.0, None), ('fixed-step', 4.0, 0.01)):\n"
+            "    est = jf.mc_estimate(model, w, np.eye(3) / 3, mem0, horizon, 800, scheme=scheme,\n"
+            "                         master_seed=124, dt=dt, collect_records=True)\n"
+            "    for r in est.records:\n"
+            "        for a in (r.jump_times, r.jump_channels, r.final_state, r.charge):\n"
+            "            h.update(np.ascontiguousarray(a).tobytes())\n"
+            "print(h.hexdigest())\n"
+        )
+        src = os.path.dirname(os.path.dirname(jumpfeedback.__file__))
+        digests = set()
+        for threads in ("1", "2"):
+            env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+            env["JUMPFEEDBACK_THREADS"] = threads
+            env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+            out = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            )
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1
 
 
 class TestRecordBookkeeping:
