@@ -41,14 +41,9 @@ from .superops import (
     Superoperator,
     dissipator,
     drazin,
-    is_trace_annihilating,
-    jump_superop,
     liouvillian,
-    no_jump_generator,
     sandwich,
     spectral_gap,
-    spost,
-    spre,
     steady_state,
     trace_vector,
     unvec,

@@ -13,7 +13,6 @@ import scipy.linalg
 
 from .errors import IntegrationError, PositivityError, ValidationError
 from .hybrid import HybridState, extended_liouvillian
-from .superops import stationary_vector
 
 __all__ = [
     "EvolutionResult",
@@ -157,14 +156,15 @@ def evolve_extended(model, state0, times, ext=None):
 def feedback_steady_state(model, ext=None):
     """Unique stationary HybridState of the feedback dynamics.
 
-    Raises :class:`DegenerateSteadyStateError` when the kernel is not
-    one-dimensional (e.g. disconnected memory sectors) and
+    Solved with the cached bordered factorization of ``ext`` (see
+    :class:`StationaryLU`).  Raises :class:`DegenerateSteadyStateError` when
+    the kernel is not one-dimensional (e.g. disconnected memory sectors) and
     :class:`PositivityError` when a hermitized block has an eigenvalue
     below -1e-10.
     """
     if ext is None:
         ext = extended_liouvillian(model)
-    state = ext.state(stationary_vector(ext.matrix, ext.trace_row))
+    state = ext.state(ext.stationary.vector)
     blocks = 0.5 * (state.blocks + state.blocks.conj().transpose(0, 2, 1))
     low = np.linalg.eigvalsh(blocks).min()
     if low < -1e-10:

@@ -16,10 +16,6 @@ class ValidationError(JumpFeedbackError, ValueError):
 class DegenerateSteadyStateError(JumpFeedbackError, RuntimeError):
     """The generator kernel is not one-dimensional."""
 
-    def __init__(self, message, kernel_dim=None):
-        super().__init__(message)
-        self.kernel_dim = kernel_dim
-
 
 class PositivityError(JumpFeedbackError, RuntimeError):
     """A state that should be positive semidefinite is not."""

@@ -14,13 +14,12 @@ import numpy as np
 
 from .dynamics import feedback_steady_state, propagate
 from .errors import (
-    DegenerateSteadyStateError,
     DimensionError,
     ResolventError,
     StencilError,
     ValidationError,
 )
-from .superops import bordered, spectral_gap
+from .superops import spectral_gap
 
 __all__ = [
     "CountingWeights",
@@ -152,21 +151,13 @@ def _resolve_stationary(ext, state):
 
 
 def _zero_frequency_term(ext, jmat, v):
-    """Re Tr[J L+ Q J rho_ss] from one bordered solve, without forming L+.
+    """Re Tr[J L+ Q J rho_ss], L+ applied by the generator's cached bordered LU.
 
-    The system [[L, rho_ss], [t, 0]] [x; mu] = [Q J rho_ss; 0] has the
-    unique solution x = L+ Q J rho_ss, mu = 0 when the stationary state is
-    unique (Landi et al., PRX Quantum 5, 020201, 2024).
+    L+ is never formed (Landi et al., PRX Quantum 5, 020201, 2024).
     """
     t = ext.trace_row
     jv = jmat @ v
-    rhs = np.append(jv - v * (t @ jv), 0.0)
-    try:
-        x = np.linalg.solve(bordered(ext.matrix, v, t), rhs)[:-1]
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateSteadyStateError(
-            "bordered generator is singular; the stationary state is not unique"
-        ) from exc
+    x = ext.stationary.drazin(jv - v * (t @ jv))
     return _real_scalar(t @ (jmat @ x), "zero-frequency term", tol=1e-6)
 
 
@@ -226,8 +217,8 @@ def power_spectrum(ext, weights, omegas, state=None):
 
     S(omega) = K + 2 Re Tr[J (i omega - L)^{-1} Q J rho_ss] with Q the
     projector off the stationary state; at omega = 0 the resolvent is
-    replaced by the Drazin inverse (one bordered solve), so S(0) equals the
-    zero-frequency noise.
+    replaced by the Drazin inverse (one solve with the generator's cached
+    bordered LU), so S(0) equals the zero-frequency noise.
     """
     omegas = np.asarray(omegas, dtype=float)
     if omegas.ndim != 1 or len(omegas) == 0:
@@ -264,7 +255,8 @@ def power_spectrum(ext, weights, omegas, state=None):
 def steady_noise(ext, weights, state=None):
     """Zero-frequency noise D = K - 2 Tr[J L+ J rho_ss], L+ the Drazin inverse.
 
-    L+ is applied through one bordered solve and never formed.
+    L+ is applied by one solve with the generator's cached bordered LU and
+    never formed.
     """
     state, v = _resolve_stationary(ext, state)
     background = noise_background(ext, weights, state)

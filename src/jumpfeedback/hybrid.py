@@ -20,16 +20,18 @@ Restricted to block-diagonal states,
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg.lapack
 
-from .errors import DimensionError, PositivityError, ValidationError
+from .errors import DegenerateSteadyStateError, DimensionError, PositivityError, ValidationError
 from .model import FeedbackModel
-from .superops import no_jump_generator, sandwich, trace_vector
 
 __all__ = [
     "HybridState",
     "ExtendedGenerator",
+    "StationaryLU",
     "validate_hybrid_state",
     "embed",
     "marginals",
@@ -252,6 +254,56 @@ def extended_silent_jumps(model):
     return ops
 
 
+class StationaryLU:
+    """One LU factorization of the bordered generator [[L, c], [t, 0]].
+
+    ``t`` is the trace row, ``t @ L = 0``, and ``c = t^dag / |t|^2`` so that
+    ``t @ c = 1``.  Multiplying the first block row of B [x; mu] = [b; beta]
+    by t gives mu = t @ b, so for trace-free right-hand sides the border
+    unknown vanishes and the solve stays on the generator:
+
+    - [0; 1] gives the unit-trace stationary vector, :attr:`vector`;
+    - [b; 0] with t @ b = 0 gives x = L+ b, L+ the Drazin inverse
+      (:meth:`drazin`), since L x = b and t @ x = 0.
+
+    B is invertible exactly when the kernel of L is one-dimensional and its
+    vector has non-zero trace.  A reciprocal condition estimate of the LU
+    below machine epsilon raises :class:`DegenerateSteadyStateError`: the
+    kernel is then more than one-dimensional (for example disconnected
+    memory sectors) to working precision.  Slow but connected modes stay
+    far above that limit (rcond ~ 5e-9 for the maser at rates 1e-7).
+    """
+
+    def __init__(self, matrix, trace_row):
+        n = len(trace_row)
+        b = np.zeros((n + 1, n + 1), dtype=complex, order="F")
+        b[:n, :n] = matrix
+        b[:n, n] = trace_row.conj() / np.vdot(trace_row, trace_row).real
+        b[n, :n] = trace_row
+        anorm = np.abs(b).sum(axis=0).max()
+        if not np.isfinite(anorm):
+            raise np.linalg.LinAlgError("generator has non-finite entries")
+        # the LAPACK routines directly: lu_factor warns on an exact zero pivot
+        self._lu, self._piv, info = scipy.linalg.lapack.zgetrf(b, overwrite_a=True)
+        rcond, _ = scipy.linalg.lapack.zgecon(self._lu, anorm)
+        if info > 0 or not rcond >= np.finfo(float).eps:
+            raise DegenerateSteadyStateError(
+                f"bordered generator is singular (rcond {rcond:.1e}): the kernel is "
+                "not one-dimensional and the stationary state is not unique"
+            )
+        rhs = np.zeros(n + 1, dtype=complex)
+        rhs[n] = 1.0
+        self.vector = self._solve(rhs)
+
+    def _solve(self, rhs):
+        x, _ = scipy.linalg.lapack.zgetrs(self._lu, self._piv, rhs)
+        return x[:-1]
+
+    def drazin(self, b):
+        """L+ b for a trace-free vector b."""
+        return self._solve(np.append(b, 0.0))
+
+
 @dataclass(frozen=True)
 class ExtendedGenerator:
     """Feedback generator restricted to block-diagonal hybrid states.
@@ -259,7 +311,8 @@ class ExtendedGenerator:
     ``matrix`` is ``(m*d^2, m*d^2)`` and acts on :meth:`vector` of a
     HybridState, the stacked vec(rho(k)) with the memory index major.  Its
     block (k, q) of size d^2 maps vec(rho(q)) to its contribution to
-    d vec(rho(k))/dt.
+    d vec(rho(k))/dt.  The bordered factorization that gives the stationary
+    vector and every Drazin solve is computed once, on first use.
     """
 
     model: FeedbackModel
@@ -278,40 +331,47 @@ class ExtendedGenerator:
     @property
     def trace_row(self):
         """Row t with t @ vector(state) = sum_k Tr[rho(k)]."""
-        return np.tile(trace_vector(self.model.dim), self.model.n_channels)
+        return np.tile(np.eye(self.model.dim, dtype=complex).ravel(), self.model.n_channels)
+
+    @cached_property
+    def stationary(self):
+        """The cached :class:`StationaryLU` of this generator."""
+        return StationaryLU(self.matrix, self.trace_row)
 
     def gain_matrix(self, nu):
-        """Weighted jump gains: nu[k, q] * sandwich(L_k(q)) on block (k, q)."""
-        return _gain_matrix(self.model, nu)
+        """Weighted jump gains: nu[k, q] * conj(L_k(q)) (x) L_k(q) on block (k, q)."""
+        return _gain_matrix(self.model.jump_ops, nu)
 
 
-def _gain_matrix(model, nu):
-    m, n = model.n_channels, model.dim**2
-    mat = np.zeros((m * n, m * n), dtype=complex)
-    for k in range(m):
-        for q in range(m):
-            if nu[k, q] != 0.0:
-                mat[k * n : (k + 1) * n, q * n : (q + 1) * n] = (
-                    nu[k, q] * sandwich(model.jump_ops[k, q]).matrix
-                )
-    return mat
+def _gain_matrix(ops, nu):
+    # vec(L X L^dag) = (conj(L) kron L) vec(X); row (k, i, j), column (q, l, p)
+    m, d = ops.shape[1], ops.shape[-1]
+    return np.einsum(
+        "kqil,kqjp->kijqlp", nu[:, :, None, None] * ops.conj(), ops
+    ).reshape(m * d * d, m * d * d)
 
 
 def extended_liouvillian(model):
     """Assemble the generator of a feedback model on the memory-block sector.
 
-    Block (k, k) is the no-jump generator of memory value k (Hamiltonian
-    H(k), losses of every monitored and silent operator acting at k) plus
-    the gains of the silent operators, which leave the memory at k; block
-    (k, q) adds the gain of L_k(q), which moves the memory from q to k.
+    Block (k, q) is the gain conj(L_k(q)) (x) L_k(q), which moves the memory
+    from q to k.  Block (k, k) adds the drift of memory value k,
+    -i (1 (x) H_eff - conj(H_eff) (x) 1) with H_eff = H(k) - i W(k) / 2 and W
+    the loss operator of every monitored and silent channel at k, and the
+    gains of the silent operators, which leave the memory at k.
     """
-    m, n = model.n_channels, model.dim**2
-    mat = _gain_matrix(model, np.ones((m, m)))
+    m, d = model.n_channels, model.dim
+    n = d * d
+    mat = _gain_matrix(model.jump_ops, np.ones((m, m)))
+    eye = np.eye(d)
+    h_eff = model.hamiltonians - 0.5j * np.stack([model.loss_operator(k) for k in range(m)])
+    # 1 (x) H_eff and conj(H_eff) (x) 1 for every k, indexed like the gains
+    drift = -1j * (
+        np.einsum("il,kjp->kijlp", eye, h_eff) - np.einsum("kil,jp->kijlp", h_eff.conj(), eye)
+    )
+    silent = model.silent_ops
+    silent_gain = np.einsum("skil,skjp->kijlp", silent.conj(), silent)
+    diagonal = (drift + silent_gain).reshape(m, n, n)
     for k in range(m):
-        silents = list(model.silent_ops[:, k])
-        drift = no_jump_generator(model.hamiltonians[k], [*model.jump_ops[:, k], *silents])
-        block = mat[k * n : (k + 1) * n, k * n : (k + 1) * n]
-        block += drift.matrix
-        for s in silents:
-            block += sandwich(s).matrix
+        mat[k * n : (k + 1) * n, k * n : (k + 1) * n] += diagonal[k]
     return ExtendedGenerator(model=model, matrix=mat)

@@ -8,7 +8,7 @@ channels acts conditioned on the memory without updating it (and is never
 counted).
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,9 +53,6 @@ class FeedbackModel:
     silent_ops : ndarray
         Shape ``(s, m, d, d)``; ``silent_ops[j, q]`` acts while the memory
         reads ``q``.
-    hamiltonian_only : bool
-        True when every L_k(q) is independent of q, i.e. only the
-        Hamiltonian is feedback-controlled.
     """
 
     dim: int
@@ -64,7 +61,6 @@ class FeedbackModel:
     jump_ops: np.ndarray
     silent_labels: tuple = ()
     silent_ops: np.ndarray = None
-    hamiltonian_only: bool = field(default=False)
 
     def __post_init__(self):
         m, d = len(self.channels), self.dim
@@ -203,13 +199,12 @@ def feedback_model(dim, channels, hamiltonians, jump_ops, silent_ops=None):
 
 
 def validate(model, herm_tol=1e-12):
-    """Check structural consistency and return the canonicalized model.
+    """Check structural consistency and return the model unchanged.
 
-    Verifies hermiticity of every H(q), consistent dimensions, unique
-    labels, and re-derives the ``hamiltonian_only`` flag (set only when the
-    jump table is exactly memory-independent).  Idempotent.
+    Verifies hermiticity of every H(q), consistent dimensions and unique
+    labels.
     """
-    m, d = model.n_channels, model.dim
+    m = model.n_channels
     if len(set(model.channels)) != m:
         raise ValidationError("duplicate channel labels")
     if set(model.silent_labels) & set(model.channels):
@@ -221,16 +216,7 @@ def validate(model, herm_tol=1e-12):
         scale = max(1.0, np.abs(h).max())
         if np.abs(h - h.conj().T).max() > herm_tol * scale:
             raise ValidationError(f"H({label}) is not hermitian")
-    ham_only = all(
-        all(
-            np.array_equal(model.jump_ops[k, q], model.jump_ops[k, 0])
-            for q in range(m)
-        )
-        for k in range(m)
-    )
-    if model.hamiltonian_only == ham_only:
-        return model
-    return replace(model, hamiltonian_only=ham_only)
+    return model
 
 
 def no_feedback(h, jump_ops, labels=None):

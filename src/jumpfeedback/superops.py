@@ -1,4 +1,4 @@
-"""Superoperator algebra for Markovian open-system generators.
+"""Dense paper-form reference for Markovian open-system generators.
 
 Operators are plain complex ndarrays of shape ``(d, d)``.  Superoperators act
 on vectorized operators in the column-stacking convention,
@@ -6,8 +6,10 @@ on vectorized operators in the column-stacking convention,
     vec(A X B) = (B^T kron A) vec(X),
 
 so a map ``X -> A X B`` is represented by the matrix ``kron(B.T, A)`` of shape
-``(d*d, d*d)``.  All constructors below return :class:`Superoperator` wrappers
-around such matrices; the raw matrix is always available as ``.matrix``.
+``(d*d, d*d)``.  The constructors below return :class:`Superoperator` wrappers
+around such matrices; the raw matrix is always available as ``.matrix``.  The
+package computes on the memory-block generator of :mod:`.hybrid`; this module
+is the dense form it is tested against, and shares only its stationary solver.
 """
 
 from dataclasses import dataclass
@@ -21,26 +23,25 @@ from .errors import (
     PositivityError,
     ValidationError,
 )
+from .hybrid import StationaryLU
 
 __all__ = [
     "Superoperator",
     "vec",
     "unvec",
     "trace_vector",
-    "spre",
-    "spost",
     "sandwich",
     "dissipator",
     "liouvillian",
-    "jump_superop",
-    "no_jump_generator",
-    "bordered",
-    "stationary_vector",
     "steady_state",
     "drazin",
-    "is_trace_annihilating",
     "spectral_gap",
 ]
+
+# steady_state: eigenvalues of the hermitized state below -POSITIVITY_TOL raise
+POSITIVITY_TOL = 1e-10
+# drazin: identity residuals above this share of ||L|| ||L+|| raise
+DRAZIN_CHECK_TOL = 1e-9
 
 
 def _as_operator(a, name="operator"):
@@ -103,46 +104,9 @@ class Superoperator:
             )
         return unvec(self.matrix @ vec(x), self.dim)
 
-    def __add__(self, other):
-        self._check_compatible(other)
-        return Superoperator(self.dim, self.matrix + other.matrix)
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        return Superoperator(self.dim, self.matrix - other.matrix)
-
-    def __mul__(self, scalar):
-        return Superoperator(self.dim, self.matrix * scalar)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        self._check_compatible(other)
-        return Superoperator(self.dim, self.matrix @ other.matrix)
-
-    def _check_compatible(self, other):
-        if not isinstance(other, Superoperator):
-            raise TypeError("expected a Superoperator")
-        if other.dim != self.dim:
-            raise DimensionError(f"dims differ: {self.dim} vs {other.dim}")
-
     def expm(self, t=1.0):
         """Propagator exp(t * self) as a Superoperator."""
         return Superoperator(self.dim, scipy.linalg.expm(t * self.matrix))
-
-
-def spre(a):
-    """Superoperator for left multiplication, X -> A X."""
-    a = _as_operator(a)
-    d = a.shape[0]
-    return Superoperator(d, np.kron(np.eye(d), a))
-
-
-def spost(b):
-    """Superoperator for right multiplication, X -> X B."""
-    b = _as_operator(b)
-    d = b.shape[0]
-    return Superoperator(d, np.kron(b.T, np.eye(d)))
 
 
 def sandwich(a, b=None):
@@ -203,126 +167,40 @@ def liouvillian(h, jump_ops=()):
     return Superoperator(d, mat)
 
 
-def jump_superop(l):
-    """Rate-level jump channel J X = L X L^dag (no normalization)."""
-    return sandwich(l)
-
-
-def no_jump_generator(h, jump_ops=()):
-    """Generator with all jump gain terms removed.
-
-    Returns ``liouvillian(h, jump_ops) - sum_k jump_superop(L_k)``, the
-    deterministic part of the unraveled evolution.  It is norm-leaking:
-    Tr[L_0 X] = -sum_k Tr[L_k X L_k^dag].
-    """
-    gen = liouvillian(h, jump_ops)
-    mat = gen.matrix.copy()
-    for l in jump_ops:
-        mat -= jump_superop(l).matrix
-    return Superoperator(gen.dim, mat)
-
-
-def bordered(matrix, column, row):
-    """The square matrix [[matrix, column], [row, 0]].
-
-    With ``row`` the trace row and ``column`` a unit-trace kernel vector of
-    a trace-annihilating generator L, it is invertible exactly when the
-    kernel of L is one-dimensional; solving it with right-hand side
-    [b; 0] for trace-free b gives [L+ b; 0], L+ the Drazin inverse.
-    """
-    n = len(row)
-    out = np.zeros((n + 1, n + 1), dtype=complex)
-    out[:n, :n] = matrix
-    out[:n, n] = column
-    out[n, :n] = row
-    return out
-
-
-def stationary_vector(matrix, trace_row, kernel_rtol=1e-9):
-    """Unit-trace kernel vector of a generator with a one-dimensional kernel.
-
-    The kernel is extracted from a full SVD of ``matrix``.  A second
-    singular value below ``kernel_rtol`` times the largest raises
-    :class:`DegenerateSteadyStateError`, and so does a kernel vector whose
-    trace ``trace_row @ x`` vanishes.  Shared by :func:`steady_state` and
-    the memory-block stationary state.
-    """
-    _, s, vh = np.linalg.svd(matrix)
-    if len(s) > 1:
-        if s[0] == 0.0 or s[-2] < kernel_rtol * s[0]:
-            # count the near-zero singular values for the diagnostic
-            thresh = kernel_rtol * (s[0] if s[0] > 0 else 1.0)
-            kdim = int(np.sum(s < thresh)) if s[0] > 0 else len(s)
-            raise DegenerateSteadyStateError(
-                f"generator kernel is {kdim}-dimensional (need exactly 1); "
-                "the stationary state is not unique",
-                kernel_dim=kdim,
-            )
-    x = vh[-1].conj()
-    tr = trace_row @ x
-    if abs(tr) < 1e-8 * np.linalg.norm(x):
-        raise DegenerateSteadyStateError(
-            "kernel element is traceless; no normalizable stationary state", kernel_dim=1
-        )
-    # The SVD's kernel vector can carry round-off of order eps ||L|| / s[-2]
-    # along the slow modes, enough to turn tiny populations negative; one
-    # bordered solve with it as the border column removes that.
-    rhs = np.zeros(len(x) + 1, dtype=complex)
-    rhs[-1] = 1.0
-    return np.linalg.solve(bordered(matrix, x / tr, trace_row), rhs)[:-1]
-
-
-def steady_state(gen, pos_tol=1e-10, kernel_rtol=1e-9):
+def steady_state(gen):
     """Stationary density matrix of a trace-annihilating generator.
 
-    The kernel is extracted by :func:`stationary_vector`; the result is
-    trace-normalized and hermitized.
-
-    Parameters
-    ----------
-    gen : Superoperator
-        The generator.
-    pos_tol : float
-        Eigenvalues of the hermitized state below ``-pos_tol`` raise
-        :class:`PositivityError`.
-    kernel_rtol : float
-        A second singular value below ``kernel_rtol * ||gen||`` means the
-        kernel is (numerically) more than one-dimensional and raises
-        :class:`DegenerateSteadyStateError`.
-
-    Returns
-    -------
-    ndarray
-        Density matrix with ``gen(rho) = 0``.
+    Solved by the bordered factorization of :class:`StationaryLU`, which
+    raises :class:`DegenerateSteadyStateError` unless the kernel is
+    one-dimensional; the result is unit-trace and hermitized, and an
+    eigenvalue below ``-POSITIVITY_TOL`` raises :class:`PositivityError`.
     """
-    x = unvec(stationary_vector(gen.matrix, trace_vector(gen.dim), kernel_rtol), gen.dim)
+    x = unvec(StationaryLU(gen.matrix, trace_vector(gen.dim)).vector, gen.dim)
     x = 0.5 * (x + x.conj().T)
     evals = np.linalg.eigvalsh(x)
-    if evals.min() < -pos_tol:
+    if evals.min() < -POSITIVITY_TOL:
         raise PositivityError(
             f"stationary state has negative eigenvalue {evals.min():.3e}"
         )
     return x
 
 
-def drazin(gen, rho_ss, check_tol=1e-9):
+def drazin(gen, rho_ss):
     """Drazin (group) inverse of a generator with a unique stationary state.
 
     With P X = Tr[X] rho_ss and Q = 1 - P, the inverse is
     ``Q (L Q + P)^{-1} Q``.  The defining identities
     L L+ = L+ L = 1 - P and L+ P = P L+ = 0 are verified in the spectral
-    norm to ``check_tol`` relative to ||L|| ||L+||, the scale of their
-    round-off, so slow but well-separated modes are not mistaken for a
-    degenerate kernel; that one is caught by the singular-value test of
-    :func:`stationary_vector`.
+    norm to ``DRAZIN_CHECK_TOL`` relative to ||L|| ||L+||, the scale of
+    their round-off, so slow but well-separated modes are not mistaken for a
+    degenerate kernel; that one is caught by the condition test of
+    :class:`StationaryLU`.
 
     Parameters
     ----------
     gen : Superoperator
     rho_ss : ndarray
         Stationary state of ``gen`` (see :func:`steady_state`).
-    check_tol : float
-        Relative tolerance for the identity checks; set to None to skip.
     """
     d = gen.dim
     n = d * d
@@ -337,28 +215,21 @@ def drazin(gen, rho_ss, check_tol=1e-9):
             "L Q + P is singular; the stationary state is not unique or not stationary"
         ) from exc
     dz = q @ inv_q
-    if check_tol is not None:
-        norm_l = np.linalg.norm(gen.matrix, 2)
-        # L+ P and P L+ carry the units of L+; times ||L|| they compare like the rest
-        resid = max(
-            np.linalg.norm(gen.matrix @ dz - q, 2),
-            np.linalg.norm(dz @ gen.matrix - q, 2),
-            norm_l * np.linalg.norm(dz @ p, 2),
-            norm_l * np.linalg.norm(p @ dz, 2),
+    norm_l = np.linalg.norm(gen.matrix, 2)
+    # L+ P and P L+ carry the units of L+; times ||L|| they compare like the rest
+    resid = max(
+        np.linalg.norm(gen.matrix @ dz - q, 2),
+        np.linalg.norm(dz @ gen.matrix - q, 2),
+        norm_l * np.linalg.norm(dz @ p, 2),
+        norm_l * np.linalg.norm(p @ dz, 2),
+    )
+    scale = norm_l * np.linalg.norm(dz, 2)
+    if resid > DRAZIN_CHECK_TOL * scale:
+        raise DegenerateSteadyStateError(
+            f"Drazin identities violated (residual {resid:.3e}, "
+            f"scale ||L|| ||L+|| = {scale:.3e})"
         )
-        scale = norm_l * np.linalg.norm(dz, 2)
-        if resid > check_tol * scale:
-            raise DegenerateSteadyStateError(
-                f"Drazin identities violated (residual {resid:.3e}, "
-                f"scale ||L|| ||L+|| = {scale:.3e})"
-            )
     return Superoperator(d, dz)
-
-
-def is_trace_annihilating(gen, tol=1e-12):
-    """True if Tr[gen(X)] = 0 for every X, i.e. t @ matrix vanishes."""
-    t = trace_vector(gen.dim)
-    return bool(np.abs(t @ gen.matrix).max() <= tol * max(1.0, np.abs(gen.matrix).max()))
 
 
 def spectral_gap(gen, zero_rtol=1e-9):

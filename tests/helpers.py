@@ -8,7 +8,6 @@ from jumpfeedback import (
     extended_silent_jumps,
     feedback_model,
     liouvillian,
-    no_jump_generator,
     sandwich,
     unvec,
     validate,
@@ -98,10 +97,13 @@ def fixed_step_reference(model, weights, rho0, k0, stream, horizon, dt, burn_in=
     probes = [
         np.stack([vec((op.conj().T @ op).conj()) for op in ops_k], axis=1) for ops_k in ops
     ]
-    steps = [
-        (np.eye(d * d) + dt * no_jump_generator(model.hamiltonians[k], list(ops[k])).matrix).T
+    # the no-jump generator: the full Lindbladian minus every jump gain
+    no_jump = [
+        liouvillian(model.hamiltonians[k], list(ops[k])).matrix
+        - sum(sandwich(op).matrix for op in ops[k])
         for k in range(m)
     ]
+    steps = [(np.eye(d * d) + dt * gen).T for gen in no_jump]
     tr_idx = np.arange(d) * (d + 1)
     v = vec(np.asarray(rho0, dtype=complex))
     k = k0

@@ -1,17 +1,28 @@
 """Hybrid system-memory states and the extended-space construction."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg.lapack
 
 from jumpfeedback import (
+    CountingWeights,
+    DegenerateSteadyStateError,
     HybridState,
+    MaserParams,
     ValidationError,
     embed,
     extended_jumps,
     extended_liouvillian,
     extended_silent_jumps,
+    feedback_model,
+    feedback_steady_state,
+    maser_model,
     marginals,
+    power_spectrum,
+    steady_noise,
     unvec,
     validate_hybrid_state,
     vec,
@@ -176,3 +187,50 @@ class TestExtendedConstruction:
             via_dense.blocks,
             atol=1e-12,
         )
+
+
+class TestStationaryLU:
+    def test_one_factorization_serves_state_noise_and_zero_frequency(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        model = random_model(rng, dim=2, n_channels=2, silent=1)
+        ext = extended_liouvillian(model)
+        weights = CountingWeights.from_channel_weights(model.channels, [1.0, -0.5])
+        calls = []
+        getrf = scipy.linalg.lapack.zgetrf
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return getrf(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "zgetrf", counting)
+        state = feedback_steady_state(model, ext=ext)
+        noise = steady_noise(ext, weights)
+        spec = power_spectrum(ext, weights, [0.0], state=state)
+        assert len(calls) == 1
+        assert abs(spec.values[0] - noise) < 1e-10 * max(1.0, abs(noise))
+
+    def test_disconnected_memory_sectors_raise_without_warning(self):
+        # each memory value only resets itself: two independent stationary states
+        sm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        model = feedback_model(
+            dim=2,
+            channels=["a", "b"],
+            hamiltonians=np.zeros((2, 2)),
+            jump_ops={"a": {"a": sm}, "b": {"b": sm}},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateSteadyStateError, match="not one-dimensional"):
+                feedback_steady_state(model)
+
+    def test_slow_maser_is_accepted(self):
+        # bath rates of 1e-7 against a unit drive: slow, but one stationary state
+        params = MaserParams(nl=0.3, nr=8.0, gl=1e-7, gr=1e-7, wl=8.0, wr=2.0)
+        for feedback in (True, False):
+            model = maser_model(params, feedback=feedback)
+            ext = extended_liouvillian(model)
+            state = feedback_steady_state(model, ext=ext)
+            v = ext.vector(state)
+            assert abs(ext.trace_row @ v - 1.0) < 1e-12
+            assert np.linalg.norm(ext.matrix @ v) < 1e-12 * np.abs(ext.matrix).max()
+            assert np.linalg.eigvalsh(state.blocks).min() > -1e-10

@@ -34,7 +34,6 @@ class TestFeedbackModel:
         npt.assert_array_equal(model.jump_ops[0, 0], SM)
         npt.assert_array_equal(model.jump_ops[0, 1], SM)
         npt.assert_array_equal(model.jump_ops[1, 1], 0.5 * SM.T)
-        assert not model.hamiltonian_only
 
     def test_missing_inner_memory_defaults_to_zero(self):
         model = feedback_model(
@@ -44,15 +43,6 @@ class TestFeedbackModel:
             jump_ops={"a": {"a": SM}, "b": SM.T},
         )
         npt.assert_array_equal(model.jump_ops[0, 1], np.zeros((2, 2)))
-
-    def test_hamiltonian_only_flag(self):
-        model = feedback_model(
-            dim=2,
-            channels=["a", "b"],
-            hamiltonians={"a": SX, "b": -SX},
-            jump_ops={"a": SM, "b": SM.T},
-        )
-        assert model.hamiltonian_only
 
     def test_validate_is_idempotent(self):
         model = feedback_model(
@@ -120,7 +110,6 @@ class TestNoFeedback:
         h = random_hermitian(rng, 3)
         ops = [random_operator(rng, 3) for _ in range(2)]
         model = no_feedback(h, ops, labels=["x", "y"])
-        assert model.hamiltonian_only
         for q in range(2):
             npt.assert_array_equal(model.hamiltonians[q], h)
             for k in range(2):

@@ -61,7 +61,6 @@ class TestQubitModels:
     def test_channel_conventions(self):
         model = qubit_cooling_model(QubitParams(nbar=0.5, gamma=0.25))
         assert model.channels == QUBIT_CHANNELS
-        assert model.hamiltonian_only
         # drive acts only in the absorption sector
         npt.assert_array_equal(model.hamiltonians[0], np.zeros((2, 2)))
         assert model.hamiltonians[1][0, 1] == 1.0
