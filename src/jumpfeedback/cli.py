@@ -768,6 +768,7 @@ def _run_trajectories(ctx, out):
         row += [_fmt(f), _fmt(se)]
     out.add("trajectories", header, [row])
     out.extras["jump_events"] = est.jump_events
+    out.extras["survival_evaluations"] = est.survival_evaluations
 
     if task["dump"]:
         rows = []

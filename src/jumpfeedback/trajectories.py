@@ -2,23 +2,26 @@
 
 Two sampling schemes share one event-driven engine.  Each round finds the
 next jump of every active trajectory in one vectorized search, then applies
-all those jumps through one path: channel pick, state update, charge, grid
-snapshots, records and memory.
+all those jumps through one path: channel pick, state update (one gathered
+product with a stacked (memory, channel) table), charge, grid snapshots,
+records and memory.
 
 * ``"waiting-time"`` (default): between jumps the conditional state evolves
-  under the no-jump propagator exp(-i H_eff(k) t), and its trace, the
-  survival probability S(t), is a sum of exponentials.  The next jump time
-  solves S(t) = u (inverse-transform sampling) by a safeguarded Newton
+  under the no-jump propagator exp(-i H_eff(k) t).  States are held in the
+  eigenbasis of H_eff(k), where that evolution is elementwise and the trace,
+  the survival probability S(t), is a sum of exponentials.  The next jump
+  time solves S(t) = u (inverse-transform sampling) by a safeguarded Newton
   iteration on log S, falling back to bisection when a step leaves the
   bracket; the channel follows the relative jump rates at that instant.
-  No time-discretization error.
+  No time-discretization error.  A near-defective H_eff, whose eigenvectors
+  are no usable basis, is refused in favour of the fixed-step scheme.
 * ``"fixed-step"``: the literal discrete unraveling with step dt; channel q
   fires with probability dt * Tr[L_q rho L_q^dag], otherwise the normalized
   no-jump map 1 + dt L_0(k) is applied.  One matrix product with a table
   built from powers of that map gives the jump weights over the next
   LOOKAHEAD steps; a trajectory jumps at its first step whose uniform falls
   below them, or advances by the whole window.  Jumps are exactly those of
-  stepping one dt at a time.
+  stepping one dt at a time.  States stay in the physical basis.
 
 Randomness is drawn from counter-based per-trajectory streams derived from
 ``(master_seed, trajectory_index)``, so results are bit-for-bit reproducible
@@ -125,7 +128,9 @@ class McEstimate:
 
     Charges are accumulated over [burn_in, horizon]; memory frequencies are
     occupation fractions at the horizon.  ``jump_events`` counts the jumps
-    the batch applied, monitored and silent.  ``grid_charges``
+    the batch applied, monitored and silent; ``survival_evaluations`` counts
+    the per-trajectory survival evaluations of the waiting-time search, the
+    horizon checks included (0 for fixed-step).  ``grid_charges``
     (trajectories x grid points) is filled only when a charge grid was
     requested.
     """
@@ -143,6 +148,7 @@ class McEstimate:
     memory_freq: np.ndarray
     memory_freq_se: np.ndarray
     jump_events: int
+    survival_evaluations: int
     charge_grid: Optional[np.ndarray] = None
     grid_charges: Optional[np.ndarray] = None
     records: Optional[tuple] = None
@@ -152,29 +158,13 @@ class McEstimate:
 # engine
 
 
-def _sandwich(op, rho):
-    """op rho op^dag for every matrix of a stack rho."""
-    # contracting with the stack index last keeps einsum's inner loops long
-    x = np.einsum("ab,bcn->acn", op, np.ascontiguousarray(rho.transpose(1, 2, 0)))
-    return np.ascontiguousarray(np.einsum("acn,dc->adn", x, op.conj()).transpose(2, 0, 1))
+def _survival(coeff, rates, t):
+    """S(t) = Re sum_x coeff_x exp(rates_x t) and dS/dt, row by row."""
+    y = coeff * np.exp(t[:, None] * rates)
+    return y.sum(axis=1).real, np.einsum("nx,nx->n", y, rates).real
 
 
-def _normalized(rho):
-    return rho / np.einsum("naa->n", rho).real[:, None, None]
-
-
-def _survival(coeff, decay, t):
-    """S(t) = Re sum_ab coeff_ab exp((kappa_a + kappa_b^*) t) and dS/dt, row by row.
-
-    ``coeff`` is hermitian, so with E = exp(kappa t) and y = coeff E^*,
-    S = Re E.y and dS/dt = 2 Re (kappa E).y.
-    """
-    e = np.exp(t[:, None] * decay)
-    y = np.einsum("nab,nb->na", coeff, e.conj())
-    return np.einsum("na,na->n", e, y).real, 2.0 * np.einsum("na,na->n", decay * e, y).real
-
-
-def _jump_time(coeff, decay, u, t_max):
+def _jump_time(coeff, rates, u, t_max, evaluations=None):
     """Solve S(t) = u for t in (0, t_max], S the survival of :func:`_survival`.
 
     Requires S(0) = 1 > u >= S(t_max) with S non-increasing.  Newton steps
@@ -182,12 +172,15 @@ def _jump_time(coeff, decay, u, t_max):
     estimate -log(u) / rate); a step that leaves the bracket [lo, hi] kept
     around the root is replaced by bisection.  Every element stops on its
     own test, so its arithmetic never depends on the rest of the batch.
+    ``evaluations``, if given, gains each element's survival evaluations.
     """
     t = np.zeros(len(u))
     idx = np.arange(len(u))
     lo, hi, x, log_u = np.zeros(len(u)), np.array(t_max, dtype=float), t.copy(), np.log(u)
     for _ in range(MAX_ROOT_ITERATIONS):
-        s, ds = _survival(coeff, decay, x)
+        s, ds = _survival(coeff, rates, x)
+        if evaluations is not None:
+            evaluations[idx] += 1
         above = s > u
         lo = np.where(above, x, lo)
         hi = np.where(above, hi, x)
@@ -203,51 +196,72 @@ def _jump_time(coeff, decay, u, t_max):
         keep = ~(converged | (hi - lo <= tol))
         if not keep.any():
             break
-        idx, coeff, decay, u, log_u = idx[keep], coeff[keep], decay[keep], u[keep], log_u[keep]
+        idx, coeff, rates, u, log_u = idx[keep], coeff[keep], rates[keep], u[keep], log_u[keep]
         lo, hi, x = lo[keep], hi[keep], new[keep]
     return t
 
 
 class _Batch:
-    """A batch of trajectories: per-memory operator tables, the state of
-    every trajectory, and the one path that applies jumps for both schemes.
+    """A batch of trajectories: stacked (memory, channel) tables, the state
+    of every trajectory, and the one path that applies jumps for both schemes.
 
-    States are flattened row-major, r = rho.ravel(), wherever a scheme
-    needs vectors, so a stack of states reshapes to rows without a copy.
+    A trajectory at memory k holds its state as a flat row a = A.ravel()
+    (row-major) with rho = V_k A V_k^dag.  The basis V_k holds the
+    eigenvectors of H_eff(k) when ``eigen`` is set (waiting-time) and is the
+    identity otherwise (fixed-step, where a is rho itself).  In it
+    ``jump_maps[k, q]`` = M (x) M^*, M = V_k'^-1 L_q(k) V_k, takes a to the
+    post-jump row in the basis of the next memory k' = ``next_memory[k, q]``,
+    ``rate_rows[k, q] . a`` = Tr[L_q rho L_q^dag] and ``trace_rows[k] . a``
+    = Tr rho.
     """
 
-    def __init__(self, model, weights, rho0, memories0, streams, burn_in, grid, record, block):
+    def __init__(self, model, weights, rho0, memories0, streams, burn_in, grid, record, block, eigen):
         if weights.channels != model.channels:
             raise ValidationError("weights channels do not match the model")
         m, d, n = model.n_channels, model.dim, len(memories0)
         self.m, self.d, self.n_ops = m, d, m + len(model.silent_labels)
         self.labels = model.channels + model.silent_labels
-        # ops[k]: all channels conditioned on memory k, monitored first
-        self.ops = [
-            np.concatenate([model.jump_ops[:, k], model.silent_ops[:, k]])
-            if model.silent_labels
-            else model.jump_ops[:, k]
-            for k in range(m)
-        ]
-        loss = [model.loss_operator(k) for k in range(m)]
-        self.h_eff = [model.hamiltonians[k] - 0.5j * w for k, w in enumerate(loss)]
-        self.max_rate = max(np.linalg.eigvalsh(w).max() for w in loss)
-        # rate_rows[k] @ r = Tr[L_q rho L_q^dag] for every channel q
-        self.rate_rows = [
-            np.stack([(op.conj().T @ op).T.ravel() for op in ops]) for ops in self.ops
-        ]
+        loss = np.stack([model.loss_operator(k) for k in range(m)])
+        self.h_eff = model.hamiltonians - 0.5j * loss
+        self.max_rate = np.linalg.eigvalsh(loss).max()
+        rho0 = _check_density(rho0, d)
+        if eigen:
+            evals, basis = np.linalg.eig(self.h_eff)
+            cond = np.linalg.cond(basis)
+            bad = np.flatnonzero(~(cond <= 1e10))
+            if bad.size:
+                raise ValidationError(
+                    f"H_eff at memory {self.labels[bad[0]]!r} is near-defective "
+                    f"(eigenvector condition {cond[bad[0]]:.2e}); waiting-time sampling "
+                    "is unreliable, use the fixed-step scheme"
+                )
+            self.decay = -1j * evals
+        else:
+            basis = np.broadcast_to(np.eye(d, dtype=complex), (m, d, d))
+        self.basis = basis
+        vinv, vh = np.linalg.inv(basis), basis.conj().swapaxes(1, 2)
+        # ops[k, q] = L_q(k), monitored channels first; those reset the memory to q
+        ops = np.concatenate([model.jump_ops, model.silent_ops]).swapaxes(0, 1)
+        ch = np.arange(self.n_ops)
+        self.next_memory = np.where(ch < m, ch, np.arange(m)[:, None])
+        jump = vinv[self.next_memory] @ ops @ basis[:, None]
+        kron = np.einsum("kqac,kqbd->kqabcd", jump, jump.conj())
+        self.jump_maps = kron.reshape(m, self.n_ops, d * d, d * d)
+        rate = vh[:, None] @ ops.conj().swapaxes(2, 3) @ ops @ basis[:, None]
+        self.rate_rows = rate.swapaxes(2, 3).reshape(m, self.n_ops, d * d)
+        self.trace_rows = (vh @ basis).swapaxes(1, 2).reshape(m, d * d)
         # charge added when channel c fires at memory k (silent rows are 0)
         self.charge_table = np.zeros((self.n_ops, m))
         self.charge_table[:m, :] = weights.per_transition
 
-        rho0 = _check_density(rho0, d)
-        self.states = np.broadcast_to(rho0, (n, d, d)).astype(complex).copy()
         self.memory = np.asarray(memories0, dtype=np.intp).copy()
+        self.states = (vinv @ rho0 @ vinv.conj().swapaxes(1, 2)).reshape(m, d * d)[self.memory]
         self.burn_in = burn_in
         self.grid = grid
         self.charge = np.zeros(n)
         self.snapshots = np.zeros((n, len(grid))) if grid is not None else None
         self.jump_events = 0
+        self.survival_evaluations = 0
         self.records = [[] for _ in range(n)] if record else None  # (time, channel, memory)
         # pre-drawn uniforms: row i holds a block of stream i, ptr[i] is the
         # next unused column (block: draw a new block first)
@@ -273,6 +287,10 @@ class _Batch:
         self.ptr[idx] += 1
         return u
 
+    def normalized(self, rows, ks):
+        """State rows at memories ``ks`` scaled to unit trace."""
+        return rows / np.einsum("nx,nx->n", rows, self.trace_rows[ks]).real[:, None]
+
     def apply_jumps(self, sel, t_jump, u, dt=None):
         """One jump for each trajectory in ``sel`` at times ``t_jump``.
 
@@ -281,22 +299,16 @@ class _Batch:
         (waiting-time), or as the step's outcome when channel q fires with
         probability dt times its weight (fixed-step, ``dt`` given).
         """
-        ks = self.memory[sel]
-        rho = self.states[sel]
-        w = np.empty((len(sel), self.n_ops))
-        for k in np.unique(ks):
-            g = ks == k
-            w[g] = np.einsum("nx,qx->nq", rho[g].reshape(-1, self.d**2), self.rate_rows[k]).real
+        ks, a = self.memory[sel], self.states[sel]
+        w = np.einsum("nqx,nx->nq", self.rate_rows[ks], a).real
         if dt is not None:
             w *= dt
-        cum = np.cumsum(np.clip(w, 0.0, None), axis=1)
+        cum = np.cumsum(np.maximum(w, 0.0), axis=1)
         target = u if dt is not None else u * cum[:, -1]
         picks = np.minimum((cum <= target[:, None]).sum(axis=1), self.n_ops - 1)
-        pair = ks * self.n_ops + picks
-        for code in np.unique(pair):
-            g = pair == code
-            op = self.ops[code // self.n_ops][code % self.n_ops]
-            self.states[sel[g]] = _normalized(_sandwich(op, rho[g]))
+        after = self.next_memory[ks, picks]
+        a = np.einsum("nxy,ny->nx", self.jump_maps[ks, picks], a)
+        self.states[sel] = self.normalized(a, after)
         gains = self.charge_table[picks, ks]
         counted = t_jump >= self.burn_in
         self.charge[sel[counted]] += gains[counted]
@@ -308,12 +320,12 @@ class _Batch:
         if self.records is not None:
             for i, event in zip(sel, zip(t_jump, picks.tolist(), ks.tolist())):
                 self.records[i].append(event)
-        mono = picks < self.m
-        self.memory[sel[mono]] = picks[mono]
+        self.memory[sel] = after
         self.jump_events += len(sel)
 
     def record(self, i, initial_memory, horizon):
         events = np.array(self.records[i], dtype=float).reshape(-1, 3)
+        v = self.basis[self.memory[i]]
         return TrajectoryRecord(
             labels=self.labels,
             n_monitored=self.m,
@@ -321,7 +333,7 @@ class _Batch:
             jump_times=events[:, 0].copy(),
             jump_channels=events[:, 1].astype(np.intp),
             memory_before=events[:, 2].astype(np.intp),
-            final_state=self.states[i],
+            final_state=v @ self.states[i].reshape(self.d, self.d) @ v.conj().T,
             final_memory=int(self.memory[i]),
             horizon=float(horizon),
             burn_in=float(self.burn_in),
@@ -332,41 +344,26 @@ class _Batch:
 def _run_waiting(batch, horizon):
     """Each round samples the next jump of every active trajectory exactly.
 
-    With H_eff(k) = V diag(lambda) V^-1 and a = V^-1 rho V^-dag, the
-    unnormalized state after time t without a jump is V (a * E E^dag) V^dag,
-    E = exp(kappa t) with kappa = -i lambda, and its trace is the survival
-    sum_ab a_ab gram_ab E_a E_b^* with gram = (V^dag V)^T.
+    With H_eff(k) = V diag(lambda) V^-1 and kappa = -i lambda, a state row
+    evolves without a jump as a_ab exp(r_ab t), r_ab = kappa_a + kappa_b^*,
+    and its trace, the survival, is Re sum_x c_x exp(r_x t) with
+    c = a * trace_rows[k].
     """
-    tables = []
-    for k in range(batch.m):
-        evals, v = np.linalg.eig(batch.h_eff[k])
-        cond = np.linalg.cond(v)
-        if not np.isfinite(cond) or cond > 1e10:
-            raise ValidationError(
-                f"H_eff at memory {batch.labels[k]!r} is near-defective "
-                f"(eigenvector condition {cond:.2e}); waiting-time sampling "
-                "is unreliable, use the fixed-step scheme"
-            )
-        tables.append((-1j * evals, v, np.linalg.inv(v), (v.conj().T @ v).T))
-    decay, v, vinv, gram = map(np.stack, zip(*tables))
+    rates = (batch.decay[:, :, None] + batch.decay[:, None, :].conj()).reshape(batch.m, -1)
     t = np.zeros(len(batch.memory))
     active = np.arange(len(t))
     while active.size:
         ks = batch.memory[active]
-        groups = [(k, ks == k) for k in np.unique(ks)]
-        a = np.empty((len(active), batch.d, batch.d), dtype=complex)
-        for k, g in groups:
-            a[g] = _sandwich(vinv[k], batch.states[active[g]])
-        coeff, kappa = a * gram[ks], decay[ks]
+        a, r = batch.states[active], rates[ks]
+        coeff = a * batch.trace_rows[ks]
         t_wait = horizon - t[active]
         u = batch.draw(active)
-        jumps = u >= _survival(coeff, kappa, t_wait)[0]
-        t_wait[jumps] = _jump_time(coeff[jumps], kappa[jumps], u[jumps], t_wait[jumps])
+        jumps = u >= _survival(coeff, r, t_wait)[0]
+        evaluations = np.zeros(np.count_nonzero(jumps), dtype=np.intp)
+        t_wait[jumps] = _jump_time(coeff[jumps], r[jumps], u[jumps], t_wait[jumps], evaluations)
+        batch.survival_evaluations += len(active) + int(evaluations.sum())
         # conditional states at the jump instants, or at the horizon
-        e = np.exp(t_wait[:, None] * kappa)
-        a *= e[:, :, None] * e[:, None, :].conj()
-        for k, g in groups:
-            batch.states[active[g]] = _normalized(_sandwich(v[k], a[g]))
+        batch.states[active] = batch.normalized(a * np.exp(t_wait[:, None] * r), ks)
         t[active] = np.where(jumps, t[active] + t_wait, horizon)
         active = active[jumps]
         batch.apply_jumps(active, t[active], batch.draw(active))
@@ -418,17 +415,17 @@ def _run_fixed(batch, horizon, dt):
             np.minimum(batch.block - batch.ptr[active], n_steps - step[active]),
         )
         ks = batch.memory[active]
-        rows = batch.states[active].reshape(len(active), d * d)
+        rows = batch.states[active]
         hit = ahead < width[:, None]
         for k in np.unique(ks):
             g = ks == k
             x = np.concatenate([rows[g].real, rows[g].imag], axis=1) @ look[k]
             x = x.reshape(-1, LOOKAHEAD, batch.n_ops + 1)
-            hit[g] &= u[g] * x[:, :, -1] < np.clip(x[:, :, :-1], 0.0, None).sum(axis=2)
+            hit[g] &= u[g] * x[:, :, -1] < np.maximum(x[:, :, :-1], 0.0).sum(axis=2)
         jumped = hit.any(axis=1)
         advance = np.where(jumped, hit.argmax(axis=1), width)
         moved = np.einsum("ni,nij->nj", rows, powers[ks, advance])
-        batch.states[active] = _normalized(moved.reshape(-1, d, d))
+        batch.states[active] = batch.normalized(moved, ks)
         sel = active[jumped]
         u_jump = u[jumped, advance[jumped]]
         advance[jumped] += 1  # the jumping step itself
@@ -466,7 +463,9 @@ def _run_batch(
         raise ValidationError(f"unknown scheme {scheme!r}")
     fixed = scheme == "fixed-step"
     block = UNIFORM_BLOCK if fixed else WAITING_BLOCK
-    batch = _Batch(model, weights, rho0, memories0, streams, burn_in, grid, record, block)
+    batch = _Batch(
+        model, weights, rho0, memories0, streams, burn_in, grid, record, block, not fixed
+    )
     if fixed:
         _run_fixed(batch, horizon, dt)
     else:
@@ -608,6 +607,7 @@ def mc_estimate(
         memory_freq=freq,
         memory_freq_se=freq_se,
         jump_events=batch.jump_events,
+        survival_evaluations=batch.survival_evaluations,
         charge_grid=None if charge_grid is None else np.asarray(charge_grid, dtype=float),
         grid_charges=batch.snapshots,
         records=records,

@@ -1,6 +1,7 @@
 """Shared random-model factories for the test suite."""
 
 import numpy as np
+import scipy.linalg
 
 from jumpfeedback import (
     extended_hamiltonian,
@@ -126,3 +127,51 @@ def fixed_step_reference(model, weights, rho0, k0, stream, horizon, dt, burn_in=
             v = v @ steps[k]
         v = v / v[tr_idx].sum().real
     return np.array(times), np.array(channels), np.array(before), unvec(v, d), charge
+
+
+def waiting_time_reference(model, weights, rho0, k0, stream, horizon, burn_in=0.0):
+    """The waiting-time unraveling evolved in the physical basis, one jump at a time.
+
+    Between jumps the unnormalized state is U rho U^dag with
+    U = expm(-i H_eff(k) t); its trace is the survival S(t), and a jump time
+    solves S(t) = u by bisection.  Each wait draws one uniform for the
+    survival, then a jump draws one for the channel, picked in proportion to
+    Tr[L_q rho L_q^dag].  Returns (jump_times, jump_channels, memory_before,
+    final_state, charge).
+    """
+    m = model.n_channels
+    ops = np.concatenate([model.jump_ops, model.silent_ops])  # ops[q, k] = L_q(k)
+    rho, k, t = np.asarray(rho0, dtype=complex), k0, 0.0
+    times, channels, before, charge = [], [], [], 0.0
+
+    def evolved(s):
+        u_s = scipy.linalg.expm(-1j * s * (model.hamiltonians[k] - 0.5j * model.loss_operator(k)))
+        return u_s @ rho @ u_s.conj().T
+
+    while True:
+        u = stream.random()
+        end = evolved(horizon - t)
+        if np.trace(end).real > u:
+            final = end / np.trace(end).real
+            return np.array(times), np.array(channels), np.array(before), final, charge
+        lo, hi = 0.0, horizon - t
+        while lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            if np.trace(evolved(mid)).real > u:
+                lo = mid
+            else:
+                hi = mid
+        t += 0.5 * (lo + hi)
+        rho = evolved(0.5 * (lo + hi))
+        rates = [np.trace(op @ rho @ op.conj().T).real for op in ops[:, k]]
+        cum = np.cumsum(np.maximum(rates, 0.0))
+        q = min(int((cum <= stream.random() * cum[-1]).sum()), len(ops) - 1)
+        rho = ops[q, k] @ rho @ ops[q, k].conj().T
+        rho /= np.trace(rho).real
+        if q < m and t >= burn_in:
+            charge += weights.per_transition[q, k]
+        times.append(t)
+        channels.append(q)
+        before.append(k)
+        if q < m:
+            k = q

@@ -408,6 +408,7 @@ class TestTrajectoriesTask:
         assert float(row[5]) == est.memory_freq[0]
         # activity weights count every jump of this model once
         assert report["extras"]["jump_events"] == est.jump_events
+        assert report["extras"]["survival_evaluations"] == est.survival_evaluations
         assert est.jump_events == round(25 * est.mean_charge)
 
     def test_jump_dump_replays_records(self, tmp_path):

@@ -34,13 +34,14 @@ from jumpfeedback import (
 )
 
 import jumpfeedback
-from jumpfeedback.trajectories import _jump_time
+from jumpfeedback.trajectories import MAX_ROOT_ITERATIONS, _jump_time
 from helpers import (
     dense_gain,
     dense_oracle,
     fixed_step_reference,
     random_density,
     random_model,
+    waiting_time_reference,
 )
 
 
@@ -174,7 +175,9 @@ def survival_samples(model, rng, n_states=40, t_max=40.0):
     t_max = np.full(len(coeff), t_max)
     s_end = survival(t_max)
     u = s_end + (1.0 - s_end) * rng.random(len(coeff))
-    return coeff, decay, u, t_max, survival
+    # the engine holds states as flat rows with pairwise rates
+    n = len(coeff)
+    return coeff.reshape(n, -1), rates.reshape(n, -1), u, t_max, survival
 
 
 class TestJumpTimeRoot:
@@ -351,6 +354,64 @@ class TestFixedStepLookahead:
                 fired.extend(channels)
             if model.silent_labels:
                 assert max(fired) >= model.n_channels
+
+class TestWaitingTimeReference:
+    """The eigen-coordinate engine reproduces a physical-basis stepper."""
+
+    def cases(self):
+        model, weights, rho0 = qubit_setup(nbar=1.0, gamma=0.8)
+        yield model, weights, rho0, 12.0
+        # a silent channel and dense random operators: H_eff is far from
+        # normal, so its eigenvectors are far from orthonormal
+        rng = np.random.default_rng(125)
+        silent = random_model(rng, dim=3, n_channels=2, scale=0.5, silent=1)
+        nu = CountingWeights(silent.channels, rng.normal(size=(2, 2)))
+        yield silent, nu, random_density(rng, 3), 6.0
+        params = MaserParams(nl=1.0, nr=2.0, gl=0.5, gr=0.5, lam=1.0, delta=0.0, wl=8.0, wr=2.0)
+        yield maser_model(params), work_weights(params), np.eye(3, dtype=complex) / 3, 12.0
+
+    def test_engine_matches_plain_waiting_time_reference(self):
+        for model, weights, rho0, horizon in self.cases():
+            fired = []
+            for i in range(3):
+                k0 = i % model.n_channels
+                rec = sample_trajectory(
+                    model, weights, rho0, model.channels[k0], horizon,
+                    rng=trajectory_stream(126, i), burn_in=1.0,
+                )
+                times, channels, before, final, charge = waiting_time_reference(
+                    model, weights, rho0, k0, trajectory_stream(126, i), horizon, 1.0
+                )
+                assert len(times) > 5
+                npt.assert_array_equal(rec.jump_channels, channels)
+                npt.assert_array_equal(rec.memory_before, before)
+                npt.assert_allclose(rec.jump_times, times, rtol=0, atol=1e-10)
+                npt.assert_allclose(rec.final_state, final, rtol=0, atol=1e-10)
+                assert rec.charge == charge
+                fired.extend(channels)
+            if model.silent_labels:
+                assert max(fired) >= model.n_channels
+                v = np.linalg.eig(model.hamiltonians[0] - 0.5j * model.loss_operator(0))[1]
+                assert np.abs(v.conj().T @ v - np.eye(model.dim)).max() > 0.1
+
+
+class TestSurvivalEvaluations:
+    def test_counted_per_jump_and_reproducible(self):
+        params = MaserParams(nl=1.0, nr=2.0, gl=0.5, gr=0.5, lam=1.0, delta=0.0, wl=8.0, wr=2.0)
+        model, weights = maser_model(params), work_weights(params)
+        mem0 = {c: 0.25 for c in model.channels}
+        rho0 = np.eye(3, dtype=complex) / 3
+        a, b = (
+            mc_estimate(model, weights, rho0, mem0, 10.0, 50, master_seed=127) for _ in range(2)
+        )
+        assert a.survival_evaluations == b.survival_evaluations
+        assert a.jump_events > 0
+        assert 1 <= a.survival_evaluations / a.jump_events <= MAX_ROOT_ITERATIONS
+        fixed = mc_estimate(
+            model, weights, rho0, mem0, 1.0, 10, scheme="fixed-step", dt=0.01, master_seed=127
+        )
+        assert fixed.survival_evaluations == 0
+
 
 class TestDeterminism:
     def test_same_seed_bitwise_identical(self):
