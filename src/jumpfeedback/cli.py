@@ -727,6 +727,7 @@ def _run_spectrum(ctx, out):
     spec = power_spectrum(ext, weights, omegas)
     rows = [[_fmt(w), _fmt(s)] for w, s in zip(spec.omegas, spec.values)]
     out.add("spectrum", ["omega", "S"], rows)
+    out.extras["max_resolvent_residual"] = spec.max_resolvent_residual
 
 
 def _run_noise(ctx, out):

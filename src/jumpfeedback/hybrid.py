@@ -328,10 +328,12 @@ class ExtendedGenerator:
         blocks = np.asarray(vector).reshape(m, d, d).transpose(0, 2, 1)
         return HybridState(self.model.channels, blocks)
 
-    @property
+    @cached_property
     def trace_row(self):
-        """Row t with t @ vector(state) = sum_k Tr[rho(k)]."""
-        return np.tile(np.eye(self.model.dim, dtype=complex).ravel(), self.model.n_channels)
+        """Row t with t @ vector(state) = sum_k Tr[rho(k)]; cached, read-only."""
+        row = np.tile(np.eye(self.model.dim, dtype=complex).ravel(), self.model.n_channels)
+        row.flags.writeable = False
+        return row
 
     @cached_property
     def stationary(self):

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ValidationError
 
@@ -54,17 +55,103 @@ ROOT_TOLERANCE = 1e-14  # relative step at which a jump-time root has converged
 MAX_ROOT_ITERATIONS = 100
 
 
+# constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = np.uint32(16)
+
+
+def _uint32_words(n):
+    """Little-endian 32-bit words of a non-negative integer, as SeedSequence splits it."""
+    n = int(n)
+    if n < 0:
+        raise ValueError(f"expected a non-negative integer, got {n}")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _philox_keys(master_seed, spawn_words):
+    """Philox keys of ``SeedSequence(entropy=master_seed, spawn_key=(i,))``.
+
+    ``spawn_words`` holds one row of :func:`_uint32_words` per index, all of
+    one width.  Row r of the result is the key that SeedSequence hands to
+    ``np.random.Philox`` for index r: numpy's entropy pool and output hash,
+    run in wrapping uint32 arithmetic with the index axis vectorized.
+    """
+    run = _uint32_words(master_seed)
+    # a spawned sequence pads its run entropy with zeros to the pool size
+    run += [0] * (_POOL_SIZE - len(run))
+    n = len(spawn_words)
+    entropy = np.hstack([np.tile(np.array(run, dtype=np.uint32), (n, 1)), spawn_words])
+    # the hash constant advances the same way for every index
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return out ^ (out >> _XSHIFT)
+
+    pool = [hashmix(entropy[:, i]) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, entropy.shape[1]):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    # generate_state(2, np.uint64): four output words, paired little-endian
+    hash_const = _INIT_B
+    state = np.empty((n, _POOL_SIZE), dtype=np.uint32)
+    for i in range(_POOL_SIZE):
+        value = pool[i] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, i] = value ^ (value >> _XSHIFT)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _PhiloxKey(ISeedSequence):
+    """Seed for ``np.random.Philox`` whose state is a precomputed key."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
+def _streams(master_seed, spawn_words):
+    """One Philox generator per row of ``spawn_words`` (see :func:`_philox_keys`)."""
+    return [
+        np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+        for key in _philox_keys(master_seed, spawn_words)
+    ]
+
+
 def trajectory_stream(master_seed, index):
     """Counter-based random stream of trajectory ``index`` under a master seed.
 
+    The stream yields the same numbers as
+    ``Generator(Philox(SeedSequence(entropy=master_seed, spawn_key=(index,))))``.
     In :func:`mc_estimate` the stream's first uniform samples the initial
     memory value; everything after that is consumed by the sampling engine.
     Replaying a batch member by hand therefore means drawing that uniform
     before handing the stream to :func:`sample_trajectory`.  The engine
     uses the stream's uniforms in order but draws them in whole blocks.
     """
-    ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(index),))
-    return np.random.Generator(np.random.Philox(ss))
+    return _streams(master_seed, np.array([_uint32_words(index)], dtype=np.uint32))[0]
 
 
 @dataclass(frozen=True)
@@ -567,7 +654,7 @@ def mc_estimate(
     if dist.min() < 0 or abs(dist.sum() - 1.0) > 1e-10:
         raise ValidationError("memory0 must be a probability distribution")
 
-    streams = [trajectory_stream(master_seed, i) for i in range(n_traj)]
+    streams = _streams(master_seed, np.arange(n_traj, dtype=np.uint32)[:, None])
     cum = np.cumsum(dist)
     memories0 = np.array(
         [int(np.searchsorted(cum, s.random(), side="right")) for s in streams]

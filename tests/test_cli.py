@@ -447,6 +447,20 @@ class TestTrajectoriesTask:
                 assert final[tid] == pytest.approx(rec.charge, abs=1e-12)
 
 
+class TestSpectrumTask:
+    def test_report_carries_worst_resolvent_residual(self, tmp_path):
+        cfg = base_config(tmp_path, {"kind": "spectrum", "omegas": [0.0, -1.5, 2.0]})
+        cfg["model"] = {"builtin": "maser", "params": dict(MASER_PARAMS)}
+        cfg["weights"] = "work"
+        report, report_path, files = run_config(cfg)
+        header, rows = read_csv(files[0])
+        assert header == ["omega", "S"] and len(rows) == 3
+        worst = report["extras"]["max_resolvent_residual"]
+        assert 0.0 <= worst < 1e-12
+        with open(report_path) as fh:
+            assert json.load(fh)["extras"]["max_resolvent_residual"] == worst
+
+
 class TestSweepTask:
     def test_values_sorted_with_lockstep_columns(self, tmp_path):
         task = {

@@ -1,11 +1,15 @@
 """Counting statistics: currents, noise, correlations, spectra, tilting."""
 
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from jumpfeedback import (
     CountingWeights,
+    ExtendedGenerator,
+    ResolventError,
     StencilError,
     ValidationError,
     average_current,
@@ -20,6 +24,8 @@ from jumpfeedback import (
     tilted_cumulants,
     two_point_correlation,
 )
+
+from jumpfeedback import cli
 
 from helpers import random_density, random_model
 
@@ -40,6 +46,22 @@ def random_setup(seed, **kwargs):
         model.channels, rng.normal(size=model.n_channels)
     )
     return model, ext, weights
+
+
+def resonant_generator(omega0=1.0, gamma=0.5):
+    """Hand-set two-level generator whose coherences rotate undamped at -/+ i omega0.
+
+    Vector order (rho00, rho10, rho01, rho11): level 1 decays into level 0,
+    the stationary state is |0><0|, and L is upper triangular, so its Schur
+    form holds -i omega0 and +i omega0 exactly.  The jump operator only sets
+    J, which feeds those coherences from the stationary state.
+    """
+    lop = np.array([[1.0, 0.0], [1.0, 0.0]]) / np.sqrt(2.0)
+    model = no_feedback(np.zeros((2, 2)), [lop], labels=["a"])
+    mat = np.zeros((4, 4), dtype=complex)
+    mat[0, 3], mat[3, 3] = gamma, -gamma
+    mat[1, 1], mat[2, 2] = -1j * omega0, 1j * omega0
+    return ExtendedGenerator(model=model, matrix=mat)
 
 
 class TestCountingWeights:
@@ -174,6 +196,105 @@ class TestCrossRoutes:
         _, ext, weights = random_setup(75, dim=2, n_channels=2)
         corr = two_point_correlation(ext, weights, np.array([0.0, 80.0]))
         assert abs(corr.values[1]) < 1e-6 * max(1.0, abs(corr.values[0]))
+
+
+class TestSpectrumAgainstDenseSolves:
+    """The Schur back-substitution against one dense solve per frequency."""
+
+    @staticmethod
+    def reference(ext, weights, omegas):
+        ss = feedback_steady_state(ext.model, ext=ext)
+        v = ext.vector(ss)
+        t = ext.trace_row
+        lmat = ext.matrix
+        jmat = ext.gain_matrix(weights.per_transition)
+        background = (t @ ext.gain_matrix(weights.per_transition**2) @ v).real
+        jv = jmat @ v
+        b = jv - v * (t @ jv)
+        n = len(v)
+        out = []
+        for w in omegas:
+            if w == 0.0:
+                # the group inverse on trace-free vectors: (L + v t)^{-1} b
+                x = -np.linalg.solve(lmat + np.outer(v, t), b)
+            else:
+                x = np.linalg.solve(1j * w * np.eye(n) - lmat, b)
+            out.append(background + 2.0 * (t @ jmat @ x).real)
+        return np.array(out)
+
+    @pytest.mark.parametrize(
+        "seed, kwargs",
+        [
+            (80, dict(dim=2, n_channels=2)),
+            (81, dict(dim=3, n_channels=3)),
+            (82, dict(dim=2, n_channels=3, silent=1)),
+        ],
+    )
+    def test_unsorted_grid_with_repeated_zero(self, seed, kwargs):
+        _, ext, weights = random_setup(seed, **kwargs)
+        omegas = np.array([1.3, 0.0, -0.4, 1e5, -2.5, 0.0, 0.05, -1e5, 0.4])
+        spec = power_spectrum(ext, weights, omegas)
+        ref = self.reference(ext, weights, omegas)
+        npt.assert_allclose(spec.values, ref, rtol=1e-10, atol=0.0)
+        assert spec.values[1] == spec.values[5]
+        assert 0.0 <= spec.max_resolvent_residual < 1e-12
+
+    def test_zero_only_grid_reports_no_resolvent_residual(self):
+        _, ext, weights = random_setup(83, dim=2, n_channels=2)
+        spec = power_spectrum(ext, weights, np.array([0.0, 0.0]))
+        assert spec.max_resolvent_residual is None
+        assert spec.values[0] == spec.values[1] == steady_noise(ext, weights)
+
+
+class TestResonantShift:
+    """A shift on an undamped eigenvalue is refused, by name."""
+
+    def test_exact_eigenvalue_raises_naming_omega(self):
+        ext = resonant_generator(omega0=1.0)
+        weights = CountingWeights.activity(ext.model.channels)
+        assert np.isfinite(power_spectrum(ext, weights, np.array([0.5, 2.0])).values).all()
+        with pytest.raises(ResolventError, match=r"singular at omega=-1$"):
+            power_spectrum(ext, weights, np.array([0.5, 0.0, -1.0, 1.0, 2.0]))
+
+    def test_cli_exits_one_without_traceback(self, tmp_path, capsys, monkeypatch):
+        ext = resonant_generator(omega0=1.0)
+        monkeypatch.setattr(cli, "extended_liouvillian", lambda model: ext)
+        lop = [[[2**-0.5, 0.0], [0.0, 0.0]], [[2**-0.5, 0.0], [0.0, 0.0]]]
+        cfg = {
+            "model": {"dim": 2, "channels": ["a"], "jump_ops": {"a": lop}},
+            "weights": "activity",
+            "task": {"kind": "spectrum", "omegas": [0.5, 1.0]},
+            "output": {"directory": str(tmp_path), "prefix": "t"},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = cli.main(["run", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: ResolventError: resolvent is singular at omega=1\n"
+
+
+class TestDirectTraces:
+    """Currents and backgrounds read off the jump operators equal t J v."""
+
+    @pytest.mark.parametrize("seed", [84, 85, 86])
+    def test_direct_traces_match_gain_matrix(self, seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, dim=3, n_channels=3, silent=seed % 2)
+        ext = extended_liouvillian(model)
+        nu = rng.normal(size=(3, 3))
+        weights = CountingWeights(model.channels, nu)
+        for state in (
+            feedback_steady_state(model, ext=ext),
+            embed(model.channels, rng.dirichlet(np.ones(3)), random_density(rng, 3)),
+        ):
+            v = ext.vector(state)
+            for got, gains in (
+                (average_current(ext, weights, state), ext.gain_matrix(nu)),
+                (noise_background(ext, weights, state), ext.gain_matrix(nu**2)),
+            ):
+                want = (ext.trace_row @ (gains @ v)).real
+                assert abs(got - want) <= 1e-12 * abs(want)
 
 
 class TestTransitionResolvedWeights:

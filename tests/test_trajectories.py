@@ -34,7 +34,7 @@ from jumpfeedback import (
 )
 
 import jumpfeedback
-from jumpfeedback.trajectories import MAX_ROOT_ITERATIONS, _jump_time
+from jumpfeedback.trajectories import MAX_ROOT_ITERATIONS, _jump_time, _streams
 from helpers import (
     dense_gain,
     dense_oracle,
@@ -83,6 +83,19 @@ class TestStreams:
         c = trajectory_stream(7, 4).random(5)
         npt.assert_array_equal(a, b)
         assert np.abs(a - c).max() > 0
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**100])
+    def test_uniforms_equal_seed_sequence_philox(self, seed):
+        # the keys come from a vectorized copy of numpy's SeedSequence hash;
+        # indices past 2**32 - 1 take two spawn-key words
+        indices = [*range(47), 2**32 - 1, 2**32, 2**70]
+        batch = _streams(seed, np.arange(47, dtype=np.uint32)[:, None])
+        for pos, i in enumerate(indices):
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
+            want = np.random.Generator(np.random.Philox(ss)).random(300)
+            npt.assert_array_equal(trajectory_stream(seed, i).random(300), want)
+            if pos < len(batch):
+                npt.assert_array_equal(batch[pos].random(300), want)
 
 
 class TestWaitingTimeDistribution:
