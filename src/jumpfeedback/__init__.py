@@ -82,7 +82,6 @@ from .fcs import (
     noise_background,
     noise_by_quadrature,
     power_spectrum,
-    second_moment_superop,
     steady_noise,
     tilted_cumulants,
     tilted_generator,

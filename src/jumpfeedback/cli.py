@@ -12,6 +12,7 @@ thread pools (applied before numpy loads when the console script starts).
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -146,73 +147,61 @@ def _matrix_to_pairs(mat):
 # model section
 
 
-_QUBIT_NUMERIC = {"nbar": None, "gamma": None, "lam": 1.0, "delta": 0.0}
-_QUBIT_MODES = ("feedback", "always_on", "drive_off")
-_MASER_NUMERIC = {
-    "nl": None,
-    "nr": None,
-    "gl": None,
-    "gr": None,
-    "lam": 1.0,
-    "delta": 0.0,
-    "wl": None,
-    "wr": None,
+# builtin name -> (parameter dataclass, builder extras with their defaults);
+# the dataclass fields give the numeric parameters, their defaults and which
+# are required
+_BUILTINS = {
+    "qubit_cooling": (QubitParams, {"mode": "feedback"}),
+    "maser": (MaserParams, {"feedback": True, "classical": False}),
 }
+_QUBIT_MODES = ("feedback", "always_on", "drive_off")
 
 
 def _canon_builtin_params(name, params, path):
-    """Validate and fill defaults for builtin parameters."""
-    params = dict(_expect_map(params, path))
-    if name == "qubit_cooling":
-        numeric, extras = _QUBIT_NUMERIC, {"mode": "feedback"}
-    elif name == "maser":
-        numeric, extras = _MASER_NUMERIC, {"feedback": True, "classical": False}
-    else:
-        _fail(path, f"unknown builtin {name!r}; available: qubit_cooling, maser")
-    _no_extra_keys(params, set(numeric) | set(extras), path)
+    """Validate and fill defaults for builtin parameters.
+
+    Numeric parameters whose default is None (the maser's ``wl``, ``wr``)
+    are left out when not given.
+    """
+    params = _expect_map(params, path)
+    if name not in _BUILTINS:
+        _fail(path, f"unknown builtin {name!r}; available: {', '.join(_BUILTINS)}")
+    cls, extras = _BUILTINS[name]
+    fields = dataclasses.fields(cls)
+    _no_extra_keys(params, {f.name for f in fields} | set(extras), path)
     canon = {}
-    for key, default in numeric.items():
-        if key in params:
-            canon[key] = _expect_number(params[key], f"{path}.{key}")
-        elif default is not None:
-            canon[key] = default
-        elif key in ("wl", "wr"):
-            pass  # optional, needed only for work weights
-        else:
-            _fail(path, f"missing required parameter {key!r}")
+    for f in fields:
+        if f.name in params:
+            canon[f.name] = _expect_number(params[f.name], f"{path}.{f.name}")
+        elif f.default is dataclasses.MISSING:
+            _fail(path, f"missing required parameter {f.name!r}")
+        elif f.default is not None:
+            canon[f.name] = f.default
     for key, default in extras.items():
-        val = params.get(key, default)
-        if key == "mode":
-            val = _expect_str(val, f"{path}.{key}") if key in params else val
-            if val not in _QUBIT_MODES:
+        if key not in params:
+            canon[key] = default
+        elif isinstance(default, bool):
+            canon[key] = _expect_bool(params[key], f"{path}.{key}")
+        else:
+            canon[key] = _expect_str(params[key], f"{path}.{key}")
+            if canon[key] not in _QUBIT_MODES:
                 _fail(f"{path}.{key}", f"must be one of {_QUBIT_MODES}")
-        elif key in params:
-            val = _expect_bool(val, f"{path}.{key}")
-        canon[key] = val
     return canon
 
 
 def _build_builtin(name, canon_params):
     """Model and parameter object of a builtin from its canonical parameters."""
-    p = canon_params
-    if name == "qubit_cooling":
-        qp = QubitParams(
-            nbar=p["nbar"], gamma=p["gamma"], lam=p["lam"], delta=p["delta"]
+    cls, extras = _BUILTINS[name]
+    params = cls(**{k: v for k, v in canon_params.items() if k not in extras})
+    if name == "maser":
+        model = maser_model(
+            params, feedback=canon_params["feedback"], classical=canon_params["classical"]
         )
-        if p["mode"] == "feedback":
-            return qubit_cooling_model(qp), qp
-        return qubit_baseline_model(qp, drive_on=p["mode"] == "always_on"), qp
-    mp = MaserParams(
-        nl=p["nl"],
-        nr=p["nr"],
-        gl=p["gl"],
-        gr=p["gr"],
-        lam=p["lam"],
-        delta=p["delta"],
-        wl=p.get("wl"),
-        wr=p.get("wr"),
-    )
-    return maser_model(mp, feedback=p["feedback"], classical=p["classical"]), mp
+    elif canon_params["mode"] == "feedback":
+        model = qubit_cooling_model(params)
+    else:
+        model = qubit_baseline_model(params, drive_on=canon_params["mode"] == "always_on")
+    return model, params
 
 
 def model_from_config(mcfg, path="model"):
@@ -567,7 +556,7 @@ def _parse_task(tcfg, ctx):
         if ctx["builtin"] is None:
             _fail("task", "sweep needs a builtin model (named numeric parameters)")
         name, base = ctx["builtin"]
-        numeric = _QUBIT_NUMERIC if name == "qubit_cooling" else _MASER_NUMERIC
+        numeric = {f.name for f in dataclasses.fields(_BUILTINS[name][0])}
         parameter = _expect_str(tcfg.get("parameter", ""), "task.parameter")
         if parameter not in numeric:
             _fail(
@@ -598,6 +587,7 @@ def _parse_task(tcfg, ctx):
         if not variants_cfg:
             _fail("task.variants", "must be non-empty")
         variants = []
+        variant_params = []
         seen = set()
         first_point = {parameter: values[0], **{k: v[0] for k, v in also.items()}}
         for i, vc in enumerate(variants_cfg):
@@ -611,8 +601,11 @@ def _parse_task(tcfg, ctx):
             seen.add(label)
             merged = _canon_builtin_params(name, {**base, **vc}, vpath)
             variants.append({"label": label, **vc})
+            variant_params.append(merged)
             # building each variant at the first sweep point proves it is valid
             _build_builtin(name, {**merged, **first_point})
+        # canonical parameters of each variant; sweep points only add numbers
+        ctx["variant_params"] = variant_params
         canon.update(parameter=parameter, values=values, inner=inner, variants=variants)
         if also:
             canon["also"] = also
@@ -649,6 +642,8 @@ def parse_config(raw):
         initial = (mem_dist, rho0)
 
     seed = _expect_int(raw.get("seed", 0), "seed")
+    if seed < 0:
+        _fail("seed", "must be non-negative")
 
     out_cfg = _expect_map(raw.get("output", {}), "output")
     _no_extra_keys(out_cfg, {"directory", "prefix"}, "output")
@@ -796,55 +791,44 @@ def _run_trajectories(ctx, out):
 
 def _run_sweep(ctx, out):
     task = ctx["task"]
-    name, base = ctx["builtin"]
+    name = ctx["builtin"][0]
     parameter, values, inner = task["parameter"], task["values"], task["inner"]
     also = task.get("also", {})
     weights_cfg = ctx["weights_cfg"]
+    # maser work currents also go out normalized by gl * (wl - wr)
+    power_norm = name == "maser" and weights_cfg == "work"
 
+    cols = _state_header(ctx["model"]) if inner == "steady" else []
+    if weights_cfg is not None:
+        cols.append("current")
+    if inner == "noise":
+        cols.append("noise")
+    if power_norm:
+        cols.append("power_norm")
     header = [parameter] + list(also)
-    model0 = ctx["model"]
     for var in task["variants"]:
-        label = var["label"]
-        if inner == "steady":
-            cols = [f"{label}_{c}" for c in _state_header(model0)]
-            if weights_cfg is not None:
-                cols.append(f"{label}_current")
-                if name == "maser" and weights_cfg == "work":
-                    cols.append(f"{label}_power_norm")
-        else:
-            cols = [f"{label}_current", f"{label}_noise"]
-            if name == "maser" and weights_cfg == "work":
-                cols.append(f"{label}_power_norm")
-        header += cols
+        header += [f"{var['label']}_{c}" for c in cols]
 
     rows = []
     for i, value in enumerate(values):
         point = {parameter: value, **{k: v[i] for k, v in also.items()}}
         row = [_fmt(value)] + [_fmt(also[k][i]) for k in also]
-        for var in task["variants"]:
-            overrides = {k: v for k, v in var.items() if k != "label"}
-            merged = _canon_builtin_params(
-                name, {**base, **overrides, **point}, "task.variants"
-            )
+        for variant in ctx["variant_params"]:
+            merged = {**variant, **point}
             model, params = _build_builtin(name, merged)
             weights, _ = _weights_from_config(weights_cfg, model, params)
             ext = extended_liouvillian(model)
             state = feedback_steady_state(model, ext=ext)
             if inner == "steady":
                 row += _state_row(model, state)
-                if weights is not None:
-                    current = average_current(ext, weights, state)
-                    row.append(_fmt(current))
-                    if name == "maser" and weights_cfg == "work":
-                        scale = merged["gl"] * (merged["wl"] - merged["wr"])
-                        row.append(_fmt(current / scale))
-            else:
-                current = average_current(ext, weights, state)
-                noise = steady_noise(ext, weights, state=state)
-                row += [_fmt(current), _fmt(noise)]
-                if name == "maser" and weights_cfg == "work":
-                    scale = merged["gl"] * (merged["wl"] - merged["wr"])
-                    row.append(_fmt(current / scale))
+            if weights is None:
+                continue
+            current = average_current(ext, weights, state)
+            row.append(_fmt(current))
+            if inner == "noise":
+                row.append(_fmt(steady_noise(ext, weights, state=state)))
+            if power_norm:
+                row.append(_fmt(current / (merged["gl"] * (merged["wl"] - merged["wr"]))))
         rows.append(row)
     out.add("sweep", header, rows)
 
@@ -947,7 +931,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (JumpFeedbackError, np.linalg.LinAlgError) as exc:
+    except (JumpFeedbackError, np.linalg.LinAlgError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

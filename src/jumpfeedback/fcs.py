@@ -28,7 +28,6 @@ __all__ = [
     "CorrelationSamples",
     "SpectrumSamples",
     "current_superop",
-    "second_moment_superop",
     "average_current",
     "noise_background",
     "two_point_correlation",
@@ -110,12 +109,6 @@ def current_superop(ext, weights):
     """
     _check_weights(ext, weights)
     return ext.gain_matrix(weights.per_transition)
-
-
-def second_moment_superop(ext, weights):
-    """Same as :func:`current_superop` with squared weights (noise background)."""
-    _check_weights(ext, weights)
-    return ext.gain_matrix(weights.per_transition**2)
 
 
 # a computed trace counts as real when |imag| <= IMAG_RESIDUE_TOL * max(1, |real|)

@@ -14,6 +14,8 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError
 
+HERM_TOL = 1e-12  # hermiticity tolerance of every H(q), relative to its largest entry
+
 __all__ = [
     "FeedbackModel",
     "feedback_model",
@@ -32,6 +34,9 @@ def _canonical_ops(arr, shape, name):
 @dataclass(frozen=True)
 class FeedbackModel:
     """Jump-conditioned feedback model on a d-dimensional system.
+
+    Construction canonicalizes the arrays and runs :func:`validate`, so
+    every instance has consistent shapes, unique labels and hermitian H(q).
 
     Attributes
     ----------
@@ -63,24 +68,18 @@ class FeedbackModel:
     silent_ops: np.ndarray = None
 
     def __post_init__(self):
-        m, d = len(self.channels), self.dim
-        object.__setattr__(self, "channels", tuple(str(c) for c in self.channels))
-        object.__setattr__(self, "silent_labels", tuple(str(c) for c in self.silent_labels))
-        object.__setattr__(
-            self, "hamiltonians", _canonical_ops(self.hamiltonians, (m, d, d), "hamiltonians")
-        )
-        object.__setattr__(
-            self, "jump_ops", _canonical_ops(self.jump_ops, (m, m, d, d), "jump_ops")
-        )
-        s = len(self.silent_labels)
-        if self.silent_ops is None:
-            object.__setattr__(self, "silent_ops", np.zeros((0, m, d, d), dtype=complex))
-        else:
-            object.__setattr__(
-                self, "silent_ops", _canonical_ops(self.silent_ops, (s, m, d, d), "silent_ops")
-            )
-        if len(self.silent_ops) != s:
-            raise DimensionError("silent_ops does not match silent_labels")
+        m, d, s = len(self.channels), self.dim, len(self.silent_labels)
+        silent = np.zeros((0, m, d, d)) if self.silent_ops is None else self.silent_ops
+        canonical = {
+            "channels": tuple(str(c) for c in self.channels),
+            "silent_labels": tuple(str(c) for c in self.silent_labels),
+            "hamiltonians": _canonical_ops(self.hamiltonians, (m, d, d), "hamiltonians"),
+            "jump_ops": _canonical_ops(self.jump_ops, (m, m, d, d), "jump_ops"),
+            "silent_ops": _canonical_ops(silent, (s, m, d, d), "silent_ops"),
+        }
+        for name, value in canonical.items():
+            object.__setattr__(self, name, value)
+        validate(self)
 
     @property
     def n_channels(self):
@@ -103,7 +102,7 @@ class FeedbackModel:
 
 
 def feedback_model(dim, channels, hamiltonians, jump_ops, silent_ops=None):
-    """Build a validated :class:`FeedbackModel` from label-keyed mappings.
+    """Build a :class:`FeedbackModel` from label-keyed mappings.
 
     Parameters
     ----------
@@ -124,98 +123,86 @@ def feedback_model(dim, channels, hamiltonians, jump_ops, silent_ops=None):
     """
     channels = tuple(str(c) for c in channels)
     m = len(channels)
-    if len(set(channels)) != m:
-        raise ValidationError("duplicate channel labels")
-    if m == 0:
-        raise ValidationError("at least one monitored channel is required")
 
     hams = np.zeros((m, dim, dim), dtype=complex)
     if isinstance(hamiltonians, dict):
-        unknown = set(map(str, hamiltonians)) - set(channels)
+        ham_table = {str(k): v for k, v in hamiltonians.items()}
+        unknown = set(ham_table) - set(channels)
         if unknown:
             raise ValidationError(f"hamiltonians keyed by unknown labels {sorted(unknown)}")
         for q, label in enumerate(channels):
-            if str(label) in {str(k) for k in hamiltonians}:
-                hams[q] = np.asarray(
-                    next(v for k, v in hamiltonians.items() if str(k) == label), dtype=complex
-                )
+            if label in ham_table:
+                hams[q] = ham_table[label]
     else:
         arr = np.asarray(hamiltonians, dtype=complex)
-        if arr.shape == (dim, dim):
-            hams[:] = arr
-        elif arr.shape == (m, dim, dim):
-            hams = arr.astype(complex)
-        else:
+        if arr.shape not in ((dim, dim), (m, dim, dim)):
             raise DimensionError(f"hamiltonians shape {arr.shape} not understood")
+        hams[:] = arr
 
     def expand(table, labels, what):
         out = np.zeros((len(labels), m, dim, dim), dtype=complex)
         for i, label in enumerate(labels):
             entry = table[label]
             if isinstance(entry, dict):
-                unknown = set(map(str, entry)) - set(channels)
+                by_memory = {str(k): v for k, v in entry.items()}
+                unknown = set(by_memory) - set(channels)
                 if unknown:
                     raise ValidationError(
                         f"{what} {label!r} conditioned on unknown labels {sorted(unknown)}"
                     )
                 for q, mem in enumerate(channels):
-                    for k, v in entry.items():
-                        if str(k) == mem:
-                            out[i, q] = np.asarray(v, dtype=complex)
+                    if mem in by_memory:
+                        out[i, q] = by_memory[mem]
             else:
-                out[i, :] = np.asarray(entry, dtype=complex)
+                out[i, :] = entry
         return out
 
     if not isinstance(jump_ops, dict):
         raise ValidationError("jump_ops must be a mapping keyed by channel label")
-    missing = set(channels) - set(map(str, jump_ops))
+    jump_table = {str(k): v for k, v in jump_ops.items()}
+    missing = set(channels) - set(jump_table)
     if missing:
         raise ValidationError(f"jump_ops missing channels {sorted(missing)}")
-    jump_table = {str(k): v for k, v in jump_ops.items()}
     unknown = set(jump_table) - set(channels)
     if unknown:
         raise ValidationError(f"jump_ops has unknown channels {sorted(unknown)}")
-    jumps = expand(jump_table, channels, "jump operator")
+    silent_table = {str(k): v for k, v in (silent_ops or {}).items()}
+    silent_labels = tuple(silent_table)
 
-    silent_labels = ()
-    silents = None
-    if silent_ops:
-        silent_table = {str(k): v for k, v in silent_ops.items()}
-        collide = set(silent_table) & set(channels)
-        if collide:
-            raise ValidationError(f"silent labels collide with channels: {sorted(collide)}")
-        silent_labels = tuple(silent_table)
-        silents = expand(silent_table, silent_labels, "silent operator")
-
-    model = FeedbackModel(
+    return FeedbackModel(
         dim=dim,
         channels=channels,
         hamiltonians=hams,
-        jump_ops=jumps,
+        jump_ops=expand(jump_table, channels, "jump operator"),
         silent_labels=silent_labels,
-        silent_ops=silents,
+        silent_ops=expand(silent_table, silent_labels, "silent operator"),
     )
-    return validate(model)
 
 
-def validate(model, herm_tol=1e-12):
-    """Check structural consistency and return the model unchanged.
+def validate(model):
+    """Check labels and hermiticity; return the model unchanged.
 
-    Verifies hermiticity of every H(q), consistent dimensions and unique
-    labels.
+    Every :class:`FeedbackModel` runs this on construction.  Requires at
+    least one monitored channel, unique labels, silent labels apart from
+    the channels, and every H(q) hermitian to ``HERM_TOL`` relative to its
+    largest entry (at least 1).
     """
-    m = model.n_channels
-    if len(set(model.channels)) != m:
+    channels, silent = model.channels, model.silent_labels
+    if not channels:
+        raise ValidationError("at least one monitored channel is required")
+    if len(set(channels)) != len(channels):
         raise ValidationError("duplicate channel labels")
-    if set(model.silent_labels) & set(model.channels):
-        raise ValidationError("silent labels collide with monitored channels")
-    if len(set(model.silent_labels)) != len(model.silent_labels):
+    collide = set(silent) & set(channels)
+    if collide:
+        raise ValidationError(f"silent labels collide with channels: {sorted(collide)}")
+    if len(set(silent)) != len(silent):
         raise ValidationError("duplicate silent labels")
-    for q, label in enumerate(model.channels):
-        h = model.hamiltonians[q]
-        scale = max(1.0, np.abs(h).max())
-        if np.abs(h - h.conj().T).max() > herm_tol * scale:
-            raise ValidationError(f"H({label}) is not hermitian")
+    h = model.hamiltonians
+    scale = np.maximum(1.0, np.abs(h).max(axis=(1, 2)))
+    skew = np.abs(h - h.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    bad = np.flatnonzero(skew > HERM_TOL * scale)
+    if bad.size:
+        raise ValidationError(f"H({channels[bad[0]]}) is not hermitian")
     return model
 
 
@@ -226,21 +213,15 @@ def no_feedback(h, jump_ops, labels=None):
     operators, so the hybrid construction reduces to the plain master
     equation after marginalization.
     """
-    h = np.asarray(h, dtype=complex)
-    d = h.shape[0]
-    jump_ops = [np.asarray(l, dtype=complex) for l in jump_ops]
+    jump_ops = list(jump_ops)
     if labels is None:
         labels = tuple(f"c{k}" for k in range(len(jump_ops)))
     if len(labels) != len(jump_ops):
         raise ValidationError("labels and jump_ops differ in length")
-    m = len(jump_ops)
-    jumps = np.zeros((m, m, d, d), dtype=complex)
-    for k, l in enumerate(jump_ops):
-        jumps[k, :] = l
-    model = FeedbackModel(
-        dim=d,
-        channels=tuple(labels),
-        hamiltonians=np.broadcast_to(h, (m, d, d)).copy(),
-        jump_ops=jumps,
+    h = np.asarray(h, dtype=complex)
+    return feedback_model(
+        dim=h.shape[0],
+        channels=labels,
+        hamiltonians=h,
+        jump_ops={str(label): op for label, op in zip(labels, jump_ops)},
     )
-    return validate(model)

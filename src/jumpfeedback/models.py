@@ -50,6 +50,18 @@ class QubitParams:
             raise ValidationError("nbar and gamma must be non-negative")
 
 
+def _qubit_operators(params):
+    """H(off), H(on), and the emission and absorption operators of the qubit."""
+    g, e = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    sz = np.diag([1.0, -1.0]).astype(complex)
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    h_off = -0.5 * params.delta * sz
+    h_on = h_off + params.lam * sx
+    l_down = np.sqrt(params.gamma * (params.nbar + 1.0)) * np.outer(g, e)
+    l_up = np.sqrt(params.gamma * params.nbar) * np.outer(e, g)
+    return h_off, h_on, l_down, l_up
+
+
 def qubit_cooling_model(params):
     """Feedback qubit: the drive runs only after an absorption.
 
@@ -58,13 +70,7 @@ def qubit_cooling_model(params):
     Hamiltonian: H(-1) = -(delta/2) sigma_z, H(+1) adds lam sigma_x.  Jump
     operators are memory-independent, so the model is hamiltonian-only.
     """
-    g, e = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    h_off = -0.5 * params.delta * sz
-    h_on = h_off + params.lam * sx
-    l_down = np.sqrt(params.gamma * (params.nbar + 1.0)) * np.outer(g, e)
-    l_up = np.sqrt(params.gamma * params.nbar) * np.outer(e, g)
+    h_off, h_on, l_down, l_up = _qubit_operators(params)
     return feedback_model(
         dim=2,
         channels=QUBIT_CHANNELS,
@@ -81,14 +87,8 @@ def qubit_baseline_model(params, drive_on=True):
     ground population (nbar+1)/(2 nbar+1).  Channel labels match
     :func:`qubit_cooling_model`.
     """
-    g, e = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    h = -0.5 * params.delta * sz
-    if drive_on:
-        h = h + params.lam * sx
-    l_down = np.sqrt(params.gamma * (params.nbar + 1.0)) * np.outer(g, e)
-    l_up = np.sqrt(params.gamma * params.nbar) * np.outer(e, g)
+    h_off, h_on, l_down, l_up = _qubit_operators(params)
+    h = h_on if drive_on else h_off
     return no_feedback(h, [l_down, l_up], labels=QUBIT_CHANNELS)
 
 

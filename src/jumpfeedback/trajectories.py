@@ -68,7 +68,7 @@ def _uint32_words(n):
     """Little-endian 32-bit words of a non-negative integer, as SeedSequence splits it."""
     n = int(n)
     if n < 0:
-        raise ValueError(f"expected a non-negative integer, got {n}")
+        raise ValidationError(f"expected a non-negative integer, got {n}")
     words = [n & _MASK32]
     while n > _MASK32:
         n >>= 32

@@ -1,8 +1,11 @@
 """Shared random-model factories for the test suite."""
 
+import os
+
 import numpy as np
 import scipy.linalg
 
+import jumpfeedback
 from jumpfeedback import (
     extended_hamiltonian,
     extended_jumps,
@@ -11,9 +14,19 @@ from jumpfeedback import (
     liouvillian,
     sandwich,
     unvec,
-    validate,
     vec,
 )
+
+
+def child_env(env=None):
+    """``env`` (default: this process's) with the package source first on PYTHONPATH.
+
+    Subprocesses then import the package under test however pytest found it.
+    """
+    env = dict(os.environ if env is None else env)
+    src = os.path.dirname(os.path.dirname(jumpfeedback.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def random_hermitian(rng, d, scale=1.0):
@@ -44,14 +57,12 @@ def random_model(rng, dim=3, n_channels=3, scale=0.6, silent=0):
             f"sil{i}": {q: random_operator(rng, dim, 0.4 * scale) for q in channels}
             for i in range(silent)
         }
-    return validate(
-        feedback_model(
-            dim=dim,
-            channels=channels,
-            hamiltonians=hams,
-            jump_ops=jumps,
-            silent_ops=silent_ops,
-        )
+    return feedback_model(
+        dim=dim,
+        channels=channels,
+        hamiltonians=hams,
+        jump_ops=jumps,
+        silent_ops=silent_ops,
     )
 
 

@@ -1,7 +1,9 @@
 """End-to-end tests for the JSON-config command line interface."""
 
 import csv
+import dataclasses
 import filecmp
+import glob
 import json
 import os
 import subprocess
@@ -12,6 +14,7 @@ import pytest
 
 from jumpfeedback import (
     CountingWeights,
+    MaserParams,
     QubitParams,
     __version__,
     marginals,
@@ -29,8 +32,9 @@ from jumpfeedback.cli import (
 )
 from jumpfeedback.errors import ConfigError
 
-from helpers import random_model
+from helpers import child_env, random_model
 
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 QUBIT_MODEL = {"builtin": "qubit_cooling", "params": {"nbar": 0.5, "gamma": 1.0}}
 MASER_PARAMS = {"nl": 0.3, "nr": 8.0, "gl": 0.025, "gr": 0.025, "wl": 8.0, "wr": 2.0}
 
@@ -136,6 +140,35 @@ class TestVerbs:
         rc = main(["validate", write_config(tmp_path, cfg)])
         assert rc == 2
         assert "model.jump_ops.a[0][0][1]: expected a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["run", "validate"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, verb):
+        task = {"kind": "trajectories", "n_traj": 2, "horizon": 1.0}
+        cfg = base_config(tmp_path, task)
+        cfg["weights"] = "activity"
+        cfg["initial"] = {"memory": "-1", "system": "ground"}
+        cfg["seed"] = -1
+        rc = main([verb, write_config(tmp_path, cfg)])
+        assert rc == 2
+        assert capsys.readouterr().err == "config error: seed: must be non-negative\n"
+        assert not os.path.exists(tmp_path / "t_trajectories.csv")
+
+    def test_unusable_output_directory_exits_one(self, tmp_path, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("a file, not a directory")
+        cfg = base_config(blocker, {"kind": "steady"})
+        rc = main(["run", write_config(tmp_path, cfg)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: FileExistsError:")
+        assert blocker.read_text() == "a file, not a directory"
+
+    @pytest.mark.parametrize(
+        "path", sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json"))), ids=os.path.basename
+    )
+    def test_shipped_configs_validate(self, path, capsys):
+        assert main(["validate", path]) == 0
+        assert capsys.readouterr().out.startswith("ok: dim ")
 
     def test_linear_algebra_failure_exits_one(self, tmp_path, capsys):
         # finite but overflowing rates fill the generator with inf and nan
@@ -612,6 +645,21 @@ class TestModelRoundTrip:
         assert canon["params"]["feedback"] is True
         assert canon["params"]["classical"] is False
 
+    @pytest.mark.parametrize(
+        "name, given, cls, extras",
+        [
+            ("qubit_cooling", {"nbar": 0.5, "gamma": 1.0}, QubitParams, {"mode": "feedback"}),
+            ("maser", MASER_PARAMS, MaserParams, {"feedback": True, "classical": False}),
+            ("maser", {"nl": 0.3, "nr": 8.0, "gl": 0.1, "gr": 0.2}, MaserParams,
+             {"feedback": True, "classical": False}),
+        ],
+    )
+    def test_builtin_defaults_are_the_dataclass_defaults(self, name, given, cls, extras):
+        _, canon = model_from_config({"builtin": name, "params": given})
+        # fields left at None (the maser's wl, wr when not given) stay out
+        numeric = {k: v for k, v in dataclasses.asdict(cls(**given)).items() if v is not None}
+        assert canon["params"] == {**numeric, **extras}
+
     def test_explicit_matrices_with_complex_entries(self):
         sy = [[[0.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [0.0, 0.0]]]
         section = {
@@ -639,7 +687,7 @@ class TestThreadEnvironment:
         )
         out = subprocess.run(
             [sys.executable, "-c", code],
-            env=env,
+            env=child_env(env),
             capture_output=True,
             text=True,
             check=True,
@@ -658,6 +706,7 @@ class TestThreadEnvironment:
     def test_module_entry_point(self):
         out = subprocess.run(
             [sys.executable, "-m", "jumpfeedback.cli", "version"],
+            env=child_env(),
             capture_output=True,
             text=True,
             check=True,

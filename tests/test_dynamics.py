@@ -20,6 +20,7 @@ from jumpfeedback import (
 from jumpfeedback import dynamics
 
 from helpers import (
+    child_env,
     dense_oracle,
     random_density,
     random_hermitian,
@@ -187,6 +188,6 @@ def test_package_import_leaves_scipy_integrate_unloaded():
 
     code = "import sys, jumpfeedback; print('scipy.integrate' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from jumpfeedback import (
+    FeedbackModel,
     ValidationError,
     feedback_model,
     no_feedback,
@@ -104,6 +105,51 @@ class TestFeedbackModel:
         npt.assert_allclose(model.loss_operator(0), expected, atol=1e-14)
 
 
+class TestConstructionValidates:
+    # FeedbackModel itself runs validate, so no path builds an invalid model
+    def build(self, channels=("a", "b"), hams=None, silent_labels=(), silent_ops=None):
+        m = len(channels)
+        return FeedbackModel(
+            dim=2,
+            channels=channels,
+            hamiltonians=np.zeros((m, 2, 2)) if hams is None else hams,
+            jump_ops=np.zeros((m, m, 2, 2)),
+            silent_labels=silent_labels,
+            silent_ops=silent_ops,
+        )
+
+    def test_valid_direct_construction(self):
+        model = self.build(hams=np.stack([SX, 2 * SX]))
+        npt.assert_array_equal(model.hamiltonians[1], 2 * SX)
+
+    def test_rejects_nonhermitian_hamiltonian(self):
+        with pytest.raises(ValidationError, match=r"H\(b\) is not hermitian"):
+            self.build(hams=np.stack([SX, SM]))
+
+    def test_rejects_duplicate_labels(self):
+        with pytest.raises(ValidationError, match="duplicate channel labels"):
+            self.build(channels=("a", "a"))
+
+    def test_rejects_colliding_silent_labels(self):
+        with pytest.raises(ValidationError, match="collide"):
+            self.build(silent_labels=("b",), silent_ops=np.zeros((1, 2, 2, 2)))
+
+    def test_rejects_duplicate_silent_labels(self):
+        with pytest.raises(ValidationError, match="duplicate silent labels"):
+            self.build(silent_labels=("s", "s"), silent_ops=np.zeros((2, 2, 2, 2)))
+
+    def test_rejects_empty_alphabet(self):
+        with pytest.raises(ValidationError, match="at least one monitored channel"):
+            self.build(channels=())
+
+    def test_hermiticity_tolerance_scales_with_entries(self):
+        big = 1e6 * SX
+        skew = np.array([[0.0, 1e-7], [0.0, 0.0]])
+        self.build(hams=np.stack([big + skew, SX]))
+        with pytest.raises(ValidationError, match="hermitian"):
+            self.build(hams=np.stack([SX + skew, SX]))
+
+
 class TestNoFeedback:
     def test_all_blocks_identical(self):
         rng = np.random.default_rng(20)
@@ -122,3 +168,7 @@ class TestNoFeedback:
     def test_label_length_mismatch(self):
         with pytest.raises(ValidationError):
             no_feedback(np.zeros((2, 2)), [SM], labels=["a", "b"])
+
+    def test_duplicate_labels_rejected(self):
+        with pytest.raises(ValidationError, match="duplicate channel labels"):
+            no_feedback(np.zeros((2, 2)), [SM, SM.T], labels=["a", "a"])

@@ -16,6 +16,7 @@ from jumpfeedback import (
     marginals,
     maser_analytic,
     maser_model,
+    no_feedback,
     qubit_analytic,
     qubit_baseline_model,
     qubit_cooling_model,
@@ -85,6 +86,21 @@ class TestQubitModels:
     def test_negative_parameters_rejected(self):
         with pytest.raises(ValidationError):
             QubitParams(nbar=-0.1, gamma=1.0)
+
+    @pytest.mark.parametrize("drive_on", [True, False])
+    def test_baseline_equals_hand_built_no_feedback(self, drive_on):
+        params = QubitParams(nbar=0.7, gamma=0.3, lam=1.3, delta=0.4)
+        sz = np.diag([1.0, -1.0])
+        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+        h = -0.5 * params.delta * sz + (params.lam * sx if drive_on else 0.0)
+        down = np.sqrt(params.gamma * (params.nbar + 1.0)) * np.array([[0.0, 1.0], [0.0, 0.0]])
+        up = np.sqrt(params.gamma * params.nbar) * np.array([[0.0, 0.0], [1.0, 0.0]])
+        want = no_feedback(h, [down, up], labels=QUBIT_CHANNELS)
+        got = qubit_baseline_model(params, drive_on=drive_on)
+        assert got.channels == want.channels == QUBIT_CHANNELS
+        npt.assert_array_equal(got.hamiltonians, want.hamiltonians)
+        npt.assert_array_equal(got.jump_ops, want.jump_ops)
+        npt.assert_array_equal(got.silent_ops, want.silent_ops)
 
 
 class TestMaserModels:

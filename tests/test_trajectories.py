@@ -33,9 +33,9 @@ from jumpfeedback import (
     work_weights,
 )
 
-import jumpfeedback
 from jumpfeedback.trajectories import MAX_ROOT_ITERATIONS, _jump_time, _streams
 from helpers import (
+    child_env,
     dense_gain,
     dense_oracle,
     fixed_step_reference,
@@ -83,6 +83,12 @@ class TestStreams:
         c = trajectory_stream(7, 4).random(5)
         npt.assert_array_equal(a, b)
         assert np.abs(a - c).max() > 0
+
+    def test_negative_seed_or_index_rejected(self):
+        with pytest.raises(ValidationError, match="non-negative"):
+            trajectory_stream(-1, 0)
+        with pytest.raises(ValidationError, match="non-negative"):
+            trajectory_stream(0, -1)
 
     @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**100])
     def test_uniforms_equal_seed_sequence_philox(self, seed):
@@ -531,14 +537,12 @@ class TestDeterminism:
             "            h.update(np.ascontiguousarray(a).tobytes())\n"
             "print(h.hexdigest())\n"
         )
-        src = os.path.dirname(os.path.dirname(jumpfeedback.__file__))
         digests = set()
         for threads in ("1", "2"):
             env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
             env["JUMPFEEDBACK_THREADS"] = threads
-            env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
             out = subprocess.run(
-                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+                [sys.executable, "-c", code], env=child_env(env), capture_output=True, text=True, check=True
             )
             digests.add(out.stdout.strip())
         assert len(digests) == 1
