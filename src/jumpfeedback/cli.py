@@ -22,17 +22,22 @@ import time
 import numpy as np
 
 from . import __version__
-from .dynamics import evolve_extended, evolve_memory_resolved, feedback_steady_state
+from .dynamics import (
+    evolve_extended,
+    evolve_memory_resolved,
+    feedback_steady_state,
+    stationary_blocks,
+)
 from .errors import ConfigError, JumpFeedbackError
 from .fcs import (
     CountingWeights,
-    average_current,
-    noise_background,
     power_spectrum,
-    steady_noise,
+    stationarity_residuals,
+    stationary_noises,
     two_point_correlation,
+    weighted_jump_rates,
 )
-from .hybrid import embed, extended_liouvillian, marginals
+from .hybrid import embed, extended_liouvillian, generator_stack
 from .model import feedback_model
 from .models import (
     MaserParams,
@@ -461,14 +466,17 @@ def _state_header(model):
     return cols
 
 
-def _state_row(model, state):
-    system, probs, _ = marginals(state)
-    out = [_fmt(p) for p in probs]
-    out += [_fmt(system[i, i].real) for i in range(model.dim)]
-    for i in range(model.dim):
-        for j in range(i + 1, model.dim):
-            out += [_fmt(system[i, j].real), _fmt(system[i, j].imag)]
-    return out
+def _state_rows(blocks):
+    """Formatted :func:`_state_header` rows of stacked hybrid blocks ``(P, m, d, d)``."""
+    probs = np.einsum("zkii->zk", blocks).real
+    system = blocks.sum(axis=1)
+    upper = system[(slice(None), *np.triu_indices(blocks.shape[-1], 1))]
+    values = np.hstack([
+        probs,
+        np.einsum("zii->zi", system).real,
+        np.stack([upper.real, upper.imag], axis=-1).reshape(len(blocks), -1),
+    ])
+    return [[_fmt(x) for x in row] for row in values]
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +596,7 @@ def _parse_task(tcfg, ctx):
             _fail("task.variants", "must be non-empty")
         variants = []
         variant_params = []
+        variant_models = []
         seen = set()
         first_point = {parameter: values[0], **{k: v[0] for k, v in also.items()}}
         for i, vc in enumerate(variants_cfg):
@@ -603,9 +612,11 @@ def _parse_task(tcfg, ctx):
             variants.append({"label": label, **vc})
             variant_params.append(merged)
             # building each variant at the first sweep point proves it is valid
-            _build_builtin(name, {**merged, **first_point})
-        # canonical parameters of each variant; sweep points only add numbers
+            variant_models.append(_build_builtin(name, {**merged, **first_point}))
+        # canonical parameters of each variant, sweep points only add numbers;
+        # the run reuses each variant's (model, params) at the first point
         ctx["variant_params"] = variant_params
+        ctx["variant_models"] = variant_models
         canon.update(parameter=parameter, values=values, inner=inner, variants=variants)
         if also:
             canon["also"] = also
@@ -682,10 +693,30 @@ def parse_config(raw):
 # task execution
 
 
+def _stationary_stack(models, out):
+    """Generator stack and stationary blocks of ``models``, one stack.
+
+    Records the worst reciprocal condition of the bordered generators and
+    the worst relative stationarity residual ||L v|| / max(1, max|L|) over
+    every stack of the run as the report extras ``min_rcond`` and
+    ``max_stationarity_residual``.
+    """
+    stack = generator_stack(models)
+    blocks = stationary_blocks(stack)
+    residual = float(stationarity_residuals(stack, blocks).max())
+    rcond = float(stack.stationary.rcond.min())
+    extras = out.extras
+    extras["min_rcond"] = min(extras.get("min_rcond", rcond), rcond)
+    extras["max_stationarity_residual"] = max(
+        extras.get("max_stationarity_residual", residual), residual
+    )
+    return stack, blocks
+
+
 def _run_steady(ctx, out):
     model = ctx["model"]
     state = feedback_steady_state(model)
-    out.add("steady", _state_header(model), [_state_row(model, state)])
+    out.add("steady", _state_header(model), _state_rows(state.blocks[None]))
 
 
 def _run_evolve(ctx, out):
@@ -698,9 +729,8 @@ def _run_evolve(ctx, out):
     else:
         result = evolve_memory_resolved(model, state0, times)
     header = ["time"] + _state_header(model)
-    rows = [
-        [_fmt(t)] + _state_row(model, st) for t, st in zip(result.times, result.states)
-    ]
+    states = _state_rows(np.stack([st.blocks for st in result.states]))
+    rows = [[_fmt(t)] + row for t, row in zip(result.times, states)]
     out.add("evolve", header, rows)
 
 
@@ -726,12 +756,11 @@ def _run_spectrum(ctx, out):
 
 
 def _run_noise(ctx, out):
-    model, weights = ctx["model"], ctx["weights"]
-    ext = extended_liouvillian(model)
-    state = feedback_steady_state(model, ext=ext)
-    current = average_current(ext, weights, state)
-    noise = steady_noise(ext, weights, state=state)
-    background = noise_background(ext, weights, state)
+    nu = ctx["weights"].per_transition
+    stack, blocks = _stationary_stack([ctx["model"]], out)
+    current = weighted_jump_rates(stack, nu, blocks, "average current")[0]
+    noise = stationary_noises(stack, nu, blocks)[0]
+    background = weighted_jump_rates(stack, nu**2, blocks, "noise background")[0]
     fano = noise / current if current != 0 else float("nan")
     out.add(
         "noise",
@@ -809,27 +838,34 @@ def _run_sweep(ctx, out):
     for var in task["variants"]:
         header += [f"{var['label']}_{c}" for c in cols]
 
-    rows = []
-    for i, value in enumerate(values):
-        point = {parameter: value, **{k: v[i] for k, v in also.items()}}
-        row = [_fmt(value)] + [_fmt(also[k][i]) for k in also]
-        for variant in ctx["variant_params"]:
-            merged = {**variant, **point}
-            model, params = _build_builtin(name, merged)
-            weights, _ = _weights_from_config(weights_cfg, model, params)
-            ext = extended_liouvillian(model)
-            state = feedback_steady_state(model, ext=ext)
-            if inner == "steady":
-                row += _state_row(model, state)
-            if weights is None:
-                continue
-            current = average_current(ext, weights, state)
-            row.append(_fmt(current))
+    rows = [[_fmt(value)] + [_fmt(also[k][i]) for k in also] for i, value in enumerate(values)]
+    points = [
+        {parameter: value, **{k: v[i] for k, v in also.items()}} for i, value in enumerate(values)
+    ]
+    # each variant's grid is one stack; its parse-time model is the first point
+    for variant, first in zip(ctx["variant_params"], ctx["variant_models"]):
+        merged = [{**variant, **point} for point in points]
+        built = [first] + [_build_builtin(name, params) for params in merged[1:]]
+        stack, blocks = _stationary_stack([model for model, _ in built], out)
+        cells = _state_rows(blocks) if inner == "steady" else [[] for _ in points]
+        if weights_cfg is not None:
+            nu = np.stack([
+                _weights_from_config(weights_cfg, model, params)[0].per_transition
+                for model, params in built
+            ])
+            columns = [weighted_jump_rates(stack, nu, blocks, "average current")]
             if inner == "noise":
-                row.append(_fmt(steady_noise(ext, weights, state=state)))
+                columns.append(stationary_noises(stack, nu, blocks))
             if power_norm:
-                row.append(_fmt(current / (merged["gl"] * (merged["wl"] - merged["wr"]))))
-        rows.append(row)
+                norm = np.array([p["gl"] * (p["wl"] - p["wr"]) for p in merged])
+                # nan where gl (wl - wr) vanishes, as the noise task's fano factor
+                columns.append(
+                    np.divide(columns[0], norm, out=np.full(len(norm), np.nan), where=norm != 0)
+                )
+            for row, values_at in zip(cells, zip(*columns)):
+                row += [_fmt(x) for x in values_at]
+        for row, row_cells in zip(rows, cells):
+            row += row_cells
     out.add("sweep", header, rows)
 
 

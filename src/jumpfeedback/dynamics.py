@@ -20,6 +20,7 @@ __all__ = [
     "evolve_extended",
     "feedback_steady_state",
     "memory_distribution_rate",
+    "stationary_blocks",
     "propagate",
 ]
 
@@ -153,23 +154,37 @@ def evolve_extended(model, state0, times, ext=None):
     return EvolutionResult(times=times, states=tuple(states), method="extended-exponential")
 
 
+def stationary_blocks(stack):
+    """Hermitized stationary blocks ``(P, m, d, d)`` of every member of a stack.
+
+    Solved with the stack's cached bordered factorization (see
+    :class:`StationaryStack`).  Raises :class:`PositivityError` when a
+    hermitized block has an eigenvalue below -1e-10, for the first such
+    member.
+    """
+    blocks = stack.blocks(stack.stationary.vectors)
+    blocks = 0.5 * (blocks + blocks.conj().transpose(0, 1, 3, 2))
+    low = np.linalg.eigvalsh(blocks).min(axis=(1, 2))
+    failed = low < -1e-10
+    if failed.any():
+        raise PositivityError(
+            f"stationary state has negative eigenvalue {low[np.argmax(failed)]:.3e}"
+        )
+    return blocks
+
+
 def feedback_steady_state(model, ext=None):
     """Unique stationary HybridState of the feedback dynamics.
 
-    Solved with the cached bordered factorization of ``ext`` (see
-    :class:`StationaryLU`).  Raises :class:`DegenerateSteadyStateError` when
-    the kernel is not one-dimensional (e.g. disconnected memory sectors) and
+    :func:`stationary_blocks` of ``ext`` as a stack of one.  Raises
+    :class:`DegenerateSteadyStateError` when the kernel is not
+    one-dimensional (e.g. disconnected memory sectors) and
     :class:`PositivityError` when a hermitized block has an eigenvalue
     below -1e-10.
     """
     if ext is None:
         ext = extended_liouvillian(model)
-    state = ext.state(ext.stationary.vector)
-    blocks = 0.5 * (state.blocks + state.blocks.conj().transpose(0, 2, 1))
-    low = np.linalg.eigvalsh(blocks).min()
-    if low < -1e-10:
-        raise PositivityError(f"stationary state has negative eigenvalue {low:.3e}")
-    return HybridState(model.channels, blocks)
+    return HybridState(model.channels, stationary_blocks(ext.stack)[0])
 
 
 def memory_distribution_rate(model, state):

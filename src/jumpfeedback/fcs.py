@@ -33,6 +33,9 @@ __all__ = [
     "two_point_correlation",
     "power_spectrum",
     "steady_noise",
+    "stationary_noises",
+    "stationarity_residuals",
+    "weighted_jump_rates",
     "noise_by_quadrature",
     "tilted_generator",
     "tilted_cumulants",
@@ -115,56 +118,107 @@ def current_superop(ext, weights):
 IMAG_RESIDUE_TOL = 1e-8
 
 
-def _real_scalar(z, what, tol=IMAG_RESIDUE_TOL):
-    z = complex(z)
-    if abs(z.imag) > tol * max(1.0, abs(z.real)):
-        raise ValidationError(f"{what} has imaginary residue {z.imag:.3e}")
+def _real_part(z, what, tol=IMAG_RESIDUE_TOL):
+    """Real part of computed traces; the first with an imaginary residue raises."""
+    z = np.asarray(z, dtype=complex)
+    failed = np.abs(z.imag) > tol * np.maximum(1.0, np.abs(z.real))
+    if failed.any():
+        raise ValidationError(
+            f"{what} has imaginary residue {z.imag.flat[np.argmax(failed)]:.3e}"
+        )
     return z.real
 
 
-def _weighted_jump_rate(ext, nu, state, what):
-    """sum_kq nu[k, q] Tr[L_k(q) rho(q) L_k(q)^dag], read off the jump operators."""
-    ops = ext.model.jump_ops
-    rates = np.einsum("kqab,qbc,kqac->kq", ops, state.blocks, ops.conj())
-    return _real_scalar(np.sum(nu * rates), what)
+def weighted_jump_rates(stack, nu, blocks, what):
+    """sum_kq nu[k, q] Tr[L_k(q) rho(q) L_k(q)^dag] of every member of a stack.
+
+    Read off the jump operators.  ``blocks`` is ``(P, m, d, d)`` and ``nu``
+    is ``(P, m, m)`` or shared; ``what`` names the quantity in the error a
+    non-real trace raises.
+    """
+    ops = stack.jump_ops
+    rates = np.einsum("zkqab,zqbc,zkqac->zkq", ops, blocks, ops.conj())
+    return _real_part(np.sum(nu * rates, axis=(1, 2)), what)
 
 
 def average_current(ext, weights, state):
     """Mean charge rate Tr[J rho] in the given hybrid state."""
     _check_weights(ext, weights)
-    return _weighted_jump_rate(ext, weights.per_transition, state, "average current")
+    return float(
+        weighted_jump_rates(
+            ext.stack, weights.per_transition, state.blocks[None], "average current"
+        )[0]
+    )
 
 
 def noise_background(ext, weights, state):
     """Self-correlation background K = Tr[H2 rho], the delta weight at tau=0."""
     _check_weights(ext, weights)
-    return _weighted_jump_rate(ext, weights.per_transition**2, state, "noise background")
+    return float(
+        weighted_jump_rates(
+            ext.stack, weights.per_transition**2, state.blocks[None], "noise background"
+        )[0]
+    )
+
+
+def stationarity_residuals(stack, blocks):
+    """Relative residuals ||L v|| / max(1, max|L|) of the members' states.
+
+    ``blocks`` is ``(P, m, d, d)``.  The two-time formulas assume
+    stationarity: a residual above 1e-8 raises :class:`ValidationError`,
+    for the first such member.
+    """
+    v = stack.vectors(blocks)
+    resid = np.linalg.norm(np.matmul(stack.matrices, v[..., None])[..., 0], axis=1)
+    scale = np.maximum(1.0, np.abs(stack.matrices).max(axis=(1, 2)))
+    failed = resid > 1e-8 * scale
+    if failed.any():
+        raise ValidationError(
+            f"state is not stationary (||L rho|| = {resid[np.argmax(failed)]:.3e}); "
+            "the two-time formulas below assume stationarity"
+        )
+    return resid / scale
 
 
 def _resolve_stationary(ext, state):
     """Return (state, memory-block vector), computing and checking stationarity."""
     if state is None:
         state = feedback_steady_state(ext.model, ext=ext)
-    v = ext.vector(state)
-    resid = np.linalg.norm(ext.matrix @ v)
-    scale = max(1.0, np.abs(ext.matrix).max())
-    if resid > 1e-8 * scale:
-        raise ValidationError(
-            f"state is not stationary (||L rho|| = {resid:.3e}); "
-            "the two-time formulas below assume stationarity"
-        )
-    return state, v
+    stationarity_residuals(ext.stack, state.blocks[None])
+    return state, ext.vector(state)
 
 
-def _zero_frequency_term(ext, jmat, v):
-    """Re Tr[J L+ Q J rho_ss], L+ applied by the generator's cached bordered LU.
+def _zero_frequency_terms(stack, jmats, v):
+    """Re Tr[J L+ Q J rho_ss] per member, L+ applied by the stack's bordered factorization.
 
-    L+ is never formed (Landi et al., PRX Quantum 5, 020201, 2024).
+    ``jmats`` and ``v`` carry the stack axis.  L+ is never formed (Landi et
+    al., PRX Quantum 5, 020201, 2024).
     """
-    t = ext.trace_row
-    jv = jmat @ v
-    x = ext.stationary.drazin(jv - v * (t @ jv))
-    return _real_scalar(t @ (jmat @ x), "zero-frequency term", tol=1e-6)
+    t = stack.trace_row
+    jv = np.matmul(jmats, v[..., None])[..., 0]
+    x = stack.stationary.drazin(jv - v * (jv @ t)[:, None])
+    jx = np.matmul(jmats, x[..., None])[..., 0]
+    return _real_part(jx @ t, "zero-frequency term", tol=1e-6)
+
+
+def stationary_noises(stack, nu, blocks):
+    """Zero-frequency noise D = K - 2 Tr[J L+ J rho_ss] of every member.
+
+    ``blocks`` ``(P, m, d, d)`` are the members' stationary states (see
+    :func:`stationarity_residuals`) and ``nu`` is ``(P, m, m)`` or shared.
+    L+ is applied by one solve with the stack's cached bordered
+    factorization and never formed.  A noise below -1e-10 raises
+    :class:`ValidationError`, for the first such member.
+    """
+    background = weighted_jump_rates(stack, nu**2, blocks, "noise background")
+    terms = _zero_frequency_terms(stack, stack.gain_matrices(nu), stack.vectors(blocks))
+    noise = background - 2.0 * terms
+    failed = noise < -1e-10
+    if failed.any():
+        raise ValidationError(
+            f"zero-frequency noise came out negative ({noise[np.argmax(failed)]:.3e})"
+        )
+    return noise
 
 
 @dataclass(frozen=True)
@@ -199,7 +253,7 @@ def two_point_correlation(ext, weights, taus, state=None):
     jmat = current_superop(ext, weights)
     tj = ext.trace_row @ jmat
     jv = jmat @ v
-    current = _real_scalar(ext.trace_row @ jv, "average current")
+    current = float(_real_part(ext.trace_row @ jv, "average current"))
     background = noise_background(ext, weights, state)
     lags = taus[order]
     raw = propagate(ext, jv, lags) @ tj
@@ -261,9 +315,9 @@ def power_spectrum(ext, weights, omegas, state=None):
     the physical basis: a residual ||(i omega - L) x - b|| above 1e-8
     max(1, ||b||), or a non-finite one, raises :class:`ResolventError`
     naming the first such omega.  At omega = 0 the resolvent is replaced by
-    the Drazin inverse (one solve with the generator's cached bordered LU,
-    done once however often 0 appears), so S(0) equals the zero-frequency
-    noise.  Values follow the order of ``omegas``.
+    the Drazin inverse (one solve with the generator's cached bordered
+    factorization, done once however often 0 appears), so S(0) equals the
+    zero-frequency noise.  Values follow the order of ``omegas``.
     """
     omegas = np.asarray(omegas, dtype=float)
     if omegas.ndim != 1 or len(omegas) == 0:
@@ -275,7 +329,7 @@ def power_spectrum(ext, weights, omegas, state=None):
     values = np.empty(len(omegas))
     zero = omegas == 0.0
     if zero.any():
-        values[zero] = background - 2.0 * _zero_frequency_term(ext, jmat, v)
+        values[zero] = background - 2.0 * _zero_frequency_terms(ext.stack, jmat[None], v[None])[0]
     worst = None
     if not zero.all():
         finite = omegas[~zero]
@@ -306,15 +360,12 @@ def power_spectrum(ext, weights, omegas, state=None):
 def steady_noise(ext, weights, state=None):
     """Zero-frequency noise D = K - 2 Tr[J L+ J rho_ss], L+ the Drazin inverse.
 
-    L+ is applied by one solve with the generator's cached bordered LU and
-    never formed.
+    :func:`stationary_noises` of ``ext`` as a stack of one, after checking
+    that ``state`` is stationary.
     """
-    state, v = _resolve_stationary(ext, state)
-    background = noise_background(ext, weights, state)
-    d = background - 2.0 * _zero_frequency_term(ext, current_superop(ext, weights), v)
-    if d < -1e-10:
-        raise ValidationError(f"zero-frequency noise came out negative ({d:.3e})")
-    return d
+    _check_weights(ext, weights)
+    state, _ = _resolve_stationary(ext, state)
+    return float(stationary_noises(ext.stack, weights.per_transition, state.blocks[None])[0])
 
 
 def noise_by_quadrature(ext, weights, state=None, t_max=None, gap_factor=40.0):

@@ -5,8 +5,10 @@ rho_sm = sum_k rho(k) (x) |k><k|, and the feedback dynamics never creates
 coherences between memory values.  Every deterministic quantity therefore
 lives in the memory-block sector: the stack of column-stacked conditional
 blocks vec(rho(0)), ..., vec(rho(m-1)), of length m*d^2.
-:class:`ExtendedGenerator` is the generator on that sector and the only
-place that knows its layout.
+:class:`GeneratorStack` holds the generators of several models on that
+sector, assembled and factorized as one stack, and is the only place that
+knows its layout; :class:`ExtendedGenerator` is one generator, a stack of
+one.
 
 The paper form of the same dynamics is an ordinary Lindbladian on the full
 hybrid space, kept here as a reference.  The memory index is major: the
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg.lapack
 
 from .errors import DegenerateSteadyStateError, DimensionError, PositivityError, ValidationError
 from .model import FeedbackModel
@@ -31,7 +32,8 @@ from .model import FeedbackModel
 __all__ = [
     "HybridState",
     "ExtendedGenerator",
-    "StationaryLU",
+    "GeneratorStack",
+    "StationaryStack",
     "validate_hybrid_state",
     "embed",
     "marginals",
@@ -39,6 +41,7 @@ __all__ = [
     "extended_jumps",
     "extended_silent_jumps",
     "extended_liouvillian",
+    "generator_stack",
 ]
 
 # conditional states with weight at or below this are dropped by marginals()
@@ -254,126 +257,196 @@ def extended_silent_jumps(model):
     return ops
 
 
-class StationaryLU:
-    """One LU factorization of the bordered generator [[L, c], [t, 0]].
+def _inverse_or_inf(b):
+    try:
+        return np.linalg.inv(b)
+    except np.linalg.LinAlgError:
+        return np.full_like(b, np.inf)
+
+
+class StationaryStack:
+    """Inverses of the bordered generators [[L, c], [t, 0]] of a stack.
 
     ``t`` is the trace row, ``t @ L = 0``, and ``c = t^dag / |t|^2`` so that
     ``t @ c = 1``.  Multiplying the first block row of B [x; mu] = [b; beta]
     by t gives mu = t @ b, so for trace-free right-hand sides the border
     unknown vanishes and the solve stays on the generator:
 
-    - [0; 1] gives the unit-trace stationary vector, :attr:`vector`;
+    - [0; 1] gives the unit-trace stationary vector, the last column of
+      B^-1 (:attr:`vectors`);
     - [b; 0] with t @ b = 0 gives x = L+ b, L+ the Drazin inverse
       (:meth:`drazin`), since L x = b and t @ x = 0.
 
+    ``matrices`` is ``(P, n, n)`` and shares ``t``.  One call of numpy's
+    batched ``linalg.inv`` (an LU with partial pivoting per member) inverts
+    all P bordered matrices and gives each one's exact 1-norm reciprocal
+    condition 1 / (|B|_1 |B^-1|_1), :attr:`rcond`.
+
     B is invertible exactly when the kernel of L is one-dimensional and its
-    vector has non-zero trace.  A reciprocal condition estimate of the LU
-    below machine epsilon raises :class:`DegenerateSteadyStateError`: the
-    kernel is then more than one-dimensional (for example disconnected
-    memory sectors) to working precision.  Slow but connected modes stay
-    far above that limit (rcond ~ 5e-9 for the maser at rates 1e-7).
+    vector has non-zero trace.  A reciprocal condition below machine
+    epsilon raises :class:`DegenerateSteadyStateError` for the first such
+    member: its kernel is then more than one-dimensional (for example
+    disconnected memory sectors) to working precision.  Slow but connected
+    modes stay far above that limit (rcond ~ 5e-9 for the maser at rates
+    1e-7).
     """
 
-    def __init__(self, matrix, trace_row):
+    def __init__(self, matrices, trace_row):
         n = len(trace_row)
-        b = np.zeros((n + 1, n + 1), dtype=complex, order="F")
-        b[:n, :n] = matrix
-        b[:n, n] = trace_row.conj() / np.vdot(trace_row, trace_row).real
-        b[n, :n] = trace_row
-        anorm = np.abs(b).sum(axis=0).max()
-        if not np.isfinite(anorm):
+        b = np.zeros((len(matrices), n + 1, n + 1), dtype=complex)
+        b[:, :n, :n] = matrices
+        b[:, :n, n] = trace_row.conj() / np.vdot(trace_row, trace_row).real
+        b[:, n, :n] = trace_row
+        anorm = np.abs(b).sum(axis=1).max(axis=1)
+        if not np.isfinite(anorm).all():
             raise np.linalg.LinAlgError("generator has non-finite entries")
-        # the LAPACK routines directly: lu_factor warns on an exact zero pivot
-        self._lu, self._piv, info = scipy.linalg.lapack.zgetrf(b, overwrite_a=True)
-        rcond, _ = scipy.linalg.lapack.zgecon(self._lu, anorm)
-        if info > 0 or not rcond >= np.finfo(float).eps:
+        try:
+            inverse = np.linalg.inv(b)
+        except np.linalg.LinAlgError:
+            # an exactly singular member: invert one by one, so that the
+            # others keep their condition and the first failure is reported
+            inverse = np.stack([_inverse_or_inf(x) for x in b])
+        rcond = 1.0 / (anorm * np.abs(inverse).sum(axis=1).max(axis=1))
+        # written so that a NaN condition fails too
+        failed = ~(rcond >= np.finfo(float).eps)
+        if failed.any():
             raise DegenerateSteadyStateError(
-                f"bordered generator is singular (rcond {rcond:.1e}): the kernel is "
-                "not one-dimensional and the stationary state is not unique"
+                f"bordered generator is singular (rcond {rcond[np.argmax(failed)]:.1e}): the "
+                "kernel is not one-dimensional and the stationary state is not unique"
             )
-        rhs = np.zeros(n + 1, dtype=complex)
-        rhs[n] = 1.0
-        self.vector = self._solve(rhs)
-
-    def _solve(self, rhs):
-        x, _ = scipy.linalg.lapack.zgetrs(self._lu, self._piv, rhs)
-        return x[:-1]
+        self.rcond = rcond
+        self.vectors = inverse[:, :n, n]
+        self._drazin = inverse[:, :n, :n]
 
     def drazin(self, b):
-        """L+ b for a trace-free vector b."""
-        return self._solve(np.append(b, 0.0))
+        """L+ b for trace-free vectors b, ``(P, n)``: one per member."""
+        return np.matmul(self._drazin, b[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
-class ExtendedGenerator:
-    """Feedback generator restricted to block-diagonal hybrid states.
+class GeneratorStack:
+    """Feedback generators of models that share channels and dimension.
 
-    ``matrix`` is ``(m*d^2, m*d^2)`` and acts on :meth:`vector` of a
-    HybridState, the stacked vec(rho(k)) with the memory index major.  Its
-    block (k, q) of size d^2 maps vec(rho(q)) to its contribution to
-    d vec(rho(k))/dt.  The bordered factorization that gives the stationary
-    vector and every Drazin solve is computed once, on first use.
+    ``matrices[i]`` is the ``(m*d^2, m*d^2)`` generator of the i-th model on
+    the memory-block sector, and ``jump_ops[i]`` its jump operators.  A
+    member acts on the stacked vec(rho(k)) of a HybridState, the memory
+    index major (:meth:`vectors`): block (k, q) of size d^2 maps vec(rho(q))
+    to its contribution to d vec(rho(k))/dt.  Every deterministic kernel
+    takes a stack, so a single generator is a stack of one
+    (:attr:`ExtendedGenerator.stack`).  The bordered factorization of all
+    members is computed once, on first use.
     """
 
-    model: FeedbackModel
-    matrix: np.ndarray
+    jump_ops: np.ndarray
+    matrices: np.ndarray
 
-    def vector(self, state):
-        """Stacked column-stacked blocks vec(rho(0)), ..., vec(rho(m-1))."""
-        return state.blocks.transpose(0, 2, 1).reshape(-1)
+    def vectors(self, blocks):
+        """Stacked column-stacked blocks: ``(P, m, d, d)`` to ``(P, m*d^2)``."""
+        return blocks.transpose(0, 1, 3, 2).reshape(len(blocks), -1)
 
-    def state(self, vector):
-        """HybridState whose blocks are stacked in ``vector``."""
-        m, d = self.model.n_channels, self.model.dim
-        blocks = np.asarray(vector).reshape(m, d, d).transpose(0, 2, 1)
-        return HybridState(self.model.channels, blocks)
+    def blocks(self, vectors):
+        """Blocks ``(P, m, d, d)`` stacked in ``vectors``; inverts :meth:`vectors`."""
+        m, d = self.jump_ops.shape[1], self.jump_ops.shape[-1]
+        return vectors.reshape(-1, m, d, d).transpose(0, 1, 3, 2)
 
     @cached_property
     def trace_row(self):
-        """Row t with t @ vector(state) = sum_k Tr[rho(k)]; cached, read-only."""
-        row = np.tile(np.eye(self.model.dim, dtype=complex).ravel(), self.model.n_channels)
+        """Row t with t @ vector = sum_k Tr[rho(k)]; cached, read-only."""
+        m, d = self.jump_ops.shape[1], self.jump_ops.shape[-1]
+        row = np.tile(np.eye(d, dtype=complex).ravel(), m)
         row.flags.writeable = False
         return row
 
     @cached_property
     def stationary(self):
-        """The cached :class:`StationaryLU` of this generator."""
-        return StationaryLU(self.matrix, self.trace_row)
+        """The cached :class:`StationaryStack` of the members."""
+        return StationaryStack(self.matrices, self.trace_row)
+
+    def gain_matrices(self, nu):
+        """Weighted jump gains of every member; ``nu`` is ``(P, m, m)`` or shared."""
+        return _gain_matrices(self.jump_ops, nu)
+
+
+@dataclass(frozen=True)
+class ExtendedGenerator:
+    """Feedback generator of one model on the memory-block sector.
+
+    ``matrix`` is ``(m*d^2, m*d^2)`` and acts on :meth:`vector` of a
+    HybridState.  The layout, the bordered factorization and every kernel
+    are those of :attr:`stack`, this generator as a stack of one.
+    """
+
+    model: FeedbackModel
+    matrix: np.ndarray
+
+    @cached_property
+    def stack(self):
+        """This generator as a :class:`GeneratorStack` of one; cached."""
+        return GeneratorStack(self.model.jump_ops[None], self.matrix[None])
+
+    def vector(self, state):
+        """Stacked column-stacked blocks vec(rho(0)), ..., vec(rho(m-1))."""
+        return self.stack.vectors(state.blocks[None])[0]
+
+    def state(self, vector):
+        """HybridState whose blocks are stacked in ``vector``."""
+        return HybridState(self.model.channels, self.stack.blocks(np.asarray(vector))[0])
+
+    @property
+    def trace_row(self):
+        """Row t with t @ vector(state) = sum_k Tr[rho(k)]; cached, read-only."""
+        return self.stack.trace_row
+
+    @property
+    def stationary(self):
+        """The cached :class:`StationaryStack` of this generator, a stack of one."""
+        return self.stack.stationary
 
     def gain_matrix(self, nu):
         """Weighted jump gains: nu[k, q] * conj(L_k(q)) (x) L_k(q) on block (k, q)."""
-        return _gain_matrix(self.model.jump_ops, nu)
+        return self.stack.gain_matrices(nu)[0]
 
 
-def _gain_matrix(ops, nu):
+def _gain_matrices(ops, nu):
     # vec(L X L^dag) = (conj(L) kron L) vec(X); row (k, i, j), column (q, l, p)
-    m, d = ops.shape[1], ops.shape[-1]
+    size = ops.shape[1] * ops.shape[-1] ** 2
     return np.einsum(
-        "kqil,kqjp->kijqlp", nu[:, :, None, None] * ops.conj(), ops
-    ).reshape(m * d * d, m * d * d)
+        "zkqil,zkqjp->zkijqlp", nu[..., None, None] * ops.conj(), ops
+    ).reshape(len(ops), size, size)
 
 
-def extended_liouvillian(model):
-    """Assemble the generator of a feedback model on the memory-block sector.
+def generator_stack(models):
+    """Assemble the generators of models that share channels and dimension.
 
     Block (k, q) is the gain conj(L_k(q)) (x) L_k(q), which moves the memory
     from q to k.  Block (k, k) adds the drift of memory value k,
     -i (1 (x) H_eff - conj(H_eff) (x) 1) with H_eff = H(k) - i W(k) / 2 and W
     the loss operator of every monitored and silent channel at k, and the
-    gains of the silent operators, which leave the memory at k.
+    gains of the silent operators, which leave the memory at k.  Each term
+    is one array operation over all members.
     """
-    m, d = model.n_channels, model.dim
+    h = np.stack([model.hamiltonians for model in models])
+    ops = np.stack([model.jump_ops for model in models])
+    silent = np.stack([model.silent_ops for model in models])
+    p, m, d = h.shape[:3]
     n = d * d
-    mat = _gain_matrix(model.jump_ops, np.ones((m, m)))
+    loss = np.einsum("zkqij,zkqil->zqjl", ops.conj(), ops)
+    loss += np.einsum("zsqij,zsqil->zqjl", silent.conj(), silent)
+    h_eff = h - 0.5j * loss
     eye = np.eye(d)
-    h_eff = model.hamiltonians - 0.5j * np.stack([model.loss_operator(k) for k in range(m)])
     # 1 (x) H_eff and conj(H_eff) (x) 1 for every k, indexed like the gains
     drift = -1j * (
-        np.einsum("il,kjp->kijlp", eye, h_eff) - np.einsum("kil,jp->kijlp", h_eff.conj(), eye)
+        np.einsum("il,zkjp->zkijlp", eye, h_eff) - np.einsum("zkil,jp->zkijlp", h_eff.conj(), eye)
     )
-    silent = model.silent_ops
-    silent_gain = np.einsum("skil,skjp->kijlp", silent.conj(), silent)
-    diagonal = (drift + silent_gain).reshape(m, n, n)
+    silent_gain = np.einsum("zskil,zskjp->zkijlp", silent.conj(), silent)
+    diagonal = (drift + silent_gain).reshape(p, m, n, n)
+    mats = _gain_matrices(ops, np.ones((m, m)))
+    blocks = mats.reshape(p, m, n, m, n)
     for k in range(m):
-        mat[k * n : (k + 1) * n, k * n : (k + 1) * n] += diagonal[k]
-    return ExtendedGenerator(model=model, matrix=mat)
+        blocks[:, k, :, k] += diagonal[:, k]
+    return GeneratorStack(jump_ops=ops, matrices=mats)
+
+
+def extended_liouvillian(model):
+    """Assemble the generator of one feedback model (:func:`generator_stack`)."""
+    return ExtendedGenerator(model=model, matrix=generator_stack([model]).matrices[0])

@@ -25,9 +25,11 @@ __all__ = [
 
 
 def _canonical_ops(arr, shape, name):
-    a = np.ascontiguousarray(np.asarray(arr, dtype=complex))
+    """A read-only complex copy, so that the model never aliases the caller's array."""
+    a = np.array(arr, dtype=complex, order="C")
     if a.shape != shape:
         raise DimensionError(f"{name} has shape {a.shape}, expected {shape}")
+    a.flags.writeable = False
     return a
 
 
@@ -35,8 +37,9 @@ def _canonical_ops(arr, shape, name):
 class FeedbackModel:
     """Jump-conditioned feedback model on a d-dimensional system.
 
-    Construction canonicalizes the arrays and runs :func:`validate`, so
-    every instance has consistent shapes, unique labels and hermitian H(q).
+    Construction copies the arrays into read-only complex arrays and runs
+    :func:`validate`, so every instance has consistent shapes, unique
+    labels and hermitian H(q), and keeps them.
 
     Attributes
     ----------

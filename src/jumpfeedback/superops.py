@@ -23,7 +23,7 @@ from .errors import (
     PositivityError,
     ValidationError,
 )
-from .hybrid import StationaryLU
+from .hybrid import StationaryStack
 
 __all__ = [
     "Superoperator",
@@ -170,12 +170,12 @@ def liouvillian(h, jump_ops=()):
 def steady_state(gen):
     """Stationary density matrix of a trace-annihilating generator.
 
-    Solved by the bordered factorization of :class:`StationaryLU`, which
+    Solved by the bordered factorization of :class:`StationaryStack`, which
     raises :class:`DegenerateSteadyStateError` unless the kernel is
     one-dimensional; the result is unit-trace and hermitized, and an
     eigenvalue below ``-POSITIVITY_TOL`` raises :class:`PositivityError`.
     """
-    x = unvec(StationaryLU(gen.matrix, trace_vector(gen.dim)).vector, gen.dim)
+    x = unvec(StationaryStack(gen.matrix[None], trace_vector(gen.dim)).vectors[0], gen.dim)
     x = 0.5 * (x + x.conj().T)
     evals = np.linalg.eigvalsh(x)
     if evals.min() < -POSITIVITY_TOL:
@@ -194,7 +194,7 @@ def drazin(gen, rho_ss):
     norm to ``DRAZIN_CHECK_TOL`` relative to ||L|| ||L+||, the scale of
     their round-off, so slow but well-separated modes are not mistaken for a
     degenerate kernel; that one is caught by the condition test of
-    :class:`StationaryLU`.
+    :class:`StationaryStack`.
 
     Parameters
     ----------

@@ -12,13 +12,16 @@ import sys
 import numpy as np
 import pytest
 
+import jumpfeedback.cli as cli
 from jumpfeedback import (
     CountingWeights,
     MaserParams,
     QubitParams,
     __version__,
+    extended_liouvillian,
     marginals,
     feedback_steady_state,
+    maser_model,
     mc_estimate,
     qubit_analytic,
     qubit_cooling_model,
@@ -31,6 +34,7 @@ from jumpfeedback.cli import (
     run_config,
 )
 from jumpfeedback.errors import ConfigError
+from jumpfeedback.fcs import stationarity_residuals
 
 from helpers import child_env, random_model
 
@@ -536,7 +540,8 @@ class TestSweepTask:
         assert off_pop0 == pytest.approx(1.5 / 2.0, abs=1e-12)
         assert fb_pop0 > off_pop0
 
-    def test_noise_sweep_emits_power_norm(self, tmp_path):
+    @staticmethod
+    def maser_noise_sweep(directory):
         task = {
             "kind": "sweep",
             "parameter": "gl",
@@ -545,13 +550,15 @@ class TestSweepTask:
             "inner": "noise",
             "variants": [{"label": "fb"}, {"label": "nofb", "feedback": False}],
         }
-        cfg = {
-            "model": {"builtin": "maser", "params": MASER_PARAMS},
+        return {
+            "model": {"builtin": "maser", "params": dict(MASER_PARAMS)},
             "weights": "work",
             "task": task,
-            "output": {"directory": str(tmp_path), "prefix": "m"},
+            "output": {"directory": str(directory), "prefix": "m"},
         }
-        _, _, files = run_config(cfg)
+
+    def test_noise_sweep_emits_power_norm(self, tmp_path):
+        _, _, files = run_config(self.maser_noise_sweep(tmp_path))
         header, rows = read_csv(files[0])
         assert header == [
             "gl",
@@ -569,6 +576,74 @@ class TestSweepTask:
             scale = gl * (MASER_PARAMS["wl"] - MASER_PARAMS["wr"])
             assert float(row[4]) == pytest.approx(float(row[2]) / scale, rel=1e-12)
             assert float(row[7]) == pytest.approx(float(row[5]) / scale, rel=1e-12)
+
+
+    def test_power_norm_is_nan_where_the_work_gap_vanishes(self, tmp_path, capsys):
+        with open(os.path.join(CONFIG_DIR, "fig4b_maser_noise.json")) as fh:
+            cfg = json.load(fh)
+        cfg["model"]["params"]["wr"] = cfg["model"]["params"]["wl"]
+        cfg["output"] = {"directory": str(tmp_path), "prefix": "fig4b"}
+        assert main(["run", write_config(tmp_path, cfg)]) == 0
+        capsys.readouterr()
+        header, rows = read_csv(tmp_path / "fig4b_sweep.csv")
+        for label in ("fb_quantum", "nofb_quantum"):
+            norm = header.index(f"{label}_power_norm")
+            current = header.index(f"{label}_current")
+            assert all(row[norm] == "nan" for row in rows)
+            assert all(np.isfinite(float(row[current])) for row in rows)
+
+    def test_each_variant_and_point_is_built_once(self, tmp_path, monkeypatch):
+        calls = []
+        build = cli.maser_model
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "maser_model", counting)
+        run_config(self.maser_noise_sweep(tmp_path))
+        # the base model, then each of 2 variants at each of 2 points
+        assert len(calls) == 1 + 2 * 2
+
+
+class TestHealthExtras:
+    """Sweep and noise reports carry the worst conditioning and stationarity."""
+
+    @staticmethod
+    def single_model_health(model):
+        ext = extended_liouvillian(model)
+        state = feedback_steady_state(model, ext=ext)
+        residual = stationarity_residuals(ext.stack, state.blocks[None])[0]
+        return ext.stationary.rcond[0], residual
+
+    def test_sweep_report(self, tmp_path):
+        cfg = TestSweepTask.maser_noise_sweep(tmp_path)
+        report, report_path, files = run_config(cfg)
+        health = [
+            self.single_model_health(
+                maser_model(MaserParams(**{**MASER_PARAMS, "gl": g, "gr": g}), feedback=fb)
+            )
+            for g in (0.02, 0.05)
+            for fb in (True, False)
+        ]
+        extras = report["extras"]
+        assert set(extras) == {"min_rcond", "max_stationarity_residual"}
+        assert extras["min_rcond"] == pytest.approx(min(r for r, _ in health), rel=1e-9)
+        assert 0.0 <= extras["max_stationarity_residual"] < 1e-12
+        with open(report_path) as fh:
+            assert json.load(fh)["extras"] == extras
+        # the CSV carries no health column
+        header, _ = read_csv(files[0])
+        assert not any("rcond" in c or "residual" in c for c in header)
+
+    def test_noise_report(self, tmp_path):
+        cfg = base_config(tmp_path, {"kind": "noise"})
+        cfg["model"] = {"builtin": "maser", "params": dict(MASER_PARAMS)}
+        cfg["weights"] = "work"
+        report, _, _ = run_config(cfg)
+        rcond, _ = self.single_model_health(maser_model(MaserParams(**MASER_PARAMS)))
+        assert report["extras"]["min_rcond"] == pytest.approx(rcond, rel=1e-9)
+        assert 0.0 <= report["extras"]["max_stationarity_residual"] < 1e-12
 
 
 class TestDeterminism:

@@ -5,10 +5,11 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
-import scipy.linalg.lapack
 
+from jumpfeedback import hybrid
 from jumpfeedback import (
     CountingWeights,
+    average_current,
     DegenerateSteadyStateError,
     HybridState,
     MaserParams,
@@ -27,6 +28,9 @@ from jumpfeedback import (
     validate_hybrid_state,
     vec,
 )
+from jumpfeedback.dynamics import stationary_blocks
+from jumpfeedback.fcs import stationarity_residuals, stationary_noises, weighted_jump_rates
+from jumpfeedback.hybrid import generator_stack
 
 from helpers import dense_gain, dense_oracle, random_density, random_model
 
@@ -196,32 +200,25 @@ class TestStationaryLU:
         ext = extended_liouvillian(model)
         weights = CountingWeights.from_channel_weights(model.channels, [1.0, -0.5])
         calls = []
-        getrf = scipy.linalg.lapack.zgetrf
+        inv = np.linalg.inv
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return getrf(*args, **kwargs)
+        def counting(a):
+            calls.append(a.shape)
+            return inv(a)
 
-        monkeypatch.setattr(scipy.linalg.lapack, "zgetrf", counting)
+        # the stacked factorization inverts every bordered generator at once
+        monkeypatch.setattr(hybrid.np.linalg, "inv", counting)
         state = feedback_steady_state(model, ext=ext)
         noise = steady_noise(ext, weights)
         spec = power_spectrum(ext, weights, [0.0], state=state)
-        assert len(calls) == 1
+        assert calls == [(1, 4 * 2 + 1, 4 * 2 + 1)]
         assert abs(spec.values[0] - noise) < 1e-10 * max(1.0, abs(noise))
 
     def test_disconnected_memory_sectors_raise_without_warning(self):
-        # each memory value only resets itself: two independent stationary states
-        sm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        model = feedback_model(
-            dim=2,
-            channels=["a", "b"],
-            hamiltonians=np.zeros((2, 2)),
-            jump_ops={"a": {"a": sm}, "b": {"b": sm}},
-        )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DegenerateSteadyStateError, match="not one-dimensional"):
-                feedback_steady_state(model)
+                feedback_steady_state(disconnected_model())
 
     def test_slow_maser_is_accepted(self):
         # bath rates of 1e-7 against a unit drive: slow, but one stationary state
@@ -234,3 +231,61 @@ class TestStationaryLU:
             assert abs(ext.trace_row @ v - 1.0) < 1e-12
             assert np.linalg.norm(ext.matrix @ v) < 1e-12 * np.abs(ext.matrix).max()
             assert np.linalg.eigvalsh(state.blocks).min() > -1e-10
+
+
+def disconnected_model():
+    """Each memory value only resets itself: two independent stationary states."""
+    sm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    return feedback_model(
+        dim=2,
+        channels=["a", "b"],
+        hamiltonians=np.zeros((2, 2)),
+        jump_ops={"a": {"a": sm}, "b": {"b": sm}},
+    )
+
+
+class TestGeneratorStack:
+    """The stacked kernels equal a loop of single-model calls."""
+
+    @staticmethod
+    def assert_close(got, want):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("silent", [0, 2])
+    def test_stack_equals_single_model_calls(self, silent):
+        rng = np.random.default_rng(44 + silent)
+        models = [random_model(rng, dim=2, n_channels=3, silent=silent) for _ in range(4)]
+        nu = rng.normal(size=(4, 3, 3))
+        stack = generator_stack(models)
+        blocks = stationary_blocks(stack)
+        current = weighted_jump_rates(stack, nu, blocks, "average current")
+        noise = stationary_noises(stack, nu, blocks)
+        assert stationarity_residuals(stack, blocks).max() < 1e-12
+        for i, model in enumerate(models):
+            ext = extended_liouvillian(model)
+            weights = CountingWeights(model.channels, nu[i])
+            state = feedback_steady_state(model, ext=ext)
+            self.assert_close(stack.matrices[i], ext.matrix)
+            self.assert_close(stack.stationary.rcond[i], ext.stationary.rcond[0])
+            self.assert_close(blocks[i], state.blocks)
+            self.assert_close(current[i], average_current(ext, weights, state))
+            self.assert_close(noise[i], steady_noise(ext, weights, state=state))
+
+    def test_degenerate_member_raises_the_single_model_error(self):
+        sm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        connected = feedback_model(
+            dim=2,
+            channels=["a", "b"],
+            hamiltonians=np.array([[0.0, 1.0], [1.0, 0.0]]),
+            jump_ops={"a": sm, "b": sm.T},
+        )
+        with pytest.raises(DegenerateSteadyStateError) as single:
+            feedback_steady_state(disconnected_model())
+        stack = generator_stack([connected, disconnected_model(), connected])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateSteadyStateError) as stacked:
+                stationary_blocks(stack)
+        assert str(stacked.value) == str(single.value)
+        # the members around it solve on their own
+        assert np.isfinite(stationary_blocks(generator_stack([connected, connected]))).all()

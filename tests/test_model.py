@@ -150,6 +150,33 @@ class TestConstructionValidates:
             self.build(hams=np.stack([SX + skew, SX]))
 
 
+class TestModelArraysAreOwned:
+    # a model is validated once, so it must not share writeable arrays
+    def test_mutating_the_inputs_leaves_the_model_unchanged(self):
+        hams = np.zeros((1, 2, 2), dtype=complex)
+        jumps = np.zeros((1, 1, 2, 2), dtype=complex)
+        jumps[0, 0] = SM
+        model = FeedbackModel(dim=2, channels=("a",), hamiltonians=hams, jump_ops=jumps)
+        hams[0, 0, 1] = 1.0
+        jumps[0, 0] = SX
+        assert model.hamiltonians is not hams
+        npt.assert_array_equal(model.hamiltonians, np.zeros((1, 2, 2)))
+        npt.assert_array_equal(model.jump_ops[0, 0], SM)
+        assert validate(model) is model
+
+    @pytest.mark.parametrize("name", ["hamiltonians", "jump_ops", "silent_ops"])
+    def test_model_arrays_are_read_only(self, name):
+        model = feedback_model(
+            dim=2,
+            channels=["a"],
+            hamiltonians=SX,
+            jump_ops={"a": SM},
+            silent_ops={"s": SM.T},
+        )
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(model, name)[0, 0] = 0.0
+
+
 class TestNoFeedback:
     def test_all_blocks_identical(self):
         rng = np.random.default_rng(20)
