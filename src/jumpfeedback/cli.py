@@ -25,7 +25,6 @@ from . import __version__
 from .dynamics import (
     evolve_extended,
     evolve_memory_resolved,
-    feedback_steady_state,
     stationary_blocks,
 )
 from .errors import ConfigError, JumpFeedbackError
@@ -38,13 +37,16 @@ from .fcs import (
     weighted_jump_rates,
 )
 from .hybrid import embed, extended_liouvillian, generator_stack
-from .model import feedback_model
+from .model import check_hermitian, feedback_model
 from .models import (
     MaserParams,
     QubitParams,
     maser_model,
+    maser_tensors,
     qubit_baseline_model,
     qubit_cooling_model,
+    qubit_tensors,
+    work_table,
     work_weights,
 )
 from .trajectories import mc_estimate
@@ -152,12 +154,12 @@ def _matrix_to_pairs(mat):
 # model section
 
 
-# builtin name -> (parameter dataclass, builder extras with their defaults);
-# the dataclass fields give the numeric parameters, their defaults and which
-# are required
+# builtin name -> (parameter dataclass, tensor builder, builder extras with
+# their defaults); the dataclass fields give the numeric parameters, their
+# defaults and which are required
 _BUILTINS = {
-    "qubit_cooling": (QubitParams, {"mode": "feedback"}),
-    "maser": (MaserParams, {"feedback": True, "classical": False}),
+    "qubit_cooling": (QubitParams, qubit_tensors, {"mode": "feedback"}),
+    "maser": (MaserParams, maser_tensors, {"feedback": True, "classical": False}),
 }
 _QUBIT_MODES = ("feedback", "always_on", "drive_off")
 
@@ -171,7 +173,7 @@ def _canon_builtin_params(name, params, path):
     params = _expect_map(params, path)
     if name not in _BUILTINS:
         _fail(path, f"unknown builtin {name!r}; available: {', '.join(_BUILTINS)}")
-    cls, extras = _BUILTINS[name]
+    cls, _, extras = _BUILTINS[name]
     fields = dataclasses.fields(cls)
     _no_extra_keys(params, {f.name for f in fields} | set(extras), path)
     canon = {}
@@ -196,7 +198,7 @@ def _canon_builtin_params(name, params, path):
 
 def _build_builtin(name, canon_params):
     """Model and parameter object of a builtin from its canonical parameters."""
-    cls, extras = _BUILTINS[name]
+    cls, _, extras = _BUILTINS[name]
     params = cls(**{k: v for k, v in canon_params.items() if k not in extras})
     if name == "maser":
         model = maser_model(
@@ -564,7 +566,8 @@ def _parse_task(tcfg, ctx):
         if ctx["builtin"] is None:
             _fail("task", "sweep needs a builtin model (named numeric parameters)")
         name, base = ctx["builtin"]
-        numeric = {f.name for f in dataclasses.fields(_BUILTINS[name][0])}
+        cls, tensors_of, extras = _BUILTINS[name]
+        numeric = {f.name for f in dataclasses.fields(cls)}
         parameter = _expect_str(tcfg.get("parameter", ""), "task.parameter")
         if parameter not in numeric:
             _fail(
@@ -595,10 +598,8 @@ def _parse_task(tcfg, ctx):
         if not variants_cfg:
             _fail("task.variants", "must be non-empty")
         variants = []
-        variant_params = []
-        variant_models = []
+        grids = []
         seen = set()
-        first_point = {parameter: values[0], **{k: v[0] for k, v in also.items()}}
         for i, vc in enumerate(variants_cfg):
             vpath = f"task.variants[{i}]"
             vc = dict(_expect_map(vc, vpath))
@@ -610,13 +611,14 @@ def _parse_task(tcfg, ctx):
             seen.add(label)
             merged = _canon_builtin_params(name, {**base, **vc}, vpath)
             variants.append({"label": label, **vc})
-            variant_params.append(merged)
-            # building each variant at the first sweep point proves it is valid
-            variant_models.append(_build_builtin(name, {**merged, **first_point}))
-        # canonical parameters of each variant, sweep points only add numbers;
-        # the run reuses each variant's (model, params) at the first point
-        ctx["variant_params"] = variant_params
-        ctx["variant_models"] = variant_models
+            # the whole grid, checked at every point; all numeric parameters are
+            # arrays, so the tensors have the grid axis even if only weights vary
+            grid = {**merged, parameter: values, **also}
+            params = cls(**{k: np.full(len(values), v) for k, v in grid.items() if k not in extras})
+            tensors = tensors_of(params, **{k: merged[k] for k in extras})
+            check_hermitian(tensors[0], ctx["model"].channels)
+            grids.append((params, tensors))
+        ctx["grids"] = grids
         canon.update(parameter=parameter, values=values, inner=inner, variants=variants)
         if also:
             canon["also"] = also
@@ -693,15 +695,14 @@ def parse_config(raw):
 # task execution
 
 
-def _stationary_stack(models, out):
-    """Generator stack and stationary blocks of ``models``, one stack.
+def _stationary_stack(stack, out):
+    """Stationary blocks of every member of a generator stack.
 
     Records the worst reciprocal condition of the bordered generators and
     the worst relative stationarity residual ||L v|| / max(1, max|L|) over
     every stack of the run as the report extras ``min_rcond`` and
     ``max_stationarity_residual``.
     """
-    stack = generator_stack(models)
     blocks = stationary_blocks(stack)
     residual = float(stationarity_residuals(stack, blocks).max())
     rcond = float(stack.stationary.rcond.min())
@@ -710,13 +711,13 @@ def _stationary_stack(models, out):
     extras["max_stationarity_residual"] = max(
         extras.get("max_stationarity_residual", residual), residual
     )
-    return stack, blocks
+    return blocks
 
 
 def _run_steady(ctx, out):
     model = ctx["model"]
-    state = feedback_steady_state(model)
-    out.add("steady", _state_header(model), _state_rows(state.blocks[None]))
+    blocks = _stationary_stack(extended_liouvillian(model).stack, out)
+    out.add("steady", _state_header(model), _state_rows(blocks))
 
 
 def _run_evolve(ctx, out):
@@ -757,7 +758,8 @@ def _run_spectrum(ctx, out):
 
 def _run_noise(ctx, out):
     nu = ctx["weights"].per_transition
-    stack, blocks = _stationary_stack([ctx["model"]], out)
+    stack = extended_liouvillian(ctx["model"]).stack
+    blocks = _stationary_stack(stack, out)
     current = weighted_jump_rates(stack, nu, blocks, "average current")[0]
     noise = stationary_noises(stack, nu, blocks)[0]
     background = weighted_jump_rates(stack, nu**2, blocks, "noise background")[0]
@@ -820,12 +822,11 @@ def _run_trajectories(ctx, out):
 
 def _run_sweep(ctx, out):
     task = ctx["task"]
-    name = ctx["builtin"][0]
     parameter, values, inner = task["parameter"], task["values"], task["inner"]
     also = task.get("also", {})
     weights_cfg = ctx["weights_cfg"]
     # maser work currents also go out normalized by gl * (wl - wr)
-    power_norm = name == "maser" and weights_cfg == "work"
+    power_norm = ctx["builtin"][0] == "maser" and weights_cfg == "work"
 
     cols = _state_header(ctx["model"]) if inner == "steady" else []
     if weights_cfg is not None:
@@ -839,25 +840,18 @@ def _run_sweep(ctx, out):
         header += [f"{var['label']}_{c}" for c in cols]
 
     rows = [[_fmt(value)] + [_fmt(also[k][i]) for k in also] for i, value in enumerate(values)]
-    points = [
-        {parameter: value, **{k: v[i] for k, v in also.items()}} for i, value in enumerate(values)
-    ]
-    # each variant's grid is one stack; its parse-time model is the first point
-    for variant, first in zip(ctx["variant_params"], ctx["variant_models"]):
-        merged = [{**variant, **point} for point in points]
-        built = [first] + [_build_builtin(name, params) for params in merged[1:]]
-        stack, blocks = _stationary_stack([model for model, _ in built], out)
-        cells = _state_rows(blocks) if inner == "steady" else [[] for _ in points]
+    # each variant's grid, built at parse, is one stack
+    for params, tensors in ctx["grids"]:
+        stack = generator_stack(*tensors)
+        blocks = _stationary_stack(stack, out)
+        cells = _state_rows(blocks) if inner == "steady" else [[] for _ in values]
         if weights_cfg is not None:
-            nu = np.stack([
-                _weights_from_config(weights_cfg, model, params)[0].per_transition
-                for model, params in built
-            ])
+            nu = work_table(params) if weights_cfg == "work" else ctx["weights"].per_transition
             columns = [weighted_jump_rates(stack, nu, blocks, "average current")]
             if inner == "noise":
                 columns.append(stationary_noises(stack, nu, blocks))
             if power_norm:
-                norm = np.array([p["gl"] * (p["wl"] - p["wr"]) for p in merged])
+                norm = params.gl * (params.wl - params.wr)
                 # nan where gl (wl - wr) vanishes, as the noise task's fano factor
                 columns.append(
                     np.divide(columns[0], norm, out=np.full(len(norm), np.nan), where=norm != 0)

@@ -415,38 +415,37 @@ def _gain_matrices(ops, nu):
     ).reshape(len(ops), size, size)
 
 
-def generator_stack(models):
+def generator_stack(hamiltonians, jump_ops, silent_ops):
     """Assemble the generators of models that share channels and dimension.
 
-    Block (k, q) is the gain conj(L_k(q)) (x) L_k(q), which moves the memory
-    from q to k.  Block (k, k) adds the drift of memory value k,
-    -i (1 (x) H_eff - conj(H_eff) (x) 1) with H_eff = H(k) - i W(k) / 2 and W
-    the loss operator of every monitored and silent channel at k, and the
-    gains of the silent operators, which leave the memory at k.  Each term
-    is one array operation over all members.
+    The arguments are the models' tensors (see :class:`FeedbackModel`), each
+    with a leading stack axis.  Block (k, q) is the gain conj(L_k(q)) (x)
+    L_k(q), which moves the memory from q to k.  Block (k, k) adds the drift
+    of memory value k, -i (1 (x) H_eff - conj(H_eff) (x) 1) with H_eff =
+    H(k) - i W(k) / 2 and W the loss operator of every monitored and silent
+    channel at k, and the gains of the silent operators, which leave the
+    memory at k.  Each term is one array operation over all members.
     """
-    h = np.stack([model.hamiltonians for model in models])
-    ops = np.stack([model.jump_ops for model in models])
-    silent = np.stack([model.silent_ops for model in models])
-    p, m, d = h.shape[:3]
+    p, m, d = hamiltonians.shape[:3]
     n = d * d
-    loss = np.einsum("zkqij,zkqil->zqjl", ops.conj(), ops)
-    loss += np.einsum("zsqij,zsqil->zqjl", silent.conj(), silent)
-    h_eff = h - 0.5j * loss
+    loss = np.einsum("zkqij,zkqil->zqjl", jump_ops.conj(), jump_ops)
+    loss += np.einsum("zsqij,zsqil->zqjl", silent_ops.conj(), silent_ops)
+    h_eff = hamiltonians - 0.5j * loss
     eye = np.eye(d)
     # 1 (x) H_eff and conj(H_eff) (x) 1 for every k, indexed like the gains
     drift = -1j * (
         np.einsum("il,zkjp->zkijlp", eye, h_eff) - np.einsum("zkil,jp->zkijlp", h_eff.conj(), eye)
     )
-    silent_gain = np.einsum("zskil,zskjp->zkijlp", silent.conj(), silent)
+    silent_gain = np.einsum("zskil,zskjp->zkijlp", silent_ops.conj(), silent_ops)
     diagonal = (drift + silent_gain).reshape(p, m, n, n)
-    mats = _gain_matrices(ops, np.ones((m, m)))
+    mats = _gain_matrices(jump_ops, np.ones((m, m)))
     blocks = mats.reshape(p, m, n, m, n)
     for k in range(m):
         blocks[:, k, :, k] += diagonal[:, k]
-    return GeneratorStack(jump_ops=ops, matrices=mats)
+    return GeneratorStack(jump_ops=jump_ops, matrices=mats)
 
 
 def extended_liouvillian(model):
     """Assemble the generator of one feedback model (:func:`generator_stack`)."""
-    return ExtendedGenerator(model=model, matrix=generator_stack([model]).matrices[0])
+    stack = generator_stack(model.hamiltonians[None], model.jump_ops[None], model.silent_ops[None])
+    return ExtendedGenerator(model=model, matrix=stack.matrices[0])

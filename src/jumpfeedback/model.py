@@ -18,6 +18,7 @@ HERM_TOL = 1e-12  # hermiticity tolerance of every H(q), relative to its largest
 
 __all__ = [
     "FeedbackModel",
+    "check_hermitian",
     "feedback_model",
     "validate",
     "no_feedback",
@@ -127,39 +128,25 @@ def feedback_model(dim, channels, hamiltonians, jump_ops, silent_ops=None):
     channels = tuple(str(c) for c in channels)
     m = len(channels)
 
-    hams = np.zeros((m, dim, dim), dtype=complex)
-    if isinstance(hamiltonians, dict):
-        ham_table = {str(k): v for k, v in hamiltonians.items()}
-        unknown = set(ham_table) - set(channels)
+    def by_memory(entry, what):
+        """(m, d, d) from ``{memory_label: op}`` (missing labels zero) or one entry for all."""
+        out = np.zeros((m, dim, dim), dtype=complex)
+        if not isinstance(entry, dict):
+            out[:] = entry
+            return out
+        table = {str(k): v for k, v in entry.items()}
+        unknown = set(table) - set(channels)
         if unknown:
-            raise ValidationError(f"hamiltonians keyed by unknown labels {sorted(unknown)}")
+            raise ValidationError(f"{what} unknown labels {sorted(unknown)}")
         for q, label in enumerate(channels):
-            if label in ham_table:
-                hams[q] = ham_table[label]
-    else:
-        arr = np.asarray(hamiltonians, dtype=complex)
-        if arr.shape not in ((dim, dim), (m, dim, dim)):
-            raise DimensionError(f"hamiltonians shape {arr.shape} not understood")
-        hams[:] = arr
-
-    def expand(table, labels, what):
-        out = np.zeros((len(labels), m, dim, dim), dtype=complex)
-        for i, label in enumerate(labels):
-            entry = table[label]
-            if isinstance(entry, dict):
-                by_memory = {str(k): v for k, v in entry.items()}
-                unknown = set(by_memory) - set(channels)
-                if unknown:
-                    raise ValidationError(
-                        f"{what} {label!r} conditioned on unknown labels {sorted(unknown)}"
-                    )
-                for q, mem in enumerate(channels):
-                    if mem in by_memory:
-                        out[i, q] = by_memory[mem]
-            else:
-                out[i, :] = entry
+            if label in table:
+                out[q] = table[label]
         return out
 
+    shape = np.shape(hamiltonians)
+    if not isinstance(hamiltonians, dict) and shape not in ((dim, dim), (m, dim, dim)):
+        raise DimensionError(f"hamiltonians shape {shape} not understood")
+    hams = by_memory(hamiltonians, "hamiltonians keyed by")
     if not isinstance(jump_ops, dict):
         raise ValidationError("jump_ops must be a mapping keyed by channel label")
     jump_table = {str(k): v for k, v in jump_ops.items()}
@@ -176,9 +163,11 @@ def feedback_model(dim, channels, hamiltonians, jump_ops, silent_ops=None):
         dim=dim,
         channels=channels,
         hamiltonians=hams,
-        jump_ops=expand(jump_table, channels, "jump operator"),
+        jump_ops=[by_memory(jump_table[c], f"jump operator {c!r} conditioned on") for c in channels],
         silent_labels=silent_labels,
-        silent_ops=expand(silent_table, silent_labels, "silent operator"),
+        silent_ops=[
+            by_memory(silent_table[s], f"silent operator {s!r} conditioned on") for s in silent_labels
+        ] or None,
     )
 
 
@@ -200,13 +189,17 @@ def validate(model):
         raise ValidationError(f"silent labels collide with channels: {sorted(collide)}")
     if len(set(silent)) != len(silent):
         raise ValidationError("duplicate silent labels")
-    h = model.hamiltonians
-    scale = np.maximum(1.0, np.abs(h).max(axis=(1, 2)))
-    skew = np.abs(h - h.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    bad = np.flatnonzero(skew > HERM_TOL * scale)
-    if bad.size:
-        raise ValidationError(f"H({channels[bad[0]]}) is not hermitian")
+    check_hermitian(model.hamiltonians, channels)
     return model
+
+
+def check_hermitian(h, channels):
+    """Raise unless every H(q) of ``h``, one model's or a stack's ``(..., m, d, d)``, is hermitian."""
+    scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
+    skew = np.abs(h - h.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
+    failed = skew > HERM_TOL * scale
+    if failed.any():
+        raise ValidationError(f"H({channels[np.argmax(failed) % len(channels)]}) is not hermitian")
 
 
 def no_feedback(h, jump_ops, labels=None):

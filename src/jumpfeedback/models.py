@@ -5,6 +5,7 @@ suite.  Analytic expressions are written in the detuning-free form with
 p = gamma / lambda; the model builders accept arbitrary parameters.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -12,23 +13,53 @@ import numpy as np
 
 from .errors import ValidationError
 from .fcs import CountingWeights
-from .model import feedback_model, no_feedback
+from .model import FeedbackModel
 
 __all__ = [
     "QubitParams",
     "MaserParams",
     "QUBIT_CHANNELS",
     "MASER_CHANNELS",
+    "qubit_tensors",
     "qubit_cooling_model",
     "qubit_baseline_model",
     "qubit_analytic",
+    "maser_tensors",
     "maser_model",
     "maser_analytic",
+    "work_table",
     "work_weights",
 ]
 
 QUBIT_CHANNELS = ("-1", "+1")
 MASER_CHANNELS = ("E_l", "I_l", "E_r", "I_r")
+# per qubit mode and per maser feedback flag, whether the drive runs at each memory value
+_QUBIT_DRIVE = {"feedback": [False, True], "always_on": [True, True], "drive_off": [False, False]}
+_MASER_DRIVE = {True: [False, False, True, False], False: [True] * 4}
+
+
+@functools.cache
+def _units(d, *pairs):
+    """Stacked |i><j| on d levels, one per (i, j) of ``pairs``; real, cached and read-only."""
+    units = np.eye(d * d).reshape(-1, d, d)[[i * d + j for i, j in pairs]]
+    units.flags.writeable = False
+    return units
+
+
+def _driven(d, z, lam, drive):
+    """Complex H(q) = z (|0><0| - |1><1|), plus lam (|0><1| + |1><0|) where ``drive[q]``."""
+    p0, p1, down, up = _units(d, (0, 0), (1, 1), (0, 1), (1, 0))
+    h_off = z[..., None, None] * (p0 - p1)
+    h_on = h_off + lam[..., None, None] * (down + up)
+    gate = np.array(drive)[:, None, None]
+    return np.where(gate, h_on[..., None, :, :], h_off[..., None, :, :]).astype(complex)
+
+
+def _operators(rates, memory, units):
+    """Complex ``(..., k, m, d, d)`` sqrt(rates[k]) memory[q] units[k]; ``rates`` is ``(k, ...)``."""
+    # C order, as a stack of models has: the kernels' sums run in stride order
+    ops = np.einsum("k...,q,kij->...kqij", np.sqrt(rates), memory, units, order="C")
+    return ops.astype(complex)
 
 
 @dataclass(frozen=True)
@@ -37,7 +68,8 @@ class QubitParams:
 
     ``nbar`` is the bath occupation, ``gamma`` the bare decay rate,
     ``lam`` the drive amplitude and ``delta`` the detuning.  The analytic
-    results use p = gamma / lam.
+    results use p = gamma / lam.  Numeric fields may be equal-length 1-d
+    arrays, one entry per grid point (see :func:`qubit_tensors`).
     """
 
     nbar: float
@@ -46,20 +78,23 @@ class QubitParams:
     delta: float = 0.0
 
     def __post_init__(self):
-        if self.nbar < 0 or self.gamma < 0:
+        if (np.minimum(self.nbar, self.gamma) < 0).any():
             raise ValidationError("nbar and gamma must be non-negative")
 
 
-def _qubit_operators(params):
-    """H(off), H(on), and the emission and absorption operators of the qubit."""
-    g, e = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    h_off = -0.5 * params.delta * sz
-    h_on = h_off + params.lam * sx
-    l_down = np.sqrt(params.gamma * (params.nbar + 1.0)) * np.outer(g, e)
-    l_up = np.sqrt(params.gamma * params.nbar) * np.outer(e, g)
-    return h_off, h_on, l_down, l_up
+def qubit_tensors(params, mode):
+    """Hamiltonians ``(..., 2, 2, 2)``, jump and (no) silent operators of a qubit model.
+
+    ``mode`` is "feedback" (:func:`qubit_cooling_model`), "always_on" or
+    "drive_off" (:func:`qubit_baseline_model`); ``...`` is the parameters' grid shape.
+    """
+    nbar, gamma, lam, delta = np.broadcast_arrays(params.nbar, params.gamma, params.lam, params.delta)
+    rates = np.array([gamma * (nbar + 1.0), gamma * nbar])
+    return (
+        _driven(2, -0.5 * delta, lam, _QUBIT_DRIVE[mode]),
+        _operators(rates, np.ones(2), _units(2, (0, 1), (1, 0))),
+        np.zeros(nbar.shape + (0, 2, 2, 2), dtype=complex),
+    )
 
 
 def qubit_cooling_model(params):
@@ -70,13 +105,8 @@ def qubit_cooling_model(params):
     Hamiltonian: H(-1) = -(delta/2) sigma_z, H(+1) adds lam sigma_x.  Jump
     operators are memory-independent, so the model is hamiltonian-only.
     """
-    h_off, h_on, l_down, l_up = _qubit_operators(params)
-    return feedback_model(
-        dim=2,
-        channels=QUBIT_CHANNELS,
-        hamiltonians={"-1": h_off, "+1": h_on},
-        jump_ops={"-1": l_down, "+1": l_up},
-    )
+    h, jumps, _ = qubit_tensors(params, "feedback")
+    return FeedbackModel(2, QUBIT_CHANNELS, h, jumps)
 
 
 def qubit_baseline_model(params, drive_on=True):
@@ -87,9 +117,8 @@ def qubit_baseline_model(params, drive_on=True):
     ground population (nbar+1)/(2 nbar+1).  Channel labels match
     :func:`qubit_cooling_model`.
     """
-    h_off, h_on, l_down, l_up = _qubit_operators(params)
-    h = h_on if drive_on else h_off
-    return no_feedback(h, [l_down, l_up], labels=QUBIT_CHANNELS)
+    h, jumps, _ = qubit_tensors(params, "always_on" if drive_on else "drive_off")
+    return FeedbackModel(2, QUBIT_CHANNELS, h, jumps)
 
 
 def qubit_analytic(nbar, p):
@@ -119,7 +148,8 @@ class MaserParams:
     bath (``nr``, ``gr``) drives 1<->2; the 0<->1 working transition is
     driven with amplitude ``lam`` at detuning ``delta``.  ``wl`` and ``wr``
     are the transition energies entering the work weights; leave them None
-    when only populations are needed.
+    when only populations are needed.  Numeric fields may be equal-length
+    1-d arrays, one entry per grid point (see :func:`maser_tensors`).
     """
 
     nl: float
@@ -132,22 +162,30 @@ class MaserParams:
     wr: Optional[float] = None
 
     def __post_init__(self):
-        if min(self.nl, self.nr) < 0 or min(self.gl, self.gr) < 0:
+        if (np.minimum(np.minimum(self.nl, self.nr), np.minimum(self.gl, self.gr)) < 0).any():
             raise ValidationError("occupations and rates must be non-negative")
 
 
-def _maser_operators(params):
-    dim = 3
-    ket = np.eye(dim)
-    ops = {
-        "E_l": np.sqrt(params.gl * (params.nl + 1.0)) * np.outer(ket[0], ket[2]),
-        "I_l": np.sqrt(params.gl * params.nl) * np.outer(ket[2], ket[0]),
-        "E_r": np.sqrt(params.gr * (params.nr + 1.0)) * np.outer(ket[1], ket[2]),
-        "I_r": np.sqrt(params.gr * params.nr) * np.outer(ket[2], ket[1]),
-    }
-    h_off = 0.5 * params.delta * (np.outer(ket[0], ket[0]) - np.outer(ket[1], ket[1]))
-    h_on = h_off + params.lam * (np.outer(ket[0], ket[1]) + np.outer(ket[1], ket[0]))
-    return ops, h_off.astype(complex), h_on.astype(complex)
+def maser_tensors(params, feedback, classical):
+    """Hamiltonians ``(..., 4, 3, 3)``, jump and silent operators of a maser model.
+
+    See :func:`maser_model`; ``...`` is the parameters' grid shape, and the
+    two hops are the silent operators when ``classical``.
+    """
+    nl, nr, gl, gr, lam, delta = np.broadcast_arrays(
+        params.nl, params.nr, params.gl, params.gr, params.lam, params.delta
+    )
+    rates = np.array([gl * (nl + 1.0), gl * nl, gr * (nr + 1.0), gr * nr])
+    jumps = _operators(rates, np.ones(4), _units(3, (0, 2), (2, 0), (1, 2), (2, 1)))
+    drive = _MASER_DRIVE[bool(feedback)]
+    if not classical:
+        return _driven(3, 0.5 * delta, lam, drive), jumps, np.zeros(nl.shape + (0, 4, 3, 3), complex)
+    gam_big = 0.5 * (gl * nl + gr * nr)
+    if np.any(gam_big <= 0):
+        raise ValidationError("classical drive rate undefined: gl*nl + gr*nr = 0")
+    gamma_c = 2.0 * lam**2 * gam_big / (delta**2 + gam_big**2)
+    silent = _operators(np.array([gamma_c, gamma_c]), np.array(drive, float), _units(3, (0, 1), (1, 0)))
+    return np.zeros(nl.shape + (4, 3, 3), dtype=complex), jumps, silent
 
 
 def maser_model(params, feedback=True, classical=False):
@@ -164,38 +202,17 @@ def maser_model(params, feedback=True, classical=False):
     act conditioned on the memory (only in the "E_r" sector when
     ``feedback``) but never update it and carry no counting weight.
     """
-    ops, h_off, h_on = _maser_operators(params)
-    dim = 3
-    if classical:
-        zero = np.zeros((dim, dim), dtype=complex)
-        gam_big = 0.5 * (params.gl * params.nl + params.gr * params.nr)
-        if gam_big <= 0:
-            raise ValidationError("classical drive rate undefined: gl*nl + gr*nr = 0")
-        gamma_c = 2.0 * params.lam**2 * gam_big / (params.delta**2 + gam_big**2)
-        ket = np.eye(dim)
-        hop_down = np.sqrt(gamma_c) * np.outer(ket[0], ket[1])
-        hop_up = np.sqrt(gamma_c) * np.outer(ket[1], ket[0])
-        if feedback:
-            silent = {"D_01": {"E_r": hop_down}, "D_10": {"E_r": hop_up}}
-        else:
-            silent = {"D_01": hop_down, "D_10": hop_up}
-        return feedback_model(
-            dim=dim,
-            channels=MASER_CHANNELS,
-            hamiltonians=zero,
-            jump_ops=ops,
-            silent_ops=silent,
-        )
-    if feedback:
-        hams = {k: (h_on if k == "E_r" else h_off) for k in MASER_CHANNELS}
-    else:
-        hams = {k: h_on for k in MASER_CHANNELS}
-    return feedback_model(
-        dim=dim,
-        channels=MASER_CHANNELS,
-        hamiltonians=hams,
-        jump_ops=ops,
-    )
+    h, jumps, silent = maser_tensors(params, feedback, classical)
+    return FeedbackModel(3, MASER_CHANNELS, h, jumps, ("D_01", "D_10") if classical else (), silent)
+
+
+def work_table(params):
+    """Work weights nu[..., k, q] of :func:`work_weights` at every point."""
+    if params.wl is None or params.wr is None:
+        raise ValidationError("work weights need wl and wr set on MaserParams")
+    wl, wr = np.broadcast_arrays(params.wl, params.wr)
+    row = np.stack([-wl, wl, -wr, wr], axis=-1)
+    return np.broadcast_to(row[..., None], row.shape + (4,))
 
 
 def work_weights(params):
@@ -205,12 +222,7 @@ def work_weights(params):
     into the right bath counts -wr, absorption +wr.  One full forward
     cycle (absorb left, emit right) then yields wl - wr > 0.
     """
-    if params.wl is None or params.wr is None:
-        raise ValidationError("work weights need wl and wr set on MaserParams")
-    return CountingWeights.from_channel_weights(
-        MASER_CHANNELS,
-        {"E_l": -params.wl, "I_l": params.wl, "E_r": -params.wr, "I_r": params.wr},
-    )
+    return CountingWeights(MASER_CHANNELS, work_table(params))
 
 
 def maser_analytic(nl, nr, p):

@@ -18,6 +18,7 @@ from jumpfeedback import (
     MaserParams,
     QubitParams,
     __version__,
+    average_current,
     extended_liouvillian,
     marginals,
     feedback_steady_state,
@@ -25,6 +26,8 @@ from jumpfeedback import (
     mc_estimate,
     qubit_analytic,
     qubit_cooling_model,
+    steady_noise,
+    work_weights,
 )
 from jumpfeedback.cli import (
     main,
@@ -370,7 +373,8 @@ class TestSteadyTask:
         loaded = json.loads(text)
         assert loaded["version"] == __version__
         assert loaded["config"] == parse_config(cfg)[1]
-        assert set(loaded) == {"version", "config", "manifest", "rows", "wall_time_s"}
+        assert set(loaded) == {"version", "config", "manifest", "rows", "wall_time_s", "extras"}
+        assert set(loaded["extras"]) == {"min_rcond", "max_stationarity_residual"}
 
 
 class TestEvolveTask:
@@ -592,18 +596,125 @@ class TestSweepTask:
             assert all(row[norm] == "nan" for row in rows)
             assert all(np.isfinite(float(row[current])) for row in rows)
 
-    def test_each_variant_and_point_is_built_once(self, tmp_path, monkeypatch):
+    def test_each_variant_grid_is_built_once_at_parse(self, tmp_path, monkeypatch):
         calls = []
-        build = cli.maser_model
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return build(*args, **kwargs)
+        def counted(name, build):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return build(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "maser_model", counting)
-        run_config(self.maser_noise_sweep(tmp_path))
-        # the base model, then each of 2 variants at each of 2 points
-        assert len(calls) == 1 + 2 * 2
+            return wrapper
+
+        def patch_builders(wrap):
+            cls, tensors_of, extras = cli._BUILTINS["maser"]
+            monkeypatch.setitem(cli._BUILTINS, "maser", (cls, wrap("tensors", tensors_of), extras))
+            monkeypatch.setattr(cli, "maser_model", wrap("model", cli.maser_model))
+
+        patch_builders(counted)
+        ctx, _ = parse_config(self.maser_noise_sweep(tmp_path))
+        # the base model, then one grid of both points per variant
+        assert sorted(calls) == ["model", "tensors", "tensors"]
+        assert [tensors[0].shape[0] for _, tensors in ctx["grids"]] == [2, 2]
+
+        def refused(name, build):
+            def wrapper(*args, **kwargs):
+                raise AssertionError(f"the run built a {name}")
+
+            return wrapper
+
+        patch_builders(refused)
+        out = cli._Outputs(str(tmp_path), "m")
+        cli._run_sweep(ctx, out)
+        assert out.files[0][2] == 2
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "params, sweep, message",
+        [
+            (
+                {},
+                {"parameter": "gl", "values": [0.1, 0.2], "also": {"gr": [0.1, -0.2]}},
+                "occupations and rates must be non-negative",
+            ),
+            # gl*nl + gr*nr vanishes only at the second point
+            (
+                {"nl": 0.0, "classical": True},
+                {"parameter": "nr", "values": [1.0, 2.0], "also": {"gr": [0.1, 0.0]}},
+                "classical drive rate undefined: gl*nl + gr*nr = 0",
+            ),
+        ],
+    )
+    def test_every_point_is_checked_at_parse(self, tmp_path, capsys, verb, params, sweep, message):
+        cfg = {
+            "model": {"builtin": "maser", "params": {**MASER_PARAMS, **params}},
+            "task": {"kind": "sweep", **sweep},
+            "output": {"directory": str(tmp_path), "prefix": "bad"},
+        }
+        assert main([verb, write_config(tmp_path, cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: ValidationError: {message}\n"
+
+    @pytest.mark.parametrize(
+        "builtin, base, parameter, values, weights, inner, variants",
+        [
+            # wl moves only the work weights, the operators stay fixed
+            ("maser", MASER_PARAMS, "wl", [6.0, 9.0, 12.0], "work", "noise",
+             [{}, {"feedback": False}, {"classical": True}]),
+            # lam moves only H, or only the hop rate of the classical maser
+            ("maser", MASER_PARAMS, "lam", [0.5, 1.0, 2.0], "work", "noise",
+             [{}, {"feedback": False}, {"classical": True, "feedback": False}]),
+            ("qubit_cooling", QUBIT_MODEL["params"], "lam", [0.5, 1.0, 2.0], "activity", "steady",
+             [{}, {"mode": "always_on"}, {"mode": "drive_off"}]),
+        ],
+    )
+    def test_cells_match_single_models(
+        self, tmp_path, builtin, base, parameter, values, weights, inner, variants
+    ):
+        task = {
+            "kind": "sweep",
+            "parameter": parameter,
+            "values": values,
+            "inner": inner,
+            "variants": [{"label": f"v{i}", **v} for i, v in enumerate(variants)],
+        }
+        cfg = {
+            "model": {"builtin": builtin, "params": dict(base)},
+            "weights": weights,
+            "task": task,
+            "output": {"directory": str(tmp_path), "prefix": "s"},
+        }
+        _, _, files = run_config(cfg)
+        header, rows = read_csv(files[0])
+        got = np.array(rows, dtype=float)
+        want = np.empty_like(got)
+        want[:, 0] = values
+        for i, value in enumerate(values):
+            col = 1
+            for variant in variants:
+                section = {"builtin": builtin, "params": {**base, **variant, parameter: value}}
+                model, canon = model_from_config(section)
+                ext = extended_liouvillian(model)
+                state = feedback_steady_state(model, ext=ext)
+                p = canon["params"]
+                if weights == "work":
+                    w = work_weights(MaserParams(**{k: p[k] for k in MASER_PARAMS}))
+                else:
+                    w = CountingWeights.activity(model.channels)
+                cells = [float(x) for x in cli._state_rows(state.blocks[None])[0]]
+                if inner == "steady":
+                    want[i, col : col + len(cells)] = cells
+                    col += len(cells)
+                want[i, col] = average_current(ext, w, state)
+                col += 1
+                if inner == "noise":
+                    want[i, col] = steady_noise(ext, w, state=state)
+                    want[i, col + 1] = want[i, col - 1] / (p["gl"] * (p["wl"] - p["wr"]))
+                    col += 2
+            assert col == len(header)
+        scale = np.abs(want).max(axis=0)
+        assert (np.abs(got - want) <= 1e-12 * scale).all()
 
 
 class TestHealthExtras:

@@ -244,6 +244,11 @@ def disconnected_model():
     )
 
 
+def stack_tensors(models):
+    """The tensors of ``models`` stacked on a leading axis, as generator_stack takes them."""
+    return [np.stack([getattr(m, a) for m in models]) for a in ("hamiltonians", "jump_ops", "silent_ops")]
+
+
 class TestGeneratorStack:
     """The stacked kernels equal a loop of single-model calls."""
 
@@ -256,7 +261,7 @@ class TestGeneratorStack:
         rng = np.random.default_rng(44 + silent)
         models = [random_model(rng, dim=2, n_channels=3, silent=silent) for _ in range(4)]
         nu = rng.normal(size=(4, 3, 3))
-        stack = generator_stack(models)
+        stack = generator_stack(*stack_tensors(models))
         blocks = stationary_blocks(stack)
         current = weighted_jump_rates(stack, nu, blocks, "average current")
         noise = stationary_noises(stack, nu, blocks)
@@ -281,11 +286,11 @@ class TestGeneratorStack:
         )
         with pytest.raises(DegenerateSteadyStateError) as single:
             feedback_steady_state(disconnected_model())
-        stack = generator_stack([connected, disconnected_model(), connected])
+        stack = generator_stack(*stack_tensors([connected, disconnected_model(), connected]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DegenerateSteadyStateError) as stacked:
                 stationary_blocks(stack)
         assert str(stacked.value) == str(single.value)
         # the members around it solve on their own
-        assert np.isfinite(stationary_blocks(generator_stack([connected, connected]))).all()
+        assert np.isfinite(stationary_blocks(generator_stack(*stack_tensors([connected, connected])))).all()

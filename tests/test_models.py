@@ -22,6 +22,7 @@ from jumpfeedback import (
     qubit_cooling_model,
     work_weights,
 )
+from jumpfeedback.models import maser_tensors, qubit_tensors
 
 
 class TestQubitAnalytic:
@@ -170,3 +171,53 @@ class TestMaserModels:
         w = work_weights(params)
         per = dict(zip(w.channels, w.per_channel))
         assert per == {"E_l": -8.0, "I_l": 8.0, "E_r": -2.0, "I_r": 2.0}
+
+
+class TestGridTensors:
+    """Builders over parameter arrays give the one-point models, stacked."""
+
+    MASER_GRID = dict(
+        nl=[0.3, 1.0, 2.0], nr=[8.0, 2.0, 0.5], gl=[0.025, 0.1, 1.0], gr=[0.07, 0.1, 0.3],
+        lam=[1.0, 0.5, 2.0], delta=[0.0, -0.3, 0.4],
+    )
+
+    @staticmethod
+    def assert_stacked(tensors, models):
+        for got, name in zip(tensors, ("hamiltonians", "jump_ops", "silent_ops")):
+            # C order like a stack of models, so that the stacked kernels sum alike
+            assert got.flags.c_contiguous
+            npt.assert_array_equal(got, np.stack([getattr(m, name) for m in models]))
+
+    @pytest.mark.parametrize("feedback", [True, False])
+    @pytest.mark.parametrize("classical", [False, True])
+    def test_maser(self, feedback, classical):
+        grid = {k: np.array(v) for k, v in self.MASER_GRID.items()}
+        points = [{k: v[i] for k, v in self.MASER_GRID.items()} for i in range(3)]
+        self.assert_stacked(
+            maser_tensors(MaserParams(**grid), feedback, classical),
+            [maser_model(MaserParams(**p), feedback, classical) for p in points],
+        )
+
+    @pytest.mark.parametrize("mode", ["feedback", "always_on", "drive_off"])
+    def test_qubit_with_scalar_fields(self, mode):
+        # only lam varies: the jump operators are broadcast to the grid
+        lams = [0.5, 1.0, 2.0]
+        params = [QubitParams(nbar=0.7, gamma=0.3, lam=lam, delta=0.4) for lam in lams]
+        build = {
+            "feedback": qubit_cooling_model,
+            "always_on": qubit_baseline_model,
+            "drive_off": lambda p: qubit_baseline_model(p, drive_on=False),
+        }[mode]
+        tensors = qubit_tensors(QubitParams(nbar=0.7, gamma=0.3, lam=np.array(lams), delta=0.4), mode)
+        self.assert_stacked(tensors, [build(p) for p in params])
+
+    def test_negative_rate_at_any_point_rejected(self):
+        with pytest.raises(ValidationError, match="non-negative"):
+            MaserParams(nl=0.3, nr=8.0, gl=np.array([0.1, 0.2]), gr=np.array([0.1, -0.2]))
+        with pytest.raises(ValidationError, match="non-negative"):
+            QubitParams(nbar=np.array([0.5, -0.1]), gamma=1.0)
+
+    def test_classical_rate_undefined_at_any_point_rejected(self):
+        params = MaserParams(nl=0.0, nr=np.array([1.0, 2.0]), gl=0.1, gr=np.array([0.1, 0.0]))
+        with pytest.raises(ValidationError, match="classical drive rate undefined"):
+            maser_tensors(params, True, True)
