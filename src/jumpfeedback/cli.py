@@ -321,8 +321,17 @@ def model_to_config(model):
 # weights / initial / grids
 
 
-def _weights_from_config(wcfg, model, params, path="weights"):
-    """Weights and their canonical section; ``params`` is the builtin's or None."""
+def _check_work_energies(params, path="weights"):
+    if params.wl is None or params.wr is None:
+        _fail(path, "'work' weights need maser params wl and wr")
+
+
+def _weights_from_config(wcfg, model, params, swept=False, path="weights"):
+    """Weights and their canonical section; ``params`` is the builtin's or None.
+
+    A sweep (``swept``) checks 'work' weights at its grid points instead of
+    on ``params`` and gets no weights object: it builds them per point.
+    """
     if wcfg is None:
         return None, None
     if isinstance(wcfg, str):
@@ -331,8 +340,9 @@ def _weights_from_config(wcfg, model, params, path="weights"):
         if wcfg == "work":
             if not isinstance(params, MaserParams):
                 _fail(path, "'work' weights are defined for the maser builtin only")
-            if params.wl is None or params.wr is None:
-                _fail(path, "'work' weights need maser params wl and wr")
+            if swept:
+                return None, "work"
+            _check_work_energies(params, path)
             return work_weights(params), "work"
         _fail(path, f"unknown weights name {wcfg!r}; use 'activity' or 'work'")
     wcfg = _expect_map(wcfg, path)
@@ -615,6 +625,8 @@ def _parse_task(tcfg, ctx):
             # arrays, so the tensors have the grid axis even if only weights vary
             grid = {**merged, parameter: values, **also}
             params = cls(**{k: np.full(len(values), v) for k, v in grid.items() if k not in extras})
+            if ctx["weights_cfg"] == "work":
+                _check_work_energies(params)
             tensors = tensors_of(params, **{k: merged[k] for k in extras})
             check_hermitian(tensors[0], ctx["model"].channels)
             grids.append((params, tensors))
@@ -646,7 +658,8 @@ def parse_config(raw):
     if "builtin" in model_canon:
         builtin = (model_canon["builtin"], model_canon["params"])
 
-    weights, weights_canon = _weights_from_config(raw.get("weights"), model, params)
+    swept = isinstance(raw["task"], dict) and raw["task"].get("kind") == "sweep"
+    weights, weights_canon = _weights_from_config(raw.get("weights"), model, params, swept)
 
     initial = None
     initial_canon = None
@@ -794,6 +807,7 @@ def _run_trajectories(ctx, out):
         header += [f"freq({ch})", f"freq_se({ch})"]
         row += [_fmt(f), _fmt(se)]
     out.add("trajectories", header, [row])
+    out.extras["rounds"] = est.rounds
     out.extras["jump_events"] = est.jump_events
     out.extras["survival_evaluations"] = est.survival_evaluations
 

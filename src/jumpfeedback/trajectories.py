@@ -9,11 +9,13 @@ records and memory.
 * ``"waiting-time"`` (default): between jumps the conditional state evolves
   under the no-jump propagator exp(-i H_eff(k) t).  States are held in the
   eigenbasis of H_eff(k), where that evolution is elementwise and the trace,
-  the survival probability S(t), is a sum of exponentials.  The next jump
-  time solves S(t) = u (inverse-transform sampling) by a safeguarded Newton
-  iteration on log S, falling back to bisection when a step leaves the
-  bracket; the channel follows the relative jump rates at that instant.
-  No time-discretization error.  A near-defective H_eff, whose eigenvectors
+  the survival probability S(t), is a sum of exponentials whose d^2 growth
+  factors come from d exponentials, exp(r_ab t) = e^{kappa_a t}
+  conj(e^{kappa_b t}).  The next jump time solves S(t) = u
+  (inverse-transform sampling) by a safeguarded Halley iteration on log S
+  from t = 0, falling back to bisection when a step leaves the bracket; the
+  channel follows the relative jump rates at that instant.  No
+  time-discretization error.  A near-defective H_eff, whose eigenvectors
   are no usable basis, is refused in favour of the fixed-step scheme.
 * ``"fixed-step"``: the literal discrete unraveling with step dt; channel q
   fires with probability dt * Tr[L_q rho L_q^dag], otherwise the normalized
@@ -34,6 +36,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ValidationError
@@ -50,8 +53,9 @@ __all__ = [
 UNIFORM_BLOCK = 1024  # uniforms pre-drawn per trajectory, fixed-step: one per step
 WAITING_BLOCK = 128  # the same for the waiting-time scheme: two per jump
 MAX_STEP_PROBABILITY = 0.05
-LOOKAHEAD = 32  # fixed-step steps searched for a jump per round
-ROOT_TOLERANCE = 1e-14  # relative step at which a jump-time root has converged
+LOOKAHEAD = 64  # fixed-step steps searched for a jump per round
+ROOT_TOLERANCE = 1e-14  # relative bracket width at which a jump-time root has converged
+ACCEPT_STEP = 1e-7  # relative Halley step that is taken as the last one
 MAX_ROOT_ITERATIONS = 100
 
 
@@ -214,10 +218,11 @@ class McEstimate:
     """Monte Carlo summary over a batch of trajectories.
 
     Charges are accumulated over [burn_in, horizon]; memory frequencies are
-    occupation fractions at the horizon.  ``jump_events`` counts the jumps
-    the batch applied, monitored and silent; ``survival_evaluations`` counts
-    the per-trajectory survival evaluations of the waiting-time search, the
-    horizon checks included (0 for fixed-step).  ``grid_charges``
+    occupation fractions at the horizon.  ``rounds`` counts the engine's
+    rounds over the batch, ``jump_events`` the jumps it applied, monitored
+    and silent, and ``survival_evaluations`` the per-trajectory exponential
+    evaluations of the waiting-time survival: one horizon check per round,
+    plus one per root-search step past t = 0 (0 for fixed-step).  ``grid_charges``
     (trajectories x grid points) is filled only when a charge grid was
     requested.
     """
@@ -234,6 +239,7 @@ class McEstimate:
     memory_labels: tuple
     memory_freq: np.ndarray
     memory_freq_se: np.ndarray
+    rounds: int
     jump_events: int
     survival_evaluations: int
     charge_grid: Optional[np.ndarray] = None
@@ -245,46 +251,63 @@ class McEstimate:
 # engine
 
 
-def _survival(coeff, rates, t):
-    """S(t) = Re sum_x coeff_x exp(rates_x t) and dS/dt, row by row."""
-    y = coeff * np.exp(t[:, None] * rates)
-    return y.sum(axis=1).real, np.einsum("nx,nx->n", y, rates).real
+def _growth(kappa, t):
+    """Rows of exp(r_ab t) = e^{kappa_a t} conj(e^{kappa_b t}): d exponentials per row."""
+    e = np.exp(t[:, None] * kappa)
+    return (e[:, :, None] * e.conj()[:, None, :]).reshape(len(t), kappa.shape[1] ** 2)
 
 
-def _jump_time(coeff, rates, u, t_max, evaluations=None):
-    """Solve S(t) = u for t in (0, t_max], S the survival of :func:`_survival`.
+def _jump_time(coeff, kappa, u, t_max, evaluations=None):
+    """Solve S(t) = u for t in (0, t_max], S(t) = Re sum_ab coeff_ab exp(r_ab t).
 
-    Requires S(0) = 1 > u >= S(t_max) with S non-increasing.  Newton steps
-    on log S - log u start at t = 0 (the first one is the exponential
-    estimate -log(u) / rate); a step that leaves the bracket [lo, hi] kept
-    around the root is replaced by bisection.  Every element stops on its
-    own test, so its arithmetic never depends on the rest of the batch.
-    ``evaluations``, if given, gains each element's survival evaluations.
+    ``coeff`` holds flat rows of c_ab and ``kappa`` the decays with
+    r_ab = kappa_a + kappa_b^*.  Requires S(0) = 1 > u >= S(t_max) with S
+    non-increasing.  Halley steps on f = log S - log u start at t = 0,
+    where every exponential is 1 and S, S', S'' cost no evaluation; a step
+    that leaves the bracket [lo, hi] kept around the root is replaced by
+    bisection.  A step no longer than ACCEPT_STEP * max(t, 1), whose Newton
+    step is as short, is taken and ends the search, since the next one would
+    be of the order of its cube.  Every element stops on its own test, so its
+    arithmetic never depends on the rest of the batch.  ``evaluations``, if
+    given, gains each element's survival evaluations (one per step taken at
+    t > 0).
     """
-    t = np.zeros(len(u))
-    idx = np.arange(len(u))
-    lo, hi, x, log_u = np.zeros(len(u)), np.array(t_max, dtype=float), t.copy(), np.log(u)
+    n = len(u)
+    rates = (kappa[:, :, None] + kappa.conj()[:, None, :]).reshape(coeff.shape)
+    # rows of c, c r and c r^2: S, S' and S'' are their sums weighted by the growth
+    moments = np.stack([coeff, coeff * rates, coeff * rates * rates], axis=1)
+    t = np.zeros(n)
+    idx = np.arange(n)
+    lo, hi, x, log_u = np.zeros(n), np.array(t_max, dtype=float), t.copy(), np.log(u)
+    s, ds, d2s = moments.sum(axis=2).real.T
     for _ in range(MAX_ROOT_ITERATIONS):
-        s, ds = _survival(coeff, rates, x)
-        if evaluations is not None:
-            evaluations[idx] += 1
         above = s > u
         lo = np.where(above, x, lo)
         hi = np.where(above, hi, x)
         with np.errstate(divide="ignore", invalid="ignore"):
-            new = x - (np.log(s) - log_u) * s / ds
-        tol = ROOT_TOLERANCE * np.maximum(x, 1.0)
-        # a converged step may land on or just past a bracket end, so the
-        # convergence test comes before the bracket test
-        converged = np.abs(new - x) <= tol
-        bisect = ~(converged | ((new > lo) & (new < hi)))
+            f, df = np.log(s) - log_u, ds / s
+            d2f = d2s / s - df * df
+            step = -2.0 * f * df / (2.0 * df * df - f * d2f)
+            newton = f / df
+        new = x + step
+        scale = np.maximum(x, 1.0)
+        tol = ACCEPT_STEP * scale
+        # the Newton step must be as short: where S is flat (S' = 0 at t = 0
+        # in a dark state) the Halley step vanishes far from the root.  An
+        # accepted step may land on or just past a bracket end, so the
+        # acceptance test comes before the bracket test
+        accepted = (np.abs(step) <= tol) & (np.abs(newton) <= tol)
+        bisect = ~(accepted | ((new > lo) & (new < hi)))
         new[bisect] = 0.5 * (lo[bisect] + hi[bisect])
         t[idx] = new
-        keep = ~(converged | (hi - lo <= tol))
+        keep = ~(accepted | (hi - lo <= ROOT_TOLERANCE * scale))
         if not keep.any():
             break
-        idx, coeff, rates, u, log_u = idx[keep], coeff[keep], rates[keep], u[keep], log_u[keep]
+        idx, moments, kappa, u, log_u = idx[keep], moments[keep], kappa[keep], u[keep], log_u[keep]
         lo, hi, x = lo[keep], hi[keep], new[keep]
+        if evaluations is not None:
+            evaluations[idx] += 1
+        s, ds, d2s = np.einsum("nkx,nx->kn", moments, _growth(kappa, x)).real
     return t
 
 
@@ -302,7 +325,9 @@ class _Batch:
     = Tr rho.
     """
 
-    def __init__(self, model, weights, rho0, memories0, streams, burn_in, grid, record, block, eigen):
+    def __init__(
+        self, model, weights, rho0, memories0, streams, burn_in, grid, record, block, window, eigen
+    ):
         if weights.channels != model.channels:
             raise ValidationError("weights channels do not match the model")
         m, d, n = model.n_channels, model.dim, len(memories0)
@@ -347,32 +372,39 @@ class _Batch:
         self.grid = grid
         self.charge = np.zeros(n)
         self.snapshots = np.zeros((n, len(grid))) if grid is not None else None
+        self.rounds = 0
         self.jump_events = 0
         self.survival_evaluations = 0
         self.records = [[] for _ in range(n)] if record else None  # (time, channel, memory)
-        # pre-drawn uniforms: row i holds a block of stream i, ptr[i] is the
-        # next unused column (block: draw a new block first)
+        # pre-drawn uniforms: row i holds a block of stream i, then ``window``
+        # columns of padding; ptr[i] is the next unused column (block: draw a
+        # new block first)
         self.streams = streams
         self.block = block
-        self.uniform_buf = np.empty((n, block))
+        self.uniform_buf = np.zeros((n, block + window))
+        self.windows = sliding_window_view(self.uniform_buf, window, axis=1) if window else None
         self.ptr = np.full(n, block)
 
-    def uniforms(self, idx, width):
-        """The next ``width`` uniforms of each trajectory in ``idx``, without using them.
+    def refill(self, idx):
+        """Draw a new block for each trajectory in ``idx`` that used up its own."""
+        for i in idx[self.ptr[idx] == self.block]:
+            self.streams[i].random(out=self.uniform_buf[i, : self.block])
+            self.ptr[i] = 0
+
+    def uniforms(self, idx):
+        """The next ``window`` uniforms of each trajectory in ``idx``, without using them.
 
         A window stops at the end of the trajectory's block; columns past
-        it repeat the block's last uniform and must not be used.
+        it are padding and must not be used.
         """
-        for i in idx[self.ptr[idx] == self.block]:
-            self.streams[i].random(out=self.uniform_buf[i])
-            self.ptr[i] = 0
-        cols = np.minimum(self.ptr[idx, None] + np.arange(width), self.block - 1)
-        return self.uniform_buf[idx[:, None], cols]
+        self.refill(idx)
+        return self.windows[idx, self.ptr[idx]]
 
     def draw(self, idx):
-        u = self.uniforms(idx, 1)[:, 0]
-        self.ptr[idx] += 1
-        return u
+        self.refill(idx)
+        cols = self.ptr[idx]
+        self.ptr[idx] = cols + 1
+        return self.uniform_buf[idx, cols]
 
     def normalized(self, rows, ks):
         """State rows at memories ``ks`` scaled to unit trace."""
@@ -434,36 +466,61 @@ def _run_waiting(batch, horizon):
     With H_eff(k) = V diag(lambda) V^-1 and kappa = -i lambda, a state row
     evolves without a jump as a_ab exp(r_ab t), r_ab = kappa_a + kappa_b^*,
     and its trace, the survival, is Re sum_x c_x exp(r_x t) with
-    c = a * trace_rows[k].
+    c = a * trace_rows[k].  The growth factors at the horizon serve both the
+    horizon check and the evolution of the trajectories that do not jump.
     """
-    rates = (batch.decay[:, :, None] + batch.decay[:, None, :].conj()).reshape(batch.m, -1)
     t = np.zeros(len(batch.memory))
     active = np.arange(len(t))
     while active.size:
+        batch.rounds += 1
         ks = batch.memory[active]
-        a, r = batch.states[active], rates[ks]
+        a, kappa = batch.states[active], batch.decay[ks]
         coeff = a * batch.trace_rows[ks]
         t_wait = horizon - t[active]
         u = batch.draw(active)
-        jumps = u >= _survival(coeff, r, t_wait)[0]
+        growth = _growth(kappa, t_wait)
+        jumps = u >= np.einsum("nx,nx->n", coeff, growth).real
         evaluations = np.zeros(np.count_nonzero(jumps), dtype=np.intp)
-        t_wait[jumps] = _jump_time(coeff[jumps], r[jumps], u[jumps], t_wait[jumps], evaluations)
+        t_wait[jumps] = _jump_time(coeff[jumps], kappa[jumps], u[jumps], t_wait[jumps], evaluations)
         batch.survival_evaluations += len(active) + int(evaluations.sum())
         # conditional states at the jump instants, or at the horizon
-        batch.states[active] = batch.normalized(a * np.exp(t_wait[:, None] * r), ks)
+        growth[jumps] = _growth(kappa[jumps], t_wait[jumps])
+        batch.states[active] = batch.normalized(a * growth, ks)
         t[active] = np.where(jumps, t[active] + t_wait, horizon)
         active = active[jumps]
         batch.apply_jumps(active, t[active], batch.draw(active))
 
 
-def _run_fixed(batch, horizon, dt):
-    """Each round finds the first jumping step of every active trajectory
-    within its next LOOKAHEAD steps, or advances it by the whole window.
+def _lookahead_tables(h_eff, rate_rows, dt):
+    """Fixed-step tables of every memory k, built by batched products.
 
     With P = (1 + dt L_0(k))^T acting on state rows r, ``powers[k, s]`` is
-    P^s, and for a real row [Re r, Im r] the product with ``look[k]`` holds,
-    for each of the next LOOKAHEAD steps s, the unnormalized jump
-    probabilities dt Tr[L_q rho_s L_q^dag] and the trace of rho_s, r P^s.
+    P^s for s = 0..LOOKAHEAD, and for a real row [Re r, Im r] the product
+    with ``look[k]`` holds, for each of the next LOOKAHEAD steps s, the
+    unnormalized jump probabilities dt Tr[L_q rho_s L_q^dag] and the trace
+    of rho_s, r P^s.
+    """
+    m, d = h_eff.shape[:2]
+    eye = np.eye(d)
+    # L_0 rho = -i (H_eff rho - rho H_eff^dag) on row-major rows
+    gen = np.kron(h_eff, eye) - np.kron(eye, h_eff.conj())
+    step_t = (np.eye(d * d) - 1j * dt * gen).swapaxes(1, 2)
+    pw = [np.broadcast_to(np.eye(d * d, dtype=complex), step_t.shape)]
+    for _ in range(LOOKAHEAD):
+        pw.append(pw[-1] @ step_t)
+    powers = np.stack(pw, axis=1)
+    trace_col = np.broadcast_to(eye.reshape(d * d, 1), (m, d * d, 1))
+    cols = np.concatenate([dt * rate_rows.swapaxes(1, 2), trace_col], axis=2)
+    # table[k, x, s, c]: entry x of column c of P^s cols[k]
+    table = (powers[:, :LOOKAHEAD] @ cols[:, None]).swapaxes(1, 2)
+    look = np.concatenate([table.real, -table.imag], axis=1).reshape(m, 2 * d * d, -1)
+    return powers, look
+
+
+def _run_fixed(batch, horizon, dt):
+    """Each round finds the first jumping step of every active trajectory
+    within its next LOOKAHEAD steps, or advances it by the whole window
+    (see :func:`_lookahead_tables`).
     """
     if dt is None:
         raise ValidationError("fixed-step scheme needs dt")
@@ -477,38 +534,33 @@ def _run_fixed(batch, horizon, dt):
     n_steps = int(round(horizon / dt))
     if abs(n_steps * dt - horizon) > 1e-9 * max(1.0, horizon):
         raise ValidationError("horizon must be an integer number of steps")
-    d = batch.d
-    eye = np.eye(d)
-    powers, look = [], []
-    for h, rate_rows in zip(batch.h_eff, batch.rate_rows):
-        # L_0 rho = -i (H_eff rho - rho H_eff^dag) on row-major rows
-        step_t = (np.eye(d * d) - 1j * dt * (np.kron(h, eye) - np.kron(eye, h.conj()))).T
-        pw = [np.eye(d * d, dtype=complex)]
-        for _ in range(LOOKAHEAD):
-            pw.append(pw[-1] @ step_t)
-        cols = np.concatenate([dt * rate_rows.T, eye.reshape(d * d, 1)], axis=1)
-        table = np.stack([p @ cols for p in pw[:LOOKAHEAD]], axis=1)
-        look.append(np.concatenate([table.real, -table.imag]).reshape(2 * d * d, -1))
-        powers.append(np.stack(pw))
-    look, powers = np.stack(look), np.stack(powers)
+    powers, look = _lookahead_tables(batch.h_eff, batch.rate_rows, dt)
+    n_cols = batch.n_ops + 1
 
     step = np.zeros(len(batch.memory), dtype=np.intp)
     active = np.arange(len(step))
     ahead = np.arange(LOOKAHEAD)
     while active.size:
-        u = batch.uniforms(active, LOOKAHEAD)
+        batch.rounds += 1
+        u = batch.uniforms(active)
         width = np.minimum(
             LOOKAHEAD,
             np.minimum(batch.block - batch.ptr[active], n_steps - step[active]),
         )
         ks = batch.memory[active]
         rows = batch.states[active]
+        real_rows = np.concatenate([rows.real, rows.imag], axis=1)
         hit = ahead < width[:, None]
         for k in np.unique(ks):
             g = ks == k
-            x = np.concatenate([rows[g].real, rows[g].imag], axis=1) @ look[k]
-            x = x.reshape(-1, LOOKAHEAD, batch.n_ops + 1)
-            hit[g] &= u[g] * x[:, :, -1] < np.maximum(x[:, :, :-1], 0.0).sum(axis=2)
+            x = real_rows[g] @ look[k]
+            x = x.reshape(-1, LOOKAHEAD, n_cols)
+            w = np.maximum(x[:, :, :-1], 0.0)
+            # the channel slices added in order: the bits of w.sum(axis=2)
+            total = w[:, :, 0]
+            for c in range(1, n_cols - 1):
+                total = total + w[:, :, c]
+            hit[g] &= u[g] * x[:, :, -1] < total
         jumped = hit.any(axis=1)
         advance = np.where(jumped, hit.argmax(axis=1), width)
         moved = np.einsum("ni,nij->nj", rows, powers[ks, advance])
@@ -549,9 +601,9 @@ def _run_batch(
     if scheme not in ("waiting-time", "fixed-step"):
         raise ValidationError(f"unknown scheme {scheme!r}")
     fixed = scheme == "fixed-step"
-    block = UNIFORM_BLOCK if fixed else WAITING_BLOCK
+    block, window = (UNIFORM_BLOCK, LOOKAHEAD) if fixed else (WAITING_BLOCK, 0)
     batch = _Batch(
-        model, weights, rho0, memories0, streams, burn_in, grid, record, block, not fixed
+        model, weights, rho0, memories0, streams, burn_in, grid, record, block, window, not fixed
     )
     if fixed:
         _run_fixed(batch, horizon, dt)
@@ -693,6 +745,7 @@ def mc_estimate(
         memory_labels=model.channels,
         memory_freq=freq,
         memory_freq_se=freq_se,
+        rounds=batch.rounds,
         jump_events=batch.jump_events,
         survival_evaluations=batch.survival_evaluations,
         charge_grid=None if charge_grid is None else np.asarray(charge_grid, dtype=float),

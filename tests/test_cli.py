@@ -447,6 +447,7 @@ class TestTrajectoriesTask:
         assert float(row[2]) == est.mean_charge_se
         assert float(row[3]) == est.var_charge
         assert float(row[5]) == est.memory_freq[0]
+        assert report["extras"]["rounds"] == est.rounds
         # activity weights count every jump of this model once
         assert report["extras"]["jump_events"] == est.jump_events
         assert report["extras"]["survival_evaluations"] == est.survival_evaluations
@@ -715,6 +716,54 @@ class TestSweepTask:
             assert col == len(header)
         scale = np.abs(want).max(axis=0)
         assert (np.abs(got - want) <= 1e-12 * scale).all()
+
+
+    @staticmethod
+    def sweep_without_base_energies(directory, variants):
+        base = {k: v for k, v in MASER_PARAMS.items() if k not in ("wl", "wr")}
+        return {
+            "model": {"builtin": "maser", "params": base},
+            "weights": "work",
+            "task": {
+                "kind": "sweep",
+                "parameter": "wl",
+                "values": [6.0, 8.0],
+                "inner": "noise",
+                "variants": variants,
+            },
+            "output": {"directory": str(directory), "prefix": "w"},
+        }
+
+    def test_work_weights_are_checked_on_the_grid(self, tmp_path, capsys):
+        # the base params have no wl and wr, every grid point has both
+        cfg = self.sweep_without_base_energies(tmp_path, [{"label": "fb"}])
+        cfg["task"]["also"] = {"wr": [2.0, 2.0]}
+        path = write_config(tmp_path, cfg)
+        assert main(["validate", path]) == 0
+        assert main(["run", path]) == 0
+        capsys.readouterr()
+        header, rows = read_csv(tmp_path / "w_sweep.csv")
+        assert header == ["wl", "wr", "fb_current", "fb_noise", "fb_power_norm"]
+        got = np.array(rows, dtype=float)
+        want = np.empty_like(got)
+        for i, wl in enumerate([6.0, 8.0]):
+            p = MaserParams(**{**MASER_PARAMS, "wl": wl, "wr": 2.0})
+            model = maser_model(p)
+            ext = extended_liouvillian(model)
+            state = feedback_steady_state(model, ext=ext)
+            current = average_current(ext, work_weights(p), state)
+            noise = steady_noise(ext, work_weights(p), state=state)
+            want[i] = [wl, 2.0, current, noise, current / (p.gl * (p.wl - p.wr))]
+        assert (np.abs(got - want) <= 1e-12 * np.abs(want).max(axis=0)).all()
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_work_weights_need_energies_at_every_point(self, tmp_path, capsys, verb):
+        variants = [{"label": "a", "wr": 2.0}, {"label": "b"}]
+        cfg = self.sweep_without_base_energies(tmp_path, variants)
+        assert main([verb, write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: weights: 'work' weights need maser params wl and wr\n"
 
 
 class TestHealthExtras:

@@ -33,14 +33,22 @@ from jumpfeedback import (
     work_weights,
 )
 
-from jumpfeedback.trajectories import MAX_ROOT_ITERATIONS, _jump_time, _streams
+from jumpfeedback.trajectories import (
+    LOOKAHEAD,
+    MAX_ROOT_ITERATIONS,
+    _jump_time,
+    _lookahead_tables,
+    _streams,
+)
 from helpers import (
     child_env,
     dense_gain,
     dense_oracle,
     fixed_step_reference,
     random_density,
+    random_hermitian,
     random_model,
+    random_operator,
     waiting_time_reference,
 )
 
@@ -172,7 +180,8 @@ def survival_samples(model, rng, n_states=40, t_max=40.0):
     """Exponential-sum survivals S(t) = Re sum_ab c_ab exp(r_ab t) of random states.
 
     For every memory value, random states give the coefficients c of the
-    no-jump trace in the eigenbasis of H_eff; uniforms u are drawn in
+    no-jump trace in the eigenbasis of H_eff, with r_ab = kappa_a + kappa_b^*
+    and kappa = -i eig(H_eff); uniforms u are drawn in
     [S(t_max), 1), where the root of S(t) = u lies in (0, t_max].
     """
     coeffs, decays = [], []
@@ -194,9 +203,18 @@ def survival_samples(model, rng, n_states=40, t_max=40.0):
     t_max = np.full(len(coeff), t_max)
     s_end = survival(t_max)
     u = s_end + (1.0 - s_end) * rng.random(len(coeff))
-    # the engine holds states as flat rows with pairwise rates
-    n = len(coeff)
-    return coeff.reshape(n, -1), rates.reshape(n, -1), u, t_max, survival
+    # the engine holds states as flat rows, with the decays kappa of their factors
+    return coeff.reshape(len(coeff), -1), decay, u, t_max, survival
+
+
+def bisection_root(survival, u, t_max):
+    lo, hi = np.zeros(len(u)), t_max.copy()
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        above = survival(mid) > u
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 class TestJumpTimeRoot:
@@ -209,25 +227,52 @@ class TestJumpTimeRoot:
             )
         else:
             model = qubit_setup(nbar=1.0, gamma=0.8)[0]
-        coeff, decay, u, t_max, survival = survival_samples(model, rng)
-        root = _jump_time(coeff, decay, u, t_max)
-        lo, hi = np.zeros(len(u)), t_max.copy()
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            above = survival(mid) > u
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
-        assert np.abs(root - 0.5 * (lo + hi)).max() < 1e-12
+        coeff, kappa, u, t_max, survival = survival_samples(model, rng)
+        root = _jump_time(coeff, kappa, u, t_max)
+        assert np.abs(root - bisection_root(survival, u, t_max)).max() < 1e-12
+        assert np.abs(survival(root) - u).max() < 4 * np.finfo(float).eps
+
+    def test_stiff_sums_with_roots_near_both_bracket_ends(self):
+        # decay rates from 1e-3 to 1e2, mixed by a coherent coupling; a third
+        # of the roots lie near t = 0 and a third near t_max
+        rng = np.random.default_rng(128)
+        rates = [1e-3, 1e-1, 1e1, 1e2]
+        jumps = [np.sqrt(g) * np.diag(np.eye(4)[i]) for i, g in enumerate(rates)]
+        model = no_feedback(random_hermitian(rng, 4), jumps, labels=["a", "b", "c", "d"])
+        coeff, kappa, _, t_max, survival = survival_samples(model, rng, n_states=30)
+        near = 10.0 ** -rng.uniform(2, 12, size=40)
+        fraction = np.concatenate([rng.random(40), 1.0 - near, near])
+        s_end = survival(t_max)
+        u = s_end + (1.0 - s_end) * fraction
+        root = _jump_time(coeff, kappa, u, t_max)
+        assert root.min() < 1e-10 and root.max() > 0.999 * t_max[0]
+        ref = bisection_root(survival, u, t_max)
+        assert (np.abs(root - ref) / np.maximum(ref, 1.0)).max() < 1e-12
+        assert np.abs(survival(root) - u).max() < 4 * np.finfo(float).eps
+
+    def test_flat_start_is_no_root(self):
+        # S(t) = 2 exp(-t) - exp(-2t), two decay stages in a row: S'(0) = 0,
+        # so the first Halley step is zero although S(0) = 1 > u
+        u = np.linspace(0.05, 0.95, 19)
+        coeff = np.tile([2.0, 0.0, 0.0, -1.0], (len(u), 1)).astype(complex)
+        kappa = np.tile([-0.5, -1.0], (len(u), 1)).astype(complex)
+        t_max = np.full(len(u), 40.0)
+        root = _jump_time(coeff, kappa, u, t_max)
+
+        def survival(t):
+            return 2.0 * np.exp(-t) - np.exp(-2.0 * t)
+
+        assert np.abs(root - bisection_root(survival, u, t_max)).max() < 1e-12
         assert np.abs(survival(root) - u).max() < 4 * np.finfo(float).eps
 
     def test_each_root_independent_of_the_batch(self):
         rng = np.random.default_rng(121)
         model = qubit_setup(nbar=1.0, gamma=0.8)[0]
-        coeff, decay, u, t_max, _ = survival_samples(model, rng)
-        batch = _jump_time(coeff, decay, u, t_max)
+        coeff, kappa, u, t_max, _ = survival_samples(model, rng)
+        batch = _jump_time(coeff, kappa, u, t_max)
         for i in (0, 7, len(u) - 1):
             sl = slice(i, i + 1)
-            assert _jump_time(coeff[sl], decay[sl], u[sl], t_max[sl])[0] == batch[i]
+            assert _jump_time(coeff[sl], kappa[sl], u[sl], t_max[sl])[0] == batch[i]
 
 def expected_charge_discrete(model, weights, rho0, mem_dist, horizon, dt, burn_in=0.0):
     """Exact mean charge of the fixed-step chain.
@@ -374,6 +419,27 @@ class TestFixedStepLookahead:
             if model.silent_labels:
                 assert max(fired) >= model.n_channels
 
+    def test_tables_equal_the_per_memory_loop(self):
+        rng = np.random.default_rng(131)
+        m, d, n_ops, dt = 3, 3, 4, 0.01
+        h_eff = np.stack([random_operator(rng, d) for _ in range(m)])
+        rate_rows = rng.normal(size=(m, n_ops, d * d)) + 1j * rng.normal(size=(m, n_ops, d * d))
+        powers, look = _lookahead_tables(h_eff, rate_rows, dt)
+        eye = np.eye(d)
+        for k in range(m):
+            h = h_eff[k]
+            step_t = (np.eye(d * d) - 1j * dt * (np.kron(h, eye) - np.kron(eye, h.conj()))).T
+            pw = [np.eye(d * d, dtype=complex)]
+            for _ in range(LOOKAHEAD):
+                pw.append(pw[-1] @ step_t)
+            cols = np.concatenate([dt * rate_rows[k].T, eye.reshape(d * d, 1)], axis=1)
+            table = np.stack([p @ cols for p in pw[:LOOKAHEAD]], axis=1)
+            npt.assert_array_equal(powers[k], np.stack(pw))
+            npt.assert_array_equal(
+                look[k], np.concatenate([table.real, -table.imag]).reshape(2 * d * d, -1)
+            )
+
+
 class TestWaitingTimeReference:
     """The eigen-coordinate engine reproduces a physical-basis stepper."""
 
@@ -424,12 +490,25 @@ class TestSurvivalEvaluations:
             mc_estimate(model, weights, rho0, mem0, 10.0, 50, master_seed=127) for _ in range(2)
         )
         assert a.survival_evaluations == b.survival_evaluations
+        assert a.rounds == b.rounds > 0
         assert a.jump_events > 0
         assert 1 <= a.survival_evaluations / a.jump_events <= MAX_ROOT_ITERATIONS
         fixed = mc_estimate(
             model, weights, rho0, mem0, 1.0, 10, scheme="fixed-step", dt=0.01, master_seed=127
         )
         assert fixed.survival_evaluations == 0
+        assert fixed.rounds >= 100 / LOOKAHEAD
+
+    @pytest.mark.parametrize("seed", [129, 130])
+    def test_halley_search_stays_cheap_on_the_benchmark_batch(self, seed):
+        # the maser batch of the Monte Carlo benchmark workload
+        params = MaserParams(nl=1.0, nr=2.0, gl=0.5, gr=0.5, lam=1.0, delta=0.0, wl=8.0, wr=2.0)
+        model, weights = maser_model(params), work_weights(params)
+        est = mc_estimate(
+            model, weights, np.eye(3, dtype=complex) / 3, {c: 0.25 for c in model.channels},
+            20.0, 400, master_seed=seed, burn_in=5.0,
+        )
+        assert est.survival_evaluations <= 3.0 * est.jump_events
 
 
 class TestDeterminism:
