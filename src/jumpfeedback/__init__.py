@@ -39,11 +39,7 @@ from .errors import (
 )
 from .superops import (
     Superoperator,
-    dissipator,
     drazin,
-    liouvillian,
-    sandwich,
-    spectral_gap,
     steady_state,
     trace_vector,
     unvec,
@@ -59,10 +55,7 @@ from .hybrid import (
     ExtendedGenerator,
     HybridState,
     embed,
-    extended_hamiltonian,
-    extended_jumps,
     extended_liouvillian,
-    extended_silent_jumps,
     marginals,
     validate_hybrid_state,
 )
@@ -82,6 +75,7 @@ from .fcs import (
     noise_background,
     noise_by_quadrature,
     power_spectrum,
+    spectral_gap,
     steady_noise,
     tilted_cumulants,
     tilted_generator,

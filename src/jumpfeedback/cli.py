@@ -27,7 +27,7 @@ from .dynamics import (
     evolve_memory_resolved,
     stationary_blocks,
 )
-from .errors import ConfigError, JumpFeedbackError
+from .errors import ConfigError, JumpFeedbackError, ValidationError
 from .fcs import (
     CountingWeights,
     power_spectrum,
@@ -49,7 +49,7 @@ from .models import (
     work_table,
     work_weights,
 )
-from .trajectories import mc_estimate
+from .trajectories import check_density, check_step, mc_estimate, whole_steps
 
 __all__ = ["main", "run_config", "model_from_config", "model_to_config"]
 
@@ -418,8 +418,10 @@ def _initial_from_config(icfg, model, path="initial"):
         canon_sys = {"basis": idx}
     else:
         rho0 = _matrix_from_config(sys_cfg, d, f"{path}.system")
-        if abs(np.trace(rho0) - 1.0) > 1e-10:
-            _fail(f"{path}.system", "matrix must have unit trace")
+        try:
+            check_density(rho0, d)
+        except ValidationError as exc:
+            _fail(f"{path}.system", str(exc))
         canon_sys = _matrix_to_pairs(rho0)
 
     return dist, rho0, {"memory": dist, "system": canon_sys}
@@ -555,6 +557,11 @@ def _parse_task(tcfg, ctx):
         dt = None
         if scheme == "fixed-step":
             dt = _expect_number(tcfg.get("dt"), "task.dt")
+            if dt <= 0:
+                _fail("task.dt", "must be positive")
+            if whole_steps(horizon, dt) is None:
+                _fail("task.dt", "horizon must be an integer number of steps")
+            check_step(model, dt)
         elif "dt" in tcfg:
             _fail("task.dt", "only meaningful for the fixed-step scheme")
         burn_in = _expect_number(tcfg.get("burn_in", 0.0), "task.burn_in")

@@ -21,7 +21,6 @@ from .errors import (
     StencilError,
     ValidationError,
 )
-from .superops import spectral_gap
 
 __all__ = [
     "CountingWeights",
@@ -36,6 +35,7 @@ __all__ = [
     "stationary_noises",
     "stationarity_residuals",
     "weighted_jump_rates",
+    "spectral_gap",
     "noise_by_quadrature",
     "tilted_generator",
     "tilted_cumulants",
@@ -366,6 +366,16 @@ def steady_noise(ext, weights, state=None):
     _check_weights(ext, weights)
     state, _ = _resolve_stationary(ext, state)
     return float(stationary_noises(ext.stack, weights.per_transition, state.blocks[None])[0])
+
+
+def spectral_gap(gen, zero_rtol=1e-9):
+    """Smallest decay rate: min(-Re(lambda)) over nonzero eigenvalues of gen."""
+    evals = np.linalg.eigvals(gen.matrix)
+    scale = max(np.abs(evals).max(), 1e-300)
+    nonzero = evals[np.abs(evals) > zero_rtol * scale]
+    if len(nonzero) == 0:
+        return 0.0
+    return float(-nonzero.real.max())
 
 
 def noise_by_quadrature(ext, weights, state=None, t_max=None, gap_factor=40.0):

@@ -9,16 +9,6 @@ blocks vec(rho(0)), ..., vec(rho(m-1)), of length m*d^2.
 sector, assembled and factorized as one stack, and is the only place that
 knows its layout; :class:`ExtendedGenerator` is one generator, a stack of
 one.
-
-The paper form of the same dynamics is an ordinary Lindbladian on the full
-hybrid space, kept here as a reference.  The memory index is major: the
-full matrix is ``(m*d, m*d)``, block (k, q) is the contiguous submatrix
-``[k*d:(k+1)*d, q*d:(q+1)*d]``, and an extended operator built from a
-system operator A acting in memory sector (k, q) is ``kron(|k><q|, A)``.
-Restricted to block-diagonal states,
-``liouvillian(extended_hamiltonian(model), [*extended_jumps(model),
-*extended_silent_jumps(model)])`` acts block by block as
-:class:`ExtendedGenerator` does.
 """
 
 from dataclasses import dataclass
@@ -37,9 +27,6 @@ __all__ = [
     "validate_hybrid_state",
     "embed",
     "marginals",
-    "extended_hamiltonian",
-    "extended_jumps",
-    "extended_silent_jumps",
     "extended_liouvillian",
     "generator_stack",
 ]
@@ -78,42 +65,6 @@ class HybridState:
     @property
     def memory_dist(self):
         return np.einsum("kii->k", self.blocks).real
-
-    def to_matrix(self):
-        """Full ``(m*d, m*d)`` matrix with the blocks on the diagonal."""
-        m, d = self.blocks.shape[0], self.dim
-        full = np.zeros((m * d, m * d), dtype=complex)
-        for k in range(m):
-            full[k * d : (k + 1) * d, k * d : (k + 1) * d] = self.blocks[k]
-        return full
-
-    @classmethod
-    def from_matrix(cls, labels, full, offblock_tol=1e-10):
-        """Extract diagonal blocks from a full hybrid matrix.
-
-        Off-diagonal memory blocks larger than ``offblock_tol`` (relative to
-        the matrix scale) raise :class:`ValidationError`; pass None to skip
-        the check.
-        """
-        labels = tuple(labels)
-        full = np.asarray(full, dtype=complex)
-        m = len(labels)
-        if full.shape[0] % m:
-            raise DimensionError(f"matrix of shape {full.shape} does not split into {m} blocks")
-        d = full.shape[0] // m
-        blocks = np.empty((m, d, d), dtype=complex)
-        for k in range(m):
-            blocks[k] = full[k * d : (k + 1) * d, k * d : (k + 1) * d]
-        if offblock_tol is not None:
-            resid = full.copy()
-            for k in range(m):
-                resid[k * d : (k + 1) * d, k * d : (k + 1) * d] = 0.0
-            leak = np.abs(resid).max()
-            if leak > offblock_tol * max(1.0, np.abs(full).max()):
-                raise ValidationError(
-                    f"matrix has off-diagonal memory blocks (max {leak:.3e})"
-                )
-        return cls(labels=labels, blocks=blocks)
 
 
 def validate_hybrid_state(state, trace_tol=1e-10, eig_tol=1e-8):
@@ -214,47 +165,6 @@ def marginals(state):
         if probs[k] > NEGLIGIBLE_WEIGHT:
             conditionals[label] = state.blocks[k] / probs[k]
     return system, probs, conditionals
-
-
-def _memory_unit(m, k, q):
-    e = np.zeros((m, m))
-    e[k, q] = 1.0
-    return e
-
-
-def extended_hamiltonian(model):
-    """Block-diagonal Hamiltonian sum_k |k><k| (x) H(k) on the hybrid space."""
-    m, d = model.n_channels, model.dim
-    full = np.zeros((m * d, m * d), dtype=complex)
-    for k in range(m):
-        full[k * d : (k + 1) * d, k * d : (k + 1) * d] = model.hamiltonians[k]
-    return full
-
-
-def extended_jumps(model):
-    """All m^2 extended jump operators, k-major.
-
-    Entry ``k * m + q`` is ``kron(|k><q|, L_k(q))``: channel k fires while
-    the memory reads q and resets it to k.  Zero operators are retained so
-    the indexing stays aligned with the transition table.
-    """
-    m, d = model.n_channels, model.dim
-    ops = np.zeros((m * m, m * d, m * d), dtype=complex)
-    for k in range(m):
-        for q in range(m):
-            ops[k * m + q] = np.kron(_memory_unit(m, k, q), model.jump_ops[k, q])
-    return ops
-
-
-def extended_silent_jumps(model):
-    """Extended operators of the unmonitored channels, kron(|q><q|, L_s(q))."""
-    m, d = model.n_channels, model.dim
-    s = len(model.silent_labels)
-    ops = np.zeros((s * m, m * d, m * d), dtype=complex)
-    for j in range(s):
-        for q in range(m):
-            ops[j * m + q] = np.kron(_memory_unit(m, q, q), model.silent_ops[j, q])
-    return ops
 
 
 def _inverse_or_inf(b):

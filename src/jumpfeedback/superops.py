@@ -1,15 +1,13 @@
-"""Dense paper-form reference for Markovian open-system generators.
+"""Dense solver for superoperators in vectorized form.
 
-Operators are plain complex ndarrays of shape ``(d, d)``.  Superoperators act
-on vectorized operators in the column-stacking convention,
-
-    vec(A X B) = (B^T kron A) vec(X),
-
-so a map ``X -> A X B`` is represented by the matrix ``kron(B.T, A)`` of shape
-``(d*d, d*d)``.  The constructors below return :class:`Superoperator` wrappers
-around such matrices; the raw matrix is always available as ``.matrix``.  The
-package computes on the memory-block generator of :mod:`.hybrid`; this module
-is the dense form it is tested against, and shares only its stationary solver.
+A superoperator acts on column-stacked operators, vec(A X B) = (B^T kron A)
+vec(X), so X -> A X B is the ``(d*d, d*d)`` matrix ``kron(B.T, A)`` of a
+:class:`Superoperator`.  No computation of the package uses this module:
+every number comes from the memory-block generator of :mod:`.hybrid`, and
+the dense paper form lives with the tests.  It stays because the benchmark
+tracer (``perfbench/tracing.py``) hooks :func:`steady_state`, :func:`drazin`
+and :meth:`Superoperator.expm` by name; pointing those hooks at the stack
+kernels is a change to the benchmark.
 """
 
 from dataclasses import dataclass
@@ -17,12 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    DegenerateSteadyStateError,
-    DimensionError,
-    PositivityError,
-    ValidationError,
-)
+from .errors import DegenerateSteadyStateError, DimensionError, PositivityError
 from .hybrid import StationaryStack
 
 __all__ = [
@@ -30,12 +23,8 @@ __all__ = [
     "vec",
     "unvec",
     "trace_vector",
-    "sandwich",
-    "dissipator",
-    "liouvillian",
     "steady_state",
     "drazin",
-    "spectral_gap",
 ]
 
 # steady_state: eigenvalues of the hermitized state below -POSITIVITY_TOL raise
@@ -49,12 +38,6 @@ def _as_operator(a, name="operator"):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"{name} must be a square matrix, got shape {a.shape}")
     return a
-
-
-def _require_hermitian(a, name, tol=1e-12):
-    scale = max(1.0, np.abs(a).max())
-    if np.abs(a - a.conj().T).max() > tol * scale:
-        raise ValidationError(f"{name} is not hermitian within {tol} (relative)")
 
 
 def vec(x):
@@ -107,64 +90,6 @@ class Superoperator:
     def expm(self, t=1.0):
         """Propagator exp(t * self) as a Superoperator."""
         return Superoperator(self.dim, scipy.linalg.expm(t * self.matrix))
-
-
-def sandwich(a, b=None):
-    """Superoperator for X -> A X B^dag (B defaults to A)."""
-    a = _as_operator(a)
-    b = a if b is None else _as_operator(b, "second operator")
-    if b.shape != a.shape:
-        raise DimensionError("sandwich operands must share a dimension")
-    return Superoperator(a.shape[0], np.kron(b.conj(), a))
-
-
-def _anticommutator_matrix(w):
-    d = w.shape[0]
-    eye = np.eye(d)
-    return np.kron(eye, w) + np.kron(w.T, eye)
-
-
-def dissipator(l):
-    """Lindblad dissipator D[L]X = L X L^dag - (1/2){L^dag L, X}.
-
-    Parameters
-    ----------
-    l : ndarray
-        Jump operator, shape ``(d, d)``.
-    """
-    l = _as_operator(l, "jump operator")
-    d = l.shape[0]
-    w = l.conj().T @ l
-    mat = np.kron(l.conj(), l) - 0.5 * _anticommutator_matrix(w)
-    return Superoperator(d, mat)
-
-
-def liouvillian(h, jump_ops=()):
-    """Full generator L X = -i[H, X] + sum_k D[L_k]X.
-
-    Parameters
-    ----------
-    h : ndarray
-        Hamiltonian, required hermitian.
-    jump_ops : sequence of ndarray
-        Jump operators, all of the same dimension as ``h``.
-
-    Returns
-    -------
-    Superoperator
-        Trace-annihilating generator of the semigroup exp(t L).
-    """
-    h = _as_operator(h, "hamiltonian")
-    _require_hermitian(h, "hamiltonian")
-    d = h.shape[0]
-    eye = np.eye(d)
-    mat = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for k, l in enumerate(jump_ops):
-        l = _as_operator(l, f"jump operator {k}")
-        if l.shape[0] != d:
-            raise DimensionError(f"jump operator {k} has dimension {l.shape[0]}, expected {d}")
-        mat += dissipator(l).matrix
-    return Superoperator(d, mat)
 
 
 def steady_state(gen):
@@ -230,13 +155,3 @@ def drazin(gen, rho_ss):
             f"scale ||L|| ||L+|| = {scale:.3e})"
         )
     return Superoperator(d, dz)
-
-
-def spectral_gap(gen, zero_rtol=1e-9):
-    """Smallest decay rate: min(-Re(lambda)) over nonzero eigenvalues of gen."""
-    evals = np.linalg.eigvals(gen.matrix)
-    scale = max(np.abs(evals).max(), 1e-300)
-    nonzero = evals[np.abs(evals) > zero_rtol * scale]
-    if len(nonzero) == 0:
-        return 0.0
-    return float(-nonzero.real.max())

@@ -335,8 +335,7 @@ class _Batch:
         self.labels = model.channels + model.silent_labels
         loss = np.stack([model.loss_operator(k) for k in range(m)])
         self.h_eff = model.hamiltonians - 0.5j * loss
-        self.max_rate = np.linalg.eigvalsh(loss).max()
-        rho0 = _check_density(rho0, d)
+        rho0 = check_density(rho0, d)
         if eigen:
             evals, basis = np.linalg.eig(self.h_eff)
             cond = np.linalg.cond(basis)
@@ -522,17 +521,8 @@ def _run_fixed(batch, horizon, dt):
     within its next LOOKAHEAD steps, or advances it by the whole window
     (see :func:`_lookahead_tables`).
     """
-    if dt is None:
-        raise ValidationError("fixed-step scheme needs dt")
-    if dt <= 0:
-        raise ValidationError("dt must be positive")
-    if dt * batch.max_rate > MAX_STEP_PROBABILITY:
-        raise ValidationError(
-            f"dt * max total rate = {dt * batch.max_rate:.3g} exceeds "
-            f"{MAX_STEP_PROBABILITY}; reduce the step"
-        )
-    n_steps = int(round(horizon / dt))
-    if abs(n_steps * dt - horizon) > 1e-9 * max(1.0, horizon):
+    n_steps = whole_steps(horizon, dt)
+    if n_steps is None:
         raise ValidationError("horizon must be an integer number of steps")
     powers, look = _lookahead_tables(batch.h_eff, batch.rate_rows, dt)
     n_cols = batch.n_ops + 1
@@ -574,7 +564,8 @@ def _run_fixed(batch, horizon, dt):
         active = active[step[active] < n_steps]
 
 
-def _check_density(rho, d):
+def check_density(rho, d):
+    """``rho`` as a complex array; raises ValidationError unless it is a density matrix."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (d, d):
         raise ValidationError(f"initial state has shape {rho.shape}, expected ({d}, {d})")
@@ -585,6 +576,27 @@ def _check_density(rho, d):
     if np.linalg.eigvalsh(rho).min() < -1e-10:
         raise ValidationError("initial state is not positive semidefinite")
     return rho
+
+
+def whole_steps(horizon, dt):
+    """Steps of size dt in horizon, or None unless whole within 1e-9 * max(1, horizon)."""
+    n = int(round(horizon / dt))
+    return n if abs(n * dt - horizon) <= 1e-9 * max(1.0, horizon) else None
+
+
+def check_step(model, dt):
+    """Raise ValidationError unless dt > 0 and dt * (max total jump rate) <= MAX_STEP_PROBABILITY."""
+    if dt is None:
+        raise ValidationError("fixed-step scheme needs dt")
+    if dt <= 0:
+        raise ValidationError("dt must be positive")
+    loss = np.stack([model.loss_operator(k) for k in range(model.n_channels)])
+    max_rate = np.linalg.eigvalsh(loss).max()
+    if dt * max_rate > MAX_STEP_PROBABILITY:
+        raise ValidationError(
+            f"dt * max total rate = {dt * max_rate:.3g} exceeds "
+            f"{MAX_STEP_PROBABILITY}; reduce the step"
+        )
 
 
 def _run_batch(
@@ -601,6 +613,8 @@ def _run_batch(
     if scheme not in ("waiting-time", "fixed-step"):
         raise ValidationError(f"unknown scheme {scheme!r}")
     fixed = scheme == "fixed-step"
+    if fixed:
+        check_step(model, dt)
     block, window = (UNIFORM_BLOCK, LOOKAHEAD) if fixed else (WAITING_BLOCK, 0)
     batch = _Batch(
         model, weights, rho0, memories0, streams, burn_in, grid, record, block, window, not fixed
@@ -707,10 +721,8 @@ def mc_estimate(
         raise ValidationError("memory0 must be a probability distribution")
 
     streams = _streams(master_seed, np.arange(n_traj, dtype=np.uint32)[:, None])
-    cum = np.cumsum(dist)
-    memories0 = np.array(
-        [int(np.searchsorted(cum, s.random(), side="right")) for s in streams]
-    )
+    first_uniforms = np.array([s.random() for s in streams])
+    memories0 = np.searchsorted(np.cumsum(dist), first_uniforms, side="right")
     np.clip(memories0, 0, m - 1, out=memories0)
 
     batch = _run_batch(

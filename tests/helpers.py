@@ -1,4 +1,19 @@
-"""Shared random-model factories for the test suite."""
+"""Shared factories and the dense reference for the test suite.
+
+Besides random-model factories and step-by-step trajectory references, this
+module holds the dense oracle: the paper form of jump-based feedback as one
+Lindbladian on the full hybrid space of system and memory, an
+``(m*d)^2 x (m*d)^2`` matrix.  The package computes only on the
+memory-block sector of size m*d^2 (:mod:`jumpfeedback.hybrid`); the tests
+check it against this form.
+
+The memory index is major: the full matrix is ``(m*d, m*d)``, block (k, q)
+is the contiguous submatrix ``[k*d:(k+1)*d, q*d:(q+1)*d]``, and an extended
+operator built from a system operator A acting in memory sector (k, q) is
+``kron(|k><q|, A)``.  Restricted to block-diagonal states,
+:func:`dense_oracle` acts block by block as the package's
+``ExtendedGenerator`` does.
+"""
 
 import os
 
@@ -7,15 +22,15 @@ import scipy.linalg
 
 import jumpfeedback
 from jumpfeedback import (
-    extended_hamiltonian,
-    extended_jumps,
-    extended_silent_jumps,
+    DimensionError,
+    HybridState,
+    Superoperator,
+    ValidationError,
     feedback_model,
-    liouvillian,
-    sandwich,
     unvec,
     vec,
 )
+from jumpfeedback.superops import _as_operator
 
 
 def child_env(env=None):
@@ -70,6 +85,126 @@ def random_no_feedback_ops(rng, dim=3, n_channels=2, scale=0.6):
     h = random_hermitian(rng, dim)
     ops = [random_operator(rng, dim, scale) for _ in range(n_channels)]
     return h, ops
+
+
+def _require_hermitian(a, name, tol=1e-12):
+    scale = max(1.0, np.abs(a).max())
+    if np.abs(a - a.conj().T).max() > tol * scale:
+        raise ValidationError(f"{name} is not hermitian within {tol} (relative)")
+
+
+def sandwich(a, b=None):
+    """Superoperator for X -> A X B^dag (B defaults to A)."""
+    a = _as_operator(a)
+    b = a if b is None else _as_operator(b, "second operator")
+    if b.shape != a.shape:
+        raise DimensionError("sandwich operands must share a dimension")
+    return Superoperator(a.shape[0], np.kron(b.conj(), a))
+
+
+def _anticommutator_matrix(w):
+    d = w.shape[0]
+    eye = np.eye(d)
+    return np.kron(eye, w) + np.kron(w.T, eye)
+
+
+def dissipator(l):
+    """Lindblad dissipator D[L]X = L X L^dag - (1/2){L^dag L, X}."""
+    l = _as_operator(l, "jump operator")
+    d = l.shape[0]
+    w = l.conj().T @ l
+    mat = np.kron(l.conj(), l) - 0.5 * _anticommutator_matrix(w)
+    return Superoperator(d, mat)
+
+
+def liouvillian(h, jump_ops=()):
+    """Full generator L X = -i[H, X] + sum_k D[L_k]X; ``h`` must be hermitian."""
+    h = _as_operator(h, "hamiltonian")
+    _require_hermitian(h, "hamiltonian")
+    d = h.shape[0]
+    eye = np.eye(d)
+    mat = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for k, l in enumerate(jump_ops):
+        l = _as_operator(l, f"jump operator {k}")
+        if l.shape[0] != d:
+            raise DimensionError(f"jump operator {k} has dimension {l.shape[0]}, expected {d}")
+        mat += dissipator(l).matrix
+    return Superoperator(d, mat)
+
+
+def to_matrix(state):
+    """Full ``(m*d, m*d)`` matrix of a HybridState, its blocks on the diagonal."""
+    m, d = state.blocks.shape[0], state.dim
+    full = np.zeros((m * d, m * d), dtype=complex)
+    for k in range(m):
+        full[k * d : (k + 1) * d, k * d : (k + 1) * d] = state.blocks[k]
+    return full
+
+
+def from_matrix(labels, full, offblock_tol=1e-10):
+    """HybridState of the diagonal blocks of a full hybrid matrix.
+
+    Off-diagonal memory blocks larger than ``offblock_tol`` (relative to the
+    matrix scale) raise :class:`ValidationError`; None skips the check.
+    """
+    labels = tuple(labels)
+    full = np.asarray(full, dtype=complex)
+    m = len(labels)
+    if full.shape[0] % m:
+        raise DimensionError(f"matrix of shape {full.shape} does not split into {m} blocks")
+    d = full.shape[0] // m
+    blocks = np.empty((m, d, d), dtype=complex)
+    for k in range(m):
+        blocks[k] = full[k * d : (k + 1) * d, k * d : (k + 1) * d]
+    if offblock_tol is not None:
+        resid = full.copy()
+        for k in range(m):
+            resid[k * d : (k + 1) * d, k * d : (k + 1) * d] = 0.0
+        leak = np.abs(resid).max()
+        if leak > offblock_tol * max(1.0, np.abs(full).max()):
+            raise ValidationError(f"matrix has off-diagonal memory blocks (max {leak:.3e})")
+    return HybridState(labels=labels, blocks=blocks)
+
+
+def _memory_unit(m, k, q):
+    e = np.zeros((m, m))
+    e[k, q] = 1.0
+    return e
+
+
+def extended_hamiltonian(model):
+    """Block-diagonal Hamiltonian sum_k |k><k| (x) H(k) on the hybrid space."""
+    m, d = model.n_channels, model.dim
+    full = np.zeros((m * d, m * d), dtype=complex)
+    for k in range(m):
+        full[k * d : (k + 1) * d, k * d : (k + 1) * d] = model.hamiltonians[k]
+    return full
+
+
+def extended_jumps(model):
+    """All m^2 extended jump operators, k-major.
+
+    Entry ``k * m + q`` is ``kron(|k><q|, L_k(q))``: channel k fires while
+    the memory reads q and resets it to k.  Zero operators are retained so
+    the indexing stays aligned with the transition table.
+    """
+    m, d = model.n_channels, model.dim
+    ops = np.zeros((m * m, m * d, m * d), dtype=complex)
+    for k in range(m):
+        for q in range(m):
+            ops[k * m + q] = np.kron(_memory_unit(m, k, q), model.jump_ops[k, q])
+    return ops
+
+
+def extended_silent_jumps(model):
+    """Extended operators of the unmonitored channels, kron(|q><q|, L_s(q))."""
+    m, d = model.n_channels, model.dim
+    s = len(model.silent_labels)
+    ops = np.zeros((s * m, m * d, m * d), dtype=complex)
+    for j in range(s):
+        for q in range(m):
+            ops[j * m + q] = np.kron(_memory_unit(m, q, q), model.silent_ops[j, q])
+    return ops
 
 
 def dense_oracle(model):

@@ -26,7 +26,6 @@ from jumpfeedback import (
     extended_liouvillian,
     feedback_model,
     feedback_steady_state,
-    liouvillian,
     marginals,
     maser_analytic,
     maser_model,
@@ -47,7 +46,7 @@ from jumpfeedback import (
 )
 from jumpfeedback.cli import main
 
-from helpers import random_density, random_hermitian, random_model, random_operator
+from helpers import liouvillian, random_density, random_hermitian, random_model, random_operator
 
 # Reference maser operating point shared by several criteria below.
 MASER_POINT = dict(nl=0.3, nr=8.0, gl=0.025, gr=0.025, lam=1.0, delta=0.0, wl=8.0, wr=2.0)

@@ -336,6 +336,66 @@ class TestConfigErrors:
         self.check(cfg, r"\[start, stop, num\]")
 
 
+TRAJECTORIES = {"kind": "trajectories", "n_traj": 4, "horizon": 1.0}
+FIXED_STEP = {**TRAJECTORIES, "scheme": "fixed-step"}
+EVOLVE = {"kind": "evolve", "times": [0.0, 1.0]}
+
+
+class TestValidateRejectsWhatRunRejects:
+    """An initial matrix and a fixed step are checked at parse, for both verbs."""
+
+    @staticmethod
+    def config(directory, task, system):
+        cfg = base_config(directory, task)
+        cfg["weights"] = "activity"
+        cfg["initial"] = {"memory": "-1", "system": system}
+        return cfg
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "task, system, code, message",
+        [
+            (EVOLVE, [[0.5, [0.9, 0.0]], [[0.1, 0.0], 0.5]], 2,
+             "config error: initial.system: initial state is not hermitian"),
+            (TRAJECTORIES, [[1.5, 0.0], [0.0, -0.5]], 2,
+             "config error: initial.system: initial state is not positive semidefinite"),
+            # within the old evolve bound of -1e-8, outside the shared one of -1e-10
+            (EVOLVE, [[1.0 + 5e-9, 0.0], [0.0, -5e-9]], 2,
+             "config error: initial.system: initial state is not positive semidefinite"),
+            ({**FIXED_STEP, "dt": -0.01}, "ground", 2, "config error: task.dt: must be positive"),
+            ({**FIXED_STEP, "dt": 0.03}, "ground", 2,
+             "config error: task.dt: horizon must be an integer number of steps"),
+            ({**FIXED_STEP, "dt": 0.5}, "ground", 1,
+             "error: ValidationError: dt * max total rate = 0.75 exceeds 0.05; reduce the step"),
+        ],
+        ids=[
+            "nonhermitian", "negative", "slightly_negative", "dt_negative", "dt_fraction", "dt_long"
+        ],
+    )
+    def test_both_verbs_reject(self, tmp_path, capsys, verb, task, system, code, message):
+        out = tmp_path / "out"
+        rc = main([verb, write_config(tmp_path, self.config(out, task, system))])
+        captured = capsys.readouterr()
+        assert rc == code
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "task", [EVOLVE, {**FIXED_STEP, "dt": 0.01}], ids=["evolve", "fixed_step"]
+    )
+    @pytest.mark.parametrize(
+        "system",
+        ["ground", "maximally_mixed", {"basis": 1}, [[0.7, [0.1, 0.2]], [[0.1, -0.2], 0.3]]],
+        ids=["ground", "mixed", "basis", "matrix"],
+    )
+    def test_density_matrices_and_named_states_run(self, tmp_path, capsys, task, system):
+        path = write_config(tmp_path, self.config(tmp_path, task, system))
+        assert main(["validate", path]) == 0
+        assert main(["run", path]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestSteadyTask:
     def test_csv_layout_and_closed_form(self, tmp_path):
         cfg = base_config(tmp_path, {"kind": "steady"})

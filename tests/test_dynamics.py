@@ -11,7 +11,6 @@ from jumpfeedback import (
     evolve_memory_resolved,
     extended_liouvillian,
     feedback_steady_state,
-    liouvillian,
     marginals,
     memory_distribution_rate,
     no_feedback,
@@ -22,10 +21,12 @@ from jumpfeedback import dynamics
 from helpers import (
     child_env,
     dense_oracle,
+    liouvillian,
     random_density,
     random_hermitian,
     random_model,
     random_operator,
+    to_matrix,
 )
 
 
@@ -144,7 +145,7 @@ class TestSteadyState:
         ext = extended_liouvillian(model)
         ss = feedback_steady_state(model, ext=ext)
         dense = steady_state(dense_oracle(model))
-        npt.assert_allclose(ss.to_matrix(), dense, atol=1e-9)
+        npt.assert_allclose(to_matrix(ss), dense, atol=1e-9)
 
     def test_long_time_evolution_converges_to_it(self):
         rng = np.random.default_rng(58)

@@ -15,9 +15,7 @@ from jumpfeedback import (
     MaserParams,
     ValidationError,
     embed,
-    extended_jumps,
     extended_liouvillian,
-    extended_silent_jumps,
     feedback_model,
     feedback_steady_state,
     maser_model,
@@ -32,7 +30,16 @@ from jumpfeedback.dynamics import stationary_blocks
 from jumpfeedback.fcs import stationarity_residuals, stationary_noises, weighted_jump_rates
 from jumpfeedback.hybrid import generator_stack
 
-from helpers import dense_gain, dense_oracle, random_density, random_model
+from helpers import (
+    dense_gain,
+    dense_oracle,
+    extended_jumps,
+    extended_silent_jumps,
+    from_matrix,
+    random_density,
+    random_model,
+    to_matrix,
+)
 
 
 class TestHybridState:
@@ -40,12 +47,12 @@ class TestHybridState:
         rng = np.random.default_rng(30)
         blocks = np.stack([0.3 * random_density(rng, 2), 0.7 * random_density(rng, 2)])
         state = HybridState(labels=("a", "b"), blocks=blocks)
-        full = state.to_matrix()
+        full = to_matrix(state)
         assert full.shape == (4, 4)
         npt.assert_array_equal(full[:2, :2], blocks[0])
         npt.assert_array_equal(full[2:, 2:], blocks[1])
         npt.assert_array_equal(full[:2, 2:], np.zeros((2, 2)))
-        back = HybridState.from_matrix(("a", "b"), full)
+        back = from_matrix(("a", "b"), full)
         npt.assert_array_equal(back.blocks, blocks)
 
     def test_from_matrix_flags_offblock_leak(self):
@@ -53,9 +60,9 @@ class TestHybridState:
         full[0, 0] = full[2, 2] = 0.5
         full[0, 3] = 1e-3
         with pytest.raises(ValidationError, match="off-diagonal"):
-            HybridState.from_matrix(("a", "b"), full)
+            from_matrix(("a", "b"), full)
         # the check is optional
-        HybridState.from_matrix(("a", "b"), full, offblock_tol=None)
+        from_matrix(("a", "b"), full, offblock_tol=None)
 
     def test_memory_dist_is_block_trace(self):
         rng = np.random.default_rng(31)
@@ -143,9 +150,9 @@ class TestExtendedConstruction:
         model = random_model(rng, dim=2, n_channels=2, silent=1)
         blocks = np.stack([0.5 * random_density(rng, 2), 0.5 * random_density(rng, 2)])
         state = HybridState(labels=model.channels, blocks=blocks)
-        moved = dense_oracle(model)(state.to_matrix())
+        moved = dense_oracle(model)(to_matrix(state))
         # off-diagonal memory blocks stay exactly zero
-        HybridState.from_matrix(model.channels, moved, offblock_tol=1e-14)
+        from_matrix(model.channels, moved, offblock_tol=1e-14)
 
     def test_blockwise_rhs_matches_extended_action(self):
         rng = np.random.default_rng(39)
@@ -156,8 +163,8 @@ class TestExtendedConstruction:
                 [0.25 * random_density(rng, 3), 0.75 * random_density(rng, 3)]
             )
             state = HybridState(labels=model.channels, blocks=blocks)
-            via_dense = HybridState.from_matrix(
-                model.channels, dense_oracle(model)(state.to_matrix()), offblock_tol=None
+            via_dense = from_matrix(
+                model.channels, dense_oracle(model)(to_matrix(state)), offblock_tol=None
             )
             npt.assert_allclose(
                 ext.state(ext.matrix @ ext.vector(state)).blocks, via_dense.blocks, atol=1e-12
@@ -182,9 +189,9 @@ class TestExtendedConstruction:
         nu = rng.normal(size=(3, 3))
         blocks = np.stack([random_density(rng, 2) / 3 for _ in range(3)])
         state = HybridState(labels=model.channels, blocks=blocks)
-        via_dense = HybridState.from_matrix(
+        via_dense = from_matrix(
             model.channels,
-            unvec(dense_gain(model, nu) @ vec(state.to_matrix()), 6),
+            unvec(dense_gain(model, nu) @ vec(to_matrix(state)), 6),
         )
         npt.assert_allclose(
             ext.state(ext.gain_matrix(nu) @ ext.vector(state)).blocks,

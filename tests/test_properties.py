@@ -31,7 +31,7 @@ from jumpfeedback import (
     vec,
 )
 
-from helpers import dense_gain, dense_oracle, random_density, random_model
+from helpers import dense_gain, dense_oracle, random_density, random_model, to_matrix
 
 CASES = st.tuples(
     st.integers(1, 3),  # memory values m
@@ -68,7 +68,7 @@ def test_stationary_state(case):
     assert abs(state.memory_dist.sum() - 1.0) < 1e-12
     for block in state.blocks:
         assert np.linalg.eigvalsh(block).min() > -1e-10
-    npt.assert_allclose(state.to_matrix(), steady_state(dense_oracle(model)), atol=1e-9)
+    npt.assert_allclose(to_matrix(state), steady_state(dense_oracle(model)), atol=1e-9)
 
 
 @BOUNDED
@@ -128,6 +128,6 @@ def test_evolution_routes(case):
     by_exp = evolve_extended(model, state0, times)
     by_ode = evolve_memory_resolved(model, state0, times)
     for t, a, b in zip(times, by_exp.states, by_ode.states):
-        expected = unvec(gen.expm(t).matrix @ vec(state0.to_matrix()), m * d)
-        npt.assert_allclose(a.to_matrix(), expected, atol=1e-10)
-        npt.assert_allclose(b.to_matrix(), expected, atol=1e-8)
+        expected = unvec(gen.expm(t).matrix @ vec(to_matrix(state0)), m * d)
+        npt.assert_allclose(to_matrix(a), expected, atol=1e-10)
+        npt.assert_allclose(to_matrix(b), expected, atol=1e-8)

@@ -1,4 +1,8 @@
-"""Vectorization, generators, steady states, and the Drazin inverse."""
+"""The dense oracle (tests/helpers.py) and the dense solver it shares with the package.
+
+Vectorization, the paper-form generators, steady states, the Drazin inverse
+and the spectral gap.
+"""
 
 import numpy as np
 import numpy.testing as npt
@@ -7,18 +11,23 @@ import pytest
 from jumpfeedback import (
     DegenerateSteadyStateError,
     ValidationError,
-    dissipator,
     drazin,
-    liouvillian,
     spectral_gap,
-    sandwich,
     steady_state,
     trace_vector,
     unvec,
     vec,
 )
 
-from helpers import dense_oracle, random_density, random_hermitian, random_operator
+from helpers import (
+    dense_oracle,
+    dissipator,
+    liouvillian,
+    random_density,
+    random_hermitian,
+    random_operator,
+    sandwich,
+)
 
 
 def classical_hopping(a, b):

@@ -49,6 +49,7 @@ from helpers import (
     random_hermitian,
     random_model,
     random_operator,
+    to_matrix,
     waiting_time_reference,
 )
 
@@ -73,12 +74,12 @@ def expected_charge(model, weights, rho0, mem_dist, horizon, burn_in=0.0):
     """
     gen = dense_oracle(model)
     blocks = np.stack([p * np.asarray(rho0, complex) for p in mem_dist])
-    v0 = vec(HybridState(model.channels, blocks).to_matrix())
+    v0 = vec(to_matrix(HybridState(model.channels, blocks)))
     ss = feedback_steady_state(model)
-    dz = drazin(gen, ss.to_matrix()).matrix
+    dz = drazin(gen, to_matrix(ss)).matrix
     t = trace_vector(gen.dim)
     jmat = dense_gain(model, weights.per_transition)
-    p_ss = np.outer(vec(ss.to_matrix()), t)
+    p_ss = np.outer(vec(to_matrix(ss)), t)
     window = gen.expm(horizon).matrix - gen.expm(burn_in).matrix
     integral = (horizon - burn_in) * (p_ss @ v0) + dz @ (window @ v0)
     return float(np.real(t @ (jmat @ integral)))
@@ -110,6 +111,27 @@ class TestStreams:
             npt.assert_array_equal(trajectory_stream(seed, i).random(300), want)
             if pos < len(batch):
                 npt.assert_array_equal(batch[pos].random(300), want)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**40])
+    @pytest.mark.parametrize(
+        "dist", [[0.25, 0.0, 0.75], [0.1, 0.2, 0.7], [1 / 3, 1 / 3, 1 / 3], [0.0, 1.0, 0.0]]
+    )
+    def test_initial_memories_equal_the_per_stream_draws(self, seed, dist):
+        # the first uniform of stream i picks trajectory i's initial memory
+        rng = np.random.default_rng(62)
+        model = random_model(rng, dim=2, n_channels=3)
+        weights = CountingWeights.activity(model.channels)
+        n = 150
+        est = mc_estimate(
+            model, weights, random_density(rng, 2), dist, 0.01, n,
+            master_seed=seed, collect_records=True,
+        )
+        cum = np.cumsum(dist)
+        want = [
+            min(int(np.searchsorted(cum, trajectory_stream(seed, i).random(), side="right")), 2)
+            for i in range(n)
+        ]
+        assert [rec.initial_memory for rec in est.records] == want
 
 
 class TestWaitingTimeDistribution:
@@ -284,7 +306,7 @@ def expected_charge_discrete(model, weights, rho0, mem_dist, horizon, dt, burn_i
     """
     gen = dense_oracle(model)
     blocks = np.stack([p * np.asarray(rho0, complex) for p in mem_dist])
-    v = vec(HybridState(model.channels, blocks).to_matrix())
+    v = vec(to_matrix(HybridState(model.channels, blocks)))
     t = trace_vector(gen.dim)
     jrow = t @ dense_gain(model, weights.per_transition)
     euler = np.eye(len(v)) + dt * gen.matrix
