@@ -36,8 +36,8 @@ from .fcs import (
     two_point_correlation,
     weighted_jump_rates,
 )
-from .hybrid import embed, extended_liouvillian, generator_stack
-from .model import check_hermitian, feedback_model
+from .hybrid import HybridState, embed, extended_liouvillian, generator_stack
+from .model import check_density, check_distribution, check_hermitian, feedback_model
 from .models import (
     MaserParams,
     QubitParams,
@@ -49,7 +49,7 @@ from .models import (
     work_table,
     work_weights,
 )
-from .trajectories import check_density, check_step, mc_estimate, whole_steps
+from .trajectories import check_step, mc_estimate, whole_steps
 
 __all__ = ["main", "run_config", "model_from_config", "model_to_config"]
 
@@ -353,10 +353,10 @@ def _weights_from_config(wcfg, model, params, swept=False, path="weights"):
     if "per_channel" in wcfg:
         entries = _expect_map(wcfg["per_channel"], f"{path}.per_channel")
         _no_extra_keys(entries, set(model.channels), f"{path}.per_channel")
-        vals = {
-            k: _expect_number(v, f"{path}.per_channel.{k}") for k, v in entries.items()
+        full = {
+            ch: _expect_number(entries.get(ch, 0.0), f"{path}.per_channel.{ch}")
+            for ch in model.channels
         }
-        full = {ch: vals.get(ch, 0.0) for ch in model.channels}
         return (
             CountingWeights.from_channel_weights(model.channels, full),
             {"per_channel": full},
@@ -385,17 +385,14 @@ def _initial_from_config(icfg, model, path="initial"):
     if isinstance(mem, str):
         if mem not in model.channels:
             _fail(f"{path}.memory", f"unknown channel {mem!r}")
-        dist = {ch: (1.0 if ch == mem else 0.0) for ch in model.channels}
-    else:
-        mem = _expect_map(mem, f"{path}.memory")
-        _no_extra_keys(mem, set(model.channels), f"{path}.memory")
-        dist = {
-            ch: _expect_number(mem.get(ch, 0.0), f"{path}.memory.{ch}")
-            for ch in model.channels
-        }
-        total = sum(dist.values())
-        if any(v < 0 for v in dist.values()) or abs(total - 1.0) > 1e-10:
-            _fail(f"{path}.memory", "entries must be a probability distribution")
+        mem = {mem: 1.0}
+    mem = _expect_map(mem, f"{path}.memory")
+    _no_extra_keys(mem, set(model.channels), f"{path}.memory")
+    dist = {ch: _expect_number(mem.get(ch, 0.0), f"{path}.memory.{ch}") for ch in model.channels}
+    try:
+        check_distribution(np.array(list(dist.values())), "memory")
+    except ValidationError as exc:
+        _fail(f"{path}.memory", str(exc))
 
     sys_cfg = icfg["system"]
     d = model.dim
@@ -419,7 +416,7 @@ def _initial_from_config(icfg, model, path="initial"):
     else:
         rho0 = _matrix_from_config(sys_cfg, d, f"{path}.system")
         try:
-            check_density(rho0, d)
+            check_density(rho0[None, None], "initial state")
         except ValidationError as exc:
             _fail(f"{path}.system", str(exc))
         canon_sys = _matrix_to_pairs(rho0)
@@ -758,8 +755,8 @@ def _run_evolve(ctx, out):
 def _run_correlation(ctx, out):
     model, weights = ctx["model"], ctx["weights"]
     ext = extended_liouvillian(model)
-    taus = np.array(ctx["task"]["taus"])
-    corr = two_point_correlation(ext, weights, taus)
+    state = HybridState(model.channels, _stationary_stack(ext.stack, out)[0])
+    corr = two_point_correlation(ext, weights, np.array(ctx["task"]["taus"]), state)
     rows = [[_fmt(t), _fmt(v)] for t, v in zip(corr.taus, corr.values)]
     out.add("correlation", ["tau", "F_smooth"], rows)
     out.add("correlation_background", ["K"], [[_fmt(corr.background)]])
@@ -769,8 +766,8 @@ def _run_correlation(ctx, out):
 def _run_spectrum(ctx, out):
     model, weights = ctx["model"], ctx["weights"]
     ext = extended_liouvillian(model)
-    omegas = np.array(ctx["task"]["omegas"])
-    spec = power_spectrum(ext, weights, omegas)
+    state = HybridState(model.channels, _stationary_stack(ext.stack, out)[0])
+    spec = power_spectrum(ext, weights, np.array(ctx["task"]["omegas"]), state)
     rows = [[_fmt(w), _fmt(s)] for w, s in zip(spec.omegas, spec.values)]
     out.add("spectrum", ["omega", "S"], rows)
     out.extras["max_resolvent_residual"] = spec.max_resolvent_residual

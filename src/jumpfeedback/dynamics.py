@@ -13,6 +13,7 @@ import scipy.linalg
 
 from .errors import IntegrationError, PositivityError, ValidationError
 from .hybrid import HybridState, extended_liouvillian
+from .model import check_density
 
 __all__ = [
     "EvolutionResult",
@@ -43,22 +44,21 @@ class EvolutionResult:
 
 def _check_times(times):
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) == 0:
-        raise ValidationError("times must be a non-empty 1-d array")
+    if times.ndim != 1 or len(times) == 0 or not np.isfinite(times).all():
+        raise ValidationError("times must be a non-empty 1-d array of finite values")
     if np.any(np.diff(times) < 0):
         raise ValidationError("times must be non-decreasing")
     return times
 
 
-def _check_blocks_positive(blocks, labels, t):
-    for k, label in enumerate(labels):
-        b = 0.5 * (blocks[k] + blocks[k].conj().T)
-        low = np.linalg.eigvalsh(b).min()
-        if low < -POSITIVITY_ABORT:
-            raise PositivityError(
-                f"block {label!r} reached eigenvalue {low:.3e} at t={t:.6g}; "
-                "the model or integration tolerances are inconsistent"
-            )
+def _checked_states(ext, vectors, times):
+    """HybridStates of ``vectors`` at ``times``, all checked by one :func:`check_density` call."""
+    blocks = ext.stack.blocks(np.asarray(vectors))
+    check_density(
+        blocks, lambda i: f"state at t={times[i]:.6g}", ext.model.channels,
+        POSITIVITY_ABORT, PositivityError, computed=True,
+    )
+    return [HybridState(ext.model.channels, b) for b in blocks]
 
 
 def propagate(ext, vector, times, start=0.0):
@@ -124,11 +124,7 @@ def evolve_memory_resolved(model, state0, times, rtol=1e-10, atol=1e-12):
     )
     if not sol.success:
         raise IntegrationError(f"memory-resolved integration failed: {sol.message}")
-    states = []
-    for i, t in enumerate(times):
-        state = ext.state(sol.y[:, i])
-        _check_blocks_positive(state.blocks, state.labels, t)
-        states.append(state)
+    states = _checked_states(ext, sol.y.T, times)
     return EvolutionResult(times=times, states=tuple(states), method="memory-resolved-ode")
 
 
@@ -146,11 +142,7 @@ def evolve_extended(model, state0, times, ext=None):
     if ext is None:
         ext = extended_liouvillian(model)
     vectors = propagate(ext, ext.vector(state0), times[1:], start=times[0])
-    states = [state0]
-    for t, v in zip(times[1:], vectors):
-        state = ext.state(v)
-        _check_blocks_positive(state.blocks, state.labels, t)
-        states.append(state)
+    states = [state0] + _checked_states(ext, vectors, times[1:])
     return EvolutionResult(times=times, states=tuple(states), method="extended-exponential")
 
 
@@ -158,19 +150,13 @@ def stationary_blocks(stack):
     """Hermitized stationary blocks ``(P, m, d, d)`` of every member of a stack.
 
     Solved with the stack's cached bordered factorization (see
-    :class:`StationaryStack`).  Raises :class:`PositivityError` when a
-    hermitized block has an eigenvalue below -1e-10, for the first such
-    member.
+    :class:`StationaryStack`).  Raises :class:`PositivityError` when an
+    entry is not finite or a hermitized block has an eigenvalue below
+    -1e-10, for the first such member (:func:`check_density`).
     """
     blocks = stack.blocks(stack.stationary.vectors)
-    blocks = 0.5 * (blocks + blocks.conj().transpose(0, 1, 3, 2))
-    low = np.linalg.eigvalsh(blocks).min(axis=(1, 2))
-    failed = low < -1e-10
-    if failed.any():
-        raise PositivityError(
-            f"stationary state has negative eigenvalue {low[np.argmax(failed)]:.3e}"
-        )
-    return blocks
+    labels = range(blocks.shape[1])
+    return check_density(blocks, "stationary state", labels, error=PositivityError, computed=True)
 
 
 def feedback_steady_state(model, ext=None):

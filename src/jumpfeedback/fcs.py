@@ -15,12 +15,8 @@ import numpy as np
 import scipy.linalg
 
 from .dynamics import feedback_steady_state, propagate
-from .errors import (
-    DimensionError,
-    ResolventError,
-    StencilError,
-    ValidationError,
-)
+from .errors import DimensionError, ResolventError, StencilError, ValidationError
+from .model import label_table
 
 __all__ = [
     "CountingWeights",
@@ -80,19 +76,10 @@ class CountingWeights:
 
     @classmethod
     def from_channel_weights(cls, channels, weights):
-        """Constant-row weights from ``{label: nu}`` or an array in channel order."""
+        """Constant-row weights from a :func:`label_table` of ``nu`` per channel."""
         channels = tuple(str(c) for c in channels)
-        m = len(channels)
-        if isinstance(weights, dict):
-            unknown = set(map(str, weights)) - set(channels)
-            if unknown:
-                raise ValidationError(f"weights for unknown channels {sorted(unknown)}")
-            row = np.array([float(dict(weights).get(c, 0.0)) for c in channels])
-        else:
-            row = np.asarray(weights, dtype=float)
-            if row.shape != (m,):
-                raise DimensionError(f"weights shape {row.shape}, expected ({m},)")
-        return cls(channels=channels, per_transition=np.tile(row[:, None], (1, m)))
+        row = label_table(weights, channels, "weights")
+        return cls(channels=channels, per_transition=np.tile(row[:, None], (1, len(channels))))
 
     @classmethod
     def activity(cls, channels):
@@ -119,13 +106,16 @@ IMAG_RESIDUE_TOL = 1e-8
 
 
 def _real_part(z, what, tol=IMAG_RESIDUE_TOL):
-    """Real part of computed traces; the first with an imaginary residue raises."""
+    """Real part of computed traces; the first not finite or not real raises.
+
+    ``what`` names them, a string or a function of the failing index.
+    """
     z = np.asarray(z, dtype=complex)
-    failed = np.abs(z.imag) > tol * np.maximum(1.0, np.abs(z.real))
+    failed = ~np.isfinite(z) | (np.abs(z.imag) > tol * np.maximum(1.0, np.abs(z.real)))
     if failed.any():
-        raise ValidationError(
-            f"{what} has imaginary residue {z.imag.flat[np.argmax(failed)]:.3e}"
-        )
+        i = np.argmax(failed)
+        name = what(i) if callable(what) else what
+        raise ValidationError(f"{name} is {z.flat[i]:.3e}, not a finite real number")
     return z.real
 
 
@@ -241,7 +231,8 @@ def two_point_correlation(ext, weights, taus, state=None):
 
     The smooth part is Tr[J exp(tau L) J rho_ss] - J^2, evaluated on the
     given non-negative lags.  Requires a stationary state; a non-stationary
-    input raises :class:`ValidationError`.
+    input raises :class:`ValidationError`, and so does a value that is not
+    finite or not real, naming its lag.
     """
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1 or len(taus) == 0:
@@ -257,14 +248,9 @@ def two_point_correlation(ext, weights, taus, state=None):
     background = noise_background(ext, weights, state)
     lags = taus[order]
     raw = propagate(ext, jv, lags) @ tj
-    bad = np.abs(raw.imag) > IMAG_RESIDUE_TOL * np.maximum(1.0, np.abs(raw.real))
-    if bad.any():
-        i = np.argmax(bad)
-        raise ValidationError(
-            f"correlation value at tau={lags[i]:.6g} has imaginary residue {raw.imag[i]:.3e}"
-        )
     values = np.empty(len(taus))
-    values[order] = raw.real - current**2
+    raw = _real_part(raw, lambda i: f"correlation value at tau={lags[i]:.6g}")
+    values[order] = raw - current**2
     return CorrelationSamples(
         taus=taus, values=values, background=background, current=current
     )

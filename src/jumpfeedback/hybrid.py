@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateSteadyStateError, DimensionError, PositivityError, ValidationError
-from .model import FeedbackModel
+from .model import FeedbackModel, check_density, check_distribution, label_table
 
 __all__ = [
     "HybridState",
@@ -33,6 +33,8 @@ __all__ = [
 
 # conditional states with weight at or below this are dropped by marginals()
 NEGLIGIBLE_WEIGHT = 1e-14
+# validate_hybrid_state: hermitized blocks may have eigenvalues down to minus this
+HYBRID_EIG_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -67,25 +69,18 @@ class HybridState:
         return np.einsum("kii->k", self.blocks).real
 
 
-def validate_hybrid_state(state, trace_tol=1e-10, eig_tol=1e-8):
-    """Assert hermitian blocks, unit total trace, and block positivity."""
-    b = state.blocks
-    herm = np.abs(b - b.conj().transpose(0, 2, 1)).max()
-    if herm > trace_tol * max(1.0, np.abs(b).max()):
-        raise ValidationError(f"blocks are not hermitian (defect {herm:.3e})")
-    total = state.memory_dist.sum()
-    if abs(total - 1.0) > trace_tol:
-        raise ValidationError(f"total trace {total} differs from 1 beyond {trace_tol}")
-    for k, label in enumerate(state.labels):
-        evals = np.linalg.eigvalsh(0.5 * (b[k] + b[k].conj().T))
-        if evals.min() < -eig_tol:
-            raise PositivityError(
-                f"block {label!r} has eigenvalue {evals.min():.3e} below -{eig_tol}"
-            )
+def validate_hybrid_state(state):
+    """Return ``state`` once its blocks pass :func:`check_density` as one hybrid state.
+
+    An eigenvalue below -``HYBRID_EIG_TOL`` raises :class:`PositivityError`.
+    """
+    check_density(
+        state.blocks[None], "hybrid state", state.labels, HYBRID_EIG_TOL, PositivityError
+    )
     return state
 
 
-def embed(labels, memory_dist, conditionals, trace_tol=1e-10):
+def embed(labels, memory_dist, conditionals):
     """Assemble a HybridState from P(k) and conditional states.
 
     Parameters
@@ -93,56 +88,24 @@ def embed(labels, memory_dist, conditionals, trace_tol=1e-10):
     labels : sequence of str
         Memory alphabet.
     memory_dist : mapping or sequence
-        Probabilities P(k), summing to 1 within ``trace_tol``.
+        P(k) as a :func:`label_table`; must pass :func:`check_distribution`.
     conditionals : mapping or ndarray
-        Conditional density matrix per label (entries with P(k) = 0 may be
-        omitted), or a single density matrix shared by all memory values.
+        Conditional density matrix per label as a :func:`label_table`
+        (entries with P(k) = 0 may be omitted), or one shared by all memory
+        values.  Those with P(k) > 0 must pass :func:`check_density`.
     """
     labels = tuple(str(c) for c in labels)
-    m = len(labels)
-    if isinstance(memory_dist, dict):
-        unknown = set(map(str, memory_dist)) - set(labels)
-        if unknown:
-            raise ValidationError(f"memory_dist has unknown labels {sorted(unknown)}")
-        probs = np.array([float(dict(memory_dist).get(c, 0.0)) for c in labels])
-    else:
-        probs = np.asarray(memory_dist, dtype=float)
-        if probs.shape != (m,):
-            raise DimensionError(f"memory_dist shape {probs.shape}, expected ({m},)")
-    if probs.min() < -trace_tol:
-        raise ValidationError(f"negative memory probability {probs.min()}")
-    if abs(probs.sum() - 1.0) > trace_tol:
-        raise ValidationError(f"memory probabilities sum to {probs.sum()}, not 1")
-
-    cond = {}
-    if isinstance(conditionals, dict):
-        cond = {str(k): np.asarray(v, dtype=complex) for k, v in conditionals.items()}
-        unknown = set(cond) - set(labels)
-        if unknown:
-            raise ValidationError(f"conditionals keyed by unknown labels {sorted(unknown)}")
-    else:
-        shared = np.asarray(conditionals, dtype=complex)
-        cond = {c: shared for c in labels}
-
-    d = None
-    for v in cond.values():
-        d = v.shape[0]
-        break
-    if d is None:
+    probs = check_distribution(label_table(memory_dist, labels, "memory_dist"), "memory_dist")
+    if not isinstance(conditionals, dict):
+        conditionals = dict.fromkeys(labels, conditionals)
+    if not conditionals:
         raise ValidationError("no conditional states supplied")
-
-    blocks = np.zeros((m, d, d), dtype=complex)
-    for k, label in enumerate(labels):
-        if probs[k] <= 0.0:
-            continue
-        if label not in cond:
-            raise ValidationError(f"missing conditional state for label {label!r}")
-        rho = cond[label]
-        if rho.shape != (d, d):
-            raise DimensionError(f"conditional for {label!r} has shape {rho.shape}")
-        if abs(np.trace(rho) - 1.0) > trace_tol:
-            raise ValidationError(f"conditional for {label!r} is not unit trace")
-        blocks[k] = probs[k] * rho
+    d = np.shape(next(iter(conditionals.values())))[0]
+    cond = label_table(conditionals, labels, "conditionals", (d, d), complex)
+    used = probs > 0.0
+    names = [c for c, u in zip(labels, used) if u]
+    check_density(cond[used, None], lambda i: f"conditional for {names[i]!r}")
+    blocks = np.where(used[:, None, None], probs[:, None, None] * cond, 0.0)
     return validate_hybrid_state(HybridState(labels=labels, blocks=blocks))
 
 

@@ -15,11 +15,17 @@ import numpy as np
 from .errors import DimensionError, ValidationError
 
 HERM_TOL = 1e-12  # hermiticity tolerance of every H(q), relative to its largest entry
+# a density matrix: hermitian within this relative to its largest entry (at
+# least 1), trace 1 and eigenvalues down to minus this; a distribution sums to 1
+DENSITY_TOL = 1e-10
 
 __all__ = [
     "FeedbackModel",
+    "check_density",
+    "check_distribution",
     "check_hermitian",
     "feedback_model",
+    "label_table",
     "validate",
     "no_feedback",
 ]
@@ -126,36 +132,21 @@ def feedback_model(dim, channels, hamiltonians, jump_ops, silent_ops=None):
         not collide with ``channels``.
     """
     channels = tuple(str(c) for c in channels)
-    m = len(channels)
 
     def by_memory(entry, what):
-        """(m, d, d) from ``{memory_label: op}`` (missing labels zero) or one entry for all."""
-        out = np.zeros((m, dim, dim), dtype=complex)
-        if not isinstance(entry, dict):
-            out[:] = entry
-            return out
-        table = {str(k): v for k, v in entry.items()}
-        unknown = set(table) - set(channels)
-        if unknown:
-            raise ValidationError(f"{what} unknown labels {sorted(unknown)}")
-        for q, label in enumerate(channels):
-            if label in table:
-                out[q] = table[label]
-        return out
+        """(m, d, d) in memory order from a :func:`label_table` or one operator for all."""
+        if not isinstance(entry, dict) and np.shape(entry) == (dim, dim):
+            entry = dict.fromkeys(channels, entry)
+        return label_table(entry, channels, what, (dim, dim), complex)
 
-    shape = np.shape(hamiltonians)
-    if not isinstance(hamiltonians, dict) and shape not in ((dim, dim), (m, dim, dim)):
-        raise DimensionError(f"hamiltonians shape {shape} not understood")
-    hams = by_memory(hamiltonians, "hamiltonians keyed by")
+    hams = by_memory(hamiltonians, "hamiltonians")
     if not isinstance(jump_ops, dict):
         raise ValidationError("jump_ops must be a mapping keyed by channel label")
     jump_table = {str(k): v for k, v in jump_ops.items()}
-    missing = set(channels) - set(jump_table)
-    if missing:
-        raise ValidationError(f"jump_ops missing channels {sorted(missing)}")
-    unknown = set(jump_table) - set(channels)
-    if unknown:
-        raise ValidationError(f"jump_ops has unknown channels {sorted(unknown)}")
+    if set(jump_table) != set(channels):
+        raise ValidationError(
+            f"jump_ops keys {sorted(jump_table)} differ from the channels {sorted(channels)}"
+        )
     silent_table = {str(k): v for k, v in (silent_ops or {}).items()}
     silent_labels = tuple(silent_table)
 
@@ -163,11 +154,10 @@ def feedback_model(dim, channels, hamiltonians, jump_ops, silent_ops=None):
         dim=dim,
         channels=channels,
         hamiltonians=hams,
-        jump_ops=[by_memory(jump_table[c], f"jump operator {c!r} conditioned on") for c in channels],
+        jump_ops=[by_memory(jump_table[c], f"jump operator {c!r}") for c in channels],
         silent_labels=silent_labels,
-        silent_ops=[
-            by_memory(silent_table[s], f"silent operator {s!r} conditioned on") for s in silent_labels
-        ] or None,
+        silent_ops=[by_memory(silent_table[s], f"silent operator {s!r}") for s in silent_labels]
+        or None,
     )
 
 
@@ -197,9 +187,89 @@ def check_hermitian(h, channels):
     """Raise unless every H(q) of ``h``, one model's or a stack's ``(..., m, d, d)``, is hermitian."""
     scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
     skew = np.abs(h - h.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
-    failed = skew > HERM_TOL * scale
+    # written so that NaN fails too
+    failed = ~(skew <= HERM_TOL * scale)
     if failed.any():
         raise ValidationError(f"H({channels[np.argmax(failed) % len(channels)]}) is not hermitian")
+
+
+def label_table(table, labels, what, entry_shape=(), dtype=float):
+    """``table`` as a ``(len(labels), *entry_shape)`` array in label order.
+
+    ``table`` is either a mapping keyed by label, whose unknown keys raise
+    :class:`ValidationError` and whose missing labels are zero, or an array
+    already in label order.  A wrong shape raises :class:`DimensionError`;
+    ``what`` names the table in messages.
+    """
+    shape = (len(labels), *entry_shape)
+    if not isinstance(table, dict):
+        out = np.array(table, dtype=dtype)
+        if out.shape != shape:
+            raise DimensionError(f"{what} has shape {out.shape}, expected {shape}")
+        return out
+    keyed = {str(k): v for k, v in table.items()}
+    unknown = set(keyed) - set(labels)
+    if unknown:
+        raise ValidationError(f"{what} has unknown labels {sorted(unknown)}")
+    out = np.zeros(shape, dtype=dtype)
+    for i, label in enumerate(labels):
+        if label in keyed:
+            entry = np.asarray(keyed[label], dtype=dtype)
+            if entry.shape != entry_shape:
+                raise DimensionError(
+                    f"{what} entry {label!r} has shape {entry.shape}, expected {entry_shape}"
+                )
+            out[i] = entry
+    return out
+
+
+def check_distribution(p, what):
+    """``p`` if non-negative and summing to 1 within ``DENSITY_TOL``; NaN fails."""
+    if not ((p >= 0.0).all() and abs(p.sum() - 1.0) <= DENSITY_TOL):
+        raise ValidationError(
+            f"{what} is not a probability distribution: entries must be non-negative "
+            f"and sum to 1 within {DENSITY_TOL:g}"
+        )
+    return p
+
+
+def check_density(
+    blocks, what, labels=None, eig_tol=DENSITY_TOL, error=ValidationError, computed=False
+):
+    """Hermitized blocks 0.5 (b + b^dag) of ``(n, m, d, d)``, n states of m blocks, once checked.
+
+    For the first failing state, a non-finite entry or an eigenvalue below
+    ``-eig_tol`` raises ``error``; so do, unless the states are ``computed``
+    (evolved or stationary, whose round-off grows with the conditioning), a
+    block not hermitian within ``DENSITY_TOL`` relative to max(1, its
+    largest entry) or block traces not summing to 1 within ``DENSITY_TOL``,
+    as :class:`ValidationError`.  ``what`` names the states, a string or a
+    function of the state index, and ``labels``, if given, the blocks.
+    """
+    b = np.asarray(blocks, dtype=complex)
+    name = what if callable(what) else (lambda i: what)
+    finite = np.isfinite(b).all(axis=(1, 2, 3))
+    if not finite.all():
+        raise error(f"{name(np.argmin(finite))} has non-finite entries")
+    bh = b.conj().swapaxes(-2, -1)
+    if not computed:
+        scale = np.maximum(1.0, np.abs(b).max(axis=(-2, -1)))
+        hermitian = (np.abs(b - bh).max(axis=(-2, -1)) <= DENSITY_TOL * scale).all(axis=1)
+        if not hermitian.all():
+            raise ValidationError(f"{name(np.argmin(hermitian))} is not hermitian")
+        unit = np.abs(np.einsum("nkii->n", b).real - 1.0) <= DENSITY_TOL
+        if not unit.all():
+            raise ValidationError(f"{name(np.argmin(unit))} is not unit trace")
+    herm = 0.5 * (b + bh)
+    low = np.linalg.eigvalsh(herm).min(axis=-1)
+    failed = low < -eig_tol
+    if failed.any():
+        i, k = np.unravel_index(np.argmax(failed), failed.shape)
+        detail = "" if labels is None else (
+            f": block {labels[k]!r} has eigenvalue {low[i, k]:.3e} below -{eig_tol:g}"
+        )
+        raise error(f"{name(i)} is not positive semidefinite{detail}")
+    return herm
 
 
 def no_feedback(h, jump_ops, labels=None):

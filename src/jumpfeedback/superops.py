@@ -17,6 +17,7 @@ import scipy.linalg
 
 from .errors import DegenerateSteadyStateError, DimensionError, PositivityError
 from .hybrid import StationaryStack
+from .model import check_density
 
 __all__ = [
     "Superoperator",
@@ -27,8 +28,6 @@ __all__ = [
     "drazin",
 ]
 
-# steady_state: eigenvalues of the hermitized state below -POSITIVITY_TOL raise
-POSITIVITY_TOL = 1e-10
 # drazin: identity residuals above this share of ||L|| ||L+|| raise
 DRAZIN_CHECK_TOL = 1e-9
 
@@ -97,17 +96,13 @@ def steady_state(gen):
 
     Solved by the bordered factorization of :class:`StationaryStack`, which
     raises :class:`DegenerateSteadyStateError` unless the kernel is
-    one-dimensional; the result is unit-trace and hermitized, and an
-    eigenvalue below ``-POSITIVITY_TOL`` raises :class:`PositivityError`.
+    one-dimensional; the result is unit-trace and hermitized, and a
+    non-finite entry or an eigenvalue below -1e-10 raises
+    :class:`PositivityError` (:func:`check_density`).
     """
     x = unvec(StationaryStack(gen.matrix[None], trace_vector(gen.dim)).vectors[0], gen.dim)
-    x = 0.5 * (x + x.conj().T)
-    evals = np.linalg.eigvalsh(x)
-    if evals.min() < -POSITIVITY_TOL:
-        raise PositivityError(
-            f"stationary state has negative eigenvalue {evals.min():.3e}"
-        )
-    return x
+    x = check_density(x[None, None], "stationary state", error=PositivityError, computed=True)
+    return x[0, 0]
 
 
 def drazin(gen, rho_ss):

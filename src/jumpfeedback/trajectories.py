@@ -3,8 +3,8 @@
 Two sampling schemes share one event-driven engine.  Each round finds the
 next jump of every active trajectory in one vectorized search, then applies
 all those jumps through one path: channel pick, state update (one gathered
-product with a stacked (memory, channel) table), charge, grid snapshots,
-records and memory.
+product with a stacked (memory, channel) table), charge, records and
+memory.
 
 * ``"waiting-time"`` (default): between jumps the conditional state evolves
   under the no-jump propagator exp(-i H_eff(k) t).  States are held in the
@@ -40,6 +40,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ValidationError
+from .model import check_density, check_distribution, label_table
 
 __all__ = [
     "TrajectoryRecord",
@@ -222,9 +223,7 @@ class McEstimate:
     rounds over the batch, ``jump_events`` the jumps it applied, monitored
     and silent, and ``survival_evaluations`` the per-trajectory exponential
     evaluations of the waiting-time survival: one horizon check per round,
-    plus one per root-search step past t = 0 (0 for fixed-step).  ``grid_charges``
-    (trajectories x grid points) is filled only when a charge grid was
-    requested.
+    plus one per root-search step past t = 0 (0 for fixed-step).
     """
 
     n_traj: int
@@ -242,8 +241,6 @@ class McEstimate:
     rounds: int
     jump_events: int
     survival_evaluations: int
-    charge_grid: Optional[np.ndarray] = None
-    grid_charges: Optional[np.ndarray] = None
     records: Optional[tuple] = None
 
 
@@ -326,7 +323,7 @@ class _Batch:
     """
 
     def __init__(
-        self, model, weights, rho0, memories0, streams, burn_in, grid, record, block, window, eigen
+        self, model, weights, rho0, memories0, streams, burn_in, record, block, window, eigen
     ):
         if weights.channels != model.channels:
             raise ValidationError("weights channels do not match the model")
@@ -335,7 +332,10 @@ class _Batch:
         self.labels = model.channels + model.silent_labels
         loss = np.stack([model.loss_operator(k) for k in range(m)])
         self.h_eff = model.hamiltonians - 0.5j * loss
-        rho0 = check_density(rho0, d)
+        rho0 = np.asarray(rho0, dtype=complex)
+        if rho0.shape != (d, d):
+            raise ValidationError(f"initial state has shape {rho0.shape}, expected ({d}, {d})")
+        check_density(rho0[None, None], "initial state")
         if eigen:
             evals, basis = np.linalg.eig(self.h_eff)
             cond = np.linalg.cond(basis)
@@ -368,9 +368,7 @@ class _Batch:
         self.memory = np.asarray(memories0, dtype=np.intp).copy()
         self.states = (vinv @ rho0 @ vinv.conj().swapaxes(1, 2)).reshape(m, d * d)[self.memory]
         self.burn_in = burn_in
-        self.grid = grid
         self.charge = np.zeros(n)
-        self.snapshots = np.zeros((n, len(grid))) if grid is not None else None
         self.rounds = 0
         self.jump_events = 0
         self.survival_evaluations = 0
@@ -427,14 +425,8 @@ class _Batch:
         after = self.next_memory[ks, picks]
         a = np.einsum("nxy,ny->nx", self.jump_maps[ks, picks], a)
         self.states[sel] = self.normalized(a, after)
-        gains = self.charge_table[picks, ks]
         counted = t_jump >= self.burn_in
-        self.charge[sel[counted]] += gains[counted]
-        if self.snapshots is not None:
-            cols = np.searchsorted(self.grid, t_jump, side="left")
-            for i, col, g, ok in zip(sel, cols, gains, counted):
-                if ok and g != 0.0 and col < len(self.grid):
-                    self.snapshots[i, col:] += g
+        self.charge[sel[counted]] += self.charge_table[picks, ks][counted]
         if self.records is not None:
             for i, event in zip(sel, zip(t_jump, picks.tolist(), ks.tolist())):
                 self.records[i].append(event)
@@ -564,24 +556,13 @@ def _run_fixed(batch, horizon, dt):
         active = active[step[active] < n_steps]
 
 
-def check_density(rho, d):
-    """``rho`` as a complex array; raises ValidationError unless it is a density matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (d, d):
-        raise ValidationError(f"initial state has shape {rho.shape}, expected ({d}, {d})")
-    if np.abs(rho - rho.conj().T).max() > 1e-10 * max(1.0, np.abs(rho).max()):
-        raise ValidationError("initial state is not hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-10:
-        raise ValidationError("initial state is not unit trace")
-    if np.linalg.eigvalsh(rho).min() < -1e-10:
-        raise ValidationError("initial state is not positive semidefinite")
-    return rho
-
-
 def whole_steps(horizon, dt):
-    """Steps of size dt in horizon, or None unless whole within 1e-9 * max(1, horizon)."""
-    n = int(round(horizon / dt))
-    return n if abs(n * dt - horizon) <= 1e-9 * max(1.0, horizon) else None
+    """Steps of size dt in horizon, or None unless whole within 1e-9 * max(1, horizon).
+
+    Written so that a step count that is not finite is not whole.
+    """
+    n = np.round(horizon / dt)
+    return int(n) if abs(n * dt - horizon) <= 1e-9 * max(1.0, horizon) else None
 
 
 def check_step(model, dt):
@@ -599,17 +580,11 @@ def check_step(model, dt):
         )
 
 
-def _run_batch(
-    model, weights, rho0, memories0, streams, horizon, scheme, dt, burn_in, grid, record
-):
+def _run_batch(model, weights, rho0, memories0, streams, horizon, scheme, dt, burn_in, record):
     if horizon <= 0:
         raise ValidationError("horizon must be positive")
     if not 0.0 <= burn_in < horizon:
         raise ValidationError("burn_in must lie in [0, horizon)")
-    if grid is not None:
-        grid = np.asarray(grid, dtype=float)
-        if np.any(np.diff(grid) < 0) or grid.min() < 0 or grid.max() > horizon:
-            raise ValidationError("charge grid must be ascending within [0, horizon]")
     if scheme not in ("waiting-time", "fixed-step"):
         raise ValidationError(f"unknown scheme {scheme!r}")
     fixed = scheme == "fixed-step"
@@ -617,7 +592,7 @@ def _run_batch(
         check_step(model, dt)
     block, window = (UNIFORM_BLOCK, LOOKAHEAD) if fixed else (WAITING_BLOCK, 0)
     batch = _Batch(
-        model, weights, rho0, memories0, streams, burn_in, grid, record, block, window, not fixed
+        model, weights, rho0, memories0, streams, burn_in, record, block, window, not fixed
     )
     if fixed:
         _run_fixed(batch, horizon, dt)
@@ -666,7 +641,7 @@ def sample_trajectory(
     stream = trajectory_stream(rng, 0) if isinstance(rng, (int, np.integer)) else rng
     k0_idx = model.channel_index(k0)
     batch = _run_batch(
-        model, weights, rho0, [k0_idx], [stream], horizon, scheme, dt, burn_in, None, True
+        model, weights, rho0, [k0_idx], [stream], horizon, scheme, dt, burn_in, True
     )
     return batch.record(0, k0_idx, horizon)
 
@@ -682,7 +657,6 @@ def mc_estimate(
     master_seed=0,
     dt=None,
     burn_in=0.0,
-    charge_grid=None,
     collect_records=False,
 ):
     """Monte Carlo estimate of charge statistics and memory occupation.
@@ -696,29 +670,17 @@ def mc_estimate(
     Parameters
     ----------
     memory0 : mapping or array
-        Initial memory distribution, label-keyed or in channel order.
+        Initial memory distribution over the channels, a :func:`label_table`
+        that must be a probability distribution (:func:`check_distribution`).
     burn_in : float
         Charges collected only over [burn_in, horizon].
-    charge_grid : array_like, optional
-        Absolute times at which per-trajectory accumulated charges are
-        recorded (enables variance-growth regressions).
     collect_records : bool
         Keep the full per-trajectory event records (memory heavy).
     """
     if n_traj < 1:
         raise ValidationError("need at least one trajectory")
     m = model.n_channels
-    if isinstance(memory0, dict):
-        unknown = set(map(str, memory0)) - set(model.channels)
-        if unknown:
-            raise ValidationError(f"memory0 has unknown labels {sorted(unknown)}")
-        dist = np.array([float(dict(memory0).get(c, 0.0)) for c in model.channels])
-    else:
-        dist = np.asarray(memory0, dtype=float)
-        if dist.shape != (m,):
-            raise ValidationError(f"memory0 shape {dist.shape}, expected ({m},)")
-    if dist.min() < 0 or abs(dist.sum() - 1.0) > 1e-10:
-        raise ValidationError("memory0 must be a probability distribution")
+    dist = check_distribution(label_table(memory0, model.channels, "memory0"), "memory0")
 
     streams = _streams(master_seed, np.arange(n_traj, dtype=np.uint32)[:, None])
     first_uniforms = np.array([s.random() for s in streams])
@@ -726,8 +688,7 @@ def mc_estimate(
     np.clip(memories0, 0, m - 1, out=memories0)
 
     batch = _run_batch(
-        model, weights, rho0, memories0, streams, horizon, scheme, dt, burn_in,
-        charge_grid, collect_records,
+        model, weights, rho0, memories0, streams, horizon, scheme, dt, burn_in, collect_records
     )
 
     charge = batch.charge
@@ -760,7 +721,5 @@ def mc_estimate(
         rounds=batch.rounds,
         jump_events=batch.jump_events,
         survival_evaluations=batch.survival_evaluations,
-        charge_grid=None if charge_grid is None else np.asarray(charge_grid, dtype=float),
-        grid_charges=batch.snapshots,
         records=records,
     )

@@ -396,6 +396,84 @@ class TestValidateRejectsWhatRunRejects:
         assert capsys.readouterr().err == ""
 
 
+NAN, INF = float("nan"), float("inf")
+CORRELATION = {"kind": "correlation", "taus": [0.0, 1.0]}
+
+
+class TestNoTraceback:
+    """Malformed and extreme configs end with an exit code and a message, never a traceback.
+
+    Parse errors exit 2 under both verbs; a failure found only by running
+    passes ``validate`` and exits 1 under ``run`` without writing a CSV.
+    """
+
+    @staticmethod
+    def config(directory, task, **sections):
+        cfg = base_config(directory, task)
+        cfg["weights"] = "activity"
+        cfg["initial"] = {"memory": "-1", "system": "ground"}
+        cfg.update(sections)
+        return cfg
+
+    @pytest.mark.parametrize(
+        "task, sections, code, message",
+        [
+            # 1e300 / 1e-300 steps overflow to inf
+            ({**FIXED_STEP, "horizon": 1e300, "dt": 1e-300}, {}, 2,
+             "config error: task.dt: horizon must be an integer number of steps"),
+            ({**EVOLVE, "times": [0.0, 1e308]}, {}, 1,
+             "error: PositivityError: state at t=1e+308 has non-finite entries"),
+            ({**CORRELATION, "taus": [1e308]}, {}, 1,
+             "error: ValidationError: correlation value at tau=1e+308 is nan+nanj, "
+             "not a finite real number"),
+            (EVOLVE, {"model": {"builtin": "qubit_cooling", "params": {"nbar": NAN, "gamma": 1}}},
+             2, "config error: model.params.nbar: expected a finite number, got nan"),
+            ({**TRAJECTORIES, "horizon": INF}, {}, 2,
+             "config error: task.horizon: expected a finite number, got inf"),
+            ({**TRAJECTORIES, "horizon": 10**400}, {}, 2,
+             "config error: task.horizon: expected a finite number, got inf"),
+            ({**TRAJECTORIES, "burn_in": NAN}, {}, 2,
+             "config error: task.burn_in: expected a finite number, got nan"),
+            ({**FIXED_STEP, "dt": NAN}, {}, 2,
+             "config error: task.dt: expected a finite number, got nan"),
+            ({**EVOLVE, "times": [0.0, NAN]}, {}, 2,
+             "config error: task.times[1]: expected a finite number, got nan"),
+            ({**CORRELATION, "taus": {"linspace": [0.0, -INF, 3]}}, {}, 2,
+             "config error: task.taus.linspace[1]: expected a finite number, got -inf"),
+            (EVOLVE, {"initial": {"memory": {"-1": NAN}, "system": "ground"}}, 2,
+             "config error: initial.memory.-1: expected a finite number, got nan"),
+            (EVOLVE, {"initial": {"memory": {"-1": 1.5, "+1": -0.5}, "system": "ground"}}, 2,
+             "config error: initial.memory: memory is not a probability distribution: "
+             "entries must be non-negative and sum to 1 within 1e-10"),
+            (EVOLVE, {"initial": {"memory": "-1", "system": [[NAN, 0.0], [0.0, 1.0]]}}, 2,
+             "config error: initial.system[0][0]: expected a finite number, got nan"),
+            (CORRELATION, {"weights": {"per_channel": {"+1": NAN}}}, 2,
+             "config error: weights.per_channel.+1: expected a finite number, got nan"),
+            ({"kind": "sweep", "parameter": "nbar", "values": [0.5, NAN]}, {}, 2,
+             "config error: task.values[1]: expected a finite number, got nan"),
+        ],
+        ids=[
+            "step_count_overflow", "evolve_far_time", "correlation_far_lag", "nan_param",
+            "inf_horizon", "overflowing_integer", "nan_burn_in", "nan_dt", "nan_time",
+            "infinite_grid_end", "nan_memory", "negative_memory", "nan_state_entry",
+            "nan_weight", "nan_sweep_value",
+        ],
+    )
+    def test_exit_code_and_message(self, tmp_path, capsys, task, sections, code, message):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, self.config(out, task, **sections))
+        for verb in ("validate", "run"):
+            expected = 0 if code == 1 and verb == "validate" else code
+            assert main([verb, path]) == expected
+            captured = capsys.readouterr()
+            if expected == 0:
+                assert captured.err == ""
+            else:
+                assert captured.out == ""
+                assert captured.err == message + "\n"
+        assert not glob.glob(str(out / "*.csv"))
+
+
 class TestSteadyTask:
     def test_csv_layout_and_closed_form(self, tmp_path):
         cfg = base_config(tmp_path, {"kind": "steady"})
@@ -827,7 +905,7 @@ class TestSweepTask:
 
 
 class TestHealthExtras:
-    """Sweep and noise reports carry the worst conditioning and stationarity."""
+    """Reports of tasks on stationary states carry the worst conditioning and stationarity."""
 
     @staticmethod
     def single_model_health(model):
@@ -862,6 +940,29 @@ class TestHealthExtras:
         cfg["weights"] = "work"
         report, _, _ = run_config(cfg)
         rcond, _ = self.single_model_health(maser_model(MaserParams(**MASER_PARAMS)))
+        assert report["extras"]["min_rcond"] == pytest.approx(rcond, rel=1e-9)
+        assert 0.0 <= report["extras"]["max_stationarity_residual"] < 1e-12
+
+    @pytest.mark.parametrize(
+        "task, own",
+        [(CORRELATION, "current"), ({"kind": "spectrum", "omegas": [0.0, 1.0]},
+                                    "max_resolvent_residual")],
+        ids=["correlation", "spectrum"],
+    )
+    def test_two_time_reports_solve_the_stationary_state_once(
+        self, tmp_path, monkeypatch, task, own
+    ):
+        cfg = base_config(tmp_path, task)
+        cfg["model"] = {"builtin": "maser", "params": dict(MASER_PARAMS)}
+        cfg["weights"] = "work"
+
+        def solved_again(*args, **kwargs):
+            raise AssertionError("the kernel solved the stationary state again")
+
+        monkeypatch.setattr("jumpfeedback.fcs.feedback_steady_state", solved_again)
+        report, _, _ = run_config(cfg)
+        rcond, _ = self.single_model_health(maser_model(MaserParams(**MASER_PARAMS)))
+        assert set(report["extras"]) == {own, "min_rcond", "max_stationarity_residual"}
         assert report["extras"]["min_rcond"] == pytest.approx(rcond, rel=1e-9)
         assert 0.0 <= report["extras"]["max_stationarity_residual"] < 1e-12
 

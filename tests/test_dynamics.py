@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from jumpfeedback import (
+    PositivityError,
     ValidationError,
     embed,
     evolve_extended,
@@ -121,6 +122,22 @@ class TestInputChecks:
         wrong = embed(("p", "q"), [0.5, 0.5], rho)
         with pytest.raises(ValidationError, match="labels"):
             evolve_memory_resolved(model, wrong, [0.0, 1.0])
+
+    def test_nan_time_rejected(self):
+        rng = np.random.default_rng(60)
+        model = random_model(rng, dim=2, n_channels=2)
+        state0 = initial_state(rng, model)
+        for evolve in (evolve_extended, evolve_memory_resolved):
+            with pytest.raises(ValidationError, match="finite values"):
+                evolve(model, state0, [0.0, np.nan])
+
+    def test_non_finite_state_names_its_time(self):
+        rng = np.random.default_rng(59)
+        model = random_model(rng, dim=2, n_channels=2)
+        state0 = initial_state(rng, model)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(PositivityError, match=r"state at t=1e\+308 has non-finite"):
+                evolve_extended(model, state0, [0.0, 1e308])
 
     def test_single_time_returns_initial(self):
         rng = np.random.default_rng(55)

@@ -336,6 +336,12 @@ class TestInputValidation:
         with pytest.raises(ValidationError, match="non-negative"):
             two_point_correlation(ext, weights, np.array([-1.0, 0.0]))
 
+    def test_non_finite_correlation_names_its_lag(self):
+        _, ext, weights = random_setup(80, dim=2, n_channels=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValidationError, match=r"correlation value at tau=1e\+308"):
+                two_point_correlation(ext, weights, np.array([0.0, 1e308]))
+
     def test_unsorted_lags_allowed(self):
         _, ext, weights = random_setup(78, dim=2, n_channels=2)
         ss = feedback_steady_state(ext.model, ext=ext)

@@ -115,6 +115,28 @@ class TestEmbedMarginals:
         with pytest.raises(PositivityError):
             validate_hybrid_state(HybridState(labels=("a",), blocks=blocks))
 
+    def test_validate_flags_non_finite_block(self):
+        from jumpfeedback import PositivityError
+
+        blocks = np.stack([np.diag([1.0, np.nan]).astype(complex)])
+        with pytest.raises(PositivityError, match="hybrid state has non-finite entries"):
+            validate_hybrid_state(HybridState(labels=("a",), blocks=blocks))
+
+    @pytest.mark.parametrize(
+        "memory_dist, conditionals, message",
+        [
+            ([1.0, 0.0], np.array([[1.0, np.nan], [np.nan, 0.0]]),
+             "conditional for 'a' has non-finite entries"),
+            ([np.nan, 1.0], np.diag([1.0, 0.0]), "not a probability distribution"),
+            # a negative probability fails however small
+            ([-1e-11, 1.0 + 1e-11], np.diag([1.0, 0.0]), "not a probability distribution"),
+        ],
+        ids=["nan_conditional", "nan_probability", "negative_probability"],
+    )
+    def test_rejects_nan_and_negative_inputs(self, memory_dist, conditionals, message):
+        with pytest.raises(ValidationError, match=message):
+            embed(("a", "b"), memory_dist, conditionals)
+
 
 class TestExtendedConstruction:
     def test_jump_operator_layout(self):

@@ -5,12 +5,14 @@ import numpy.testing as npt
 import pytest
 
 from jumpfeedback import (
+    DimensionError,
     FeedbackModel,
     ValidationError,
     feedback_model,
     no_feedback,
     validate,
 )
+from jumpfeedback.model import label_table
 
 from helpers import random_hermitian, random_operator
 
@@ -105,6 +107,26 @@ class TestFeedbackModel:
         npt.assert_allclose(model.loss_operator(0), expected, atol=1e-14)
 
 
+class TestLabelTable:
+    def test_mapping_and_array_forms_agree(self):
+        by_label = label_table({"b": 2.0}, ("a", "b"), "t")
+        npt.assert_array_equal(by_label, [0.0, 2.0])
+        npt.assert_array_equal(label_table([0.0, 2.0], ("a", "b"), "t"), by_label)
+
+    def test_unknown_label_and_wrong_shapes(self):
+        with pytest.raises(ValidationError, match=r"t has unknown labels \['z'\]"):
+            label_table({"z": 1.0}, ("a",), "t")
+        with pytest.raises(DimensionError, match=r"t has shape \(1,\), expected \(2,\)"):
+            label_table([1.0], ("a", "b"), "t")
+
+    def test_operator_entry_of_a_wrong_shape_is_not_broadcast(self):
+        # a row used to fill both rows of the operator
+        with pytest.raises(DimensionError, match="jump operator 'a' entry 'a' has shape"):
+            feedback_model(
+                dim=2, channels=["a"], hamiltonians=SX, jump_ops={"a": {"a": [1.0, 0.0]}}
+            )
+
+
 class TestConstructionValidates:
     # FeedbackModel itself runs validate, so no path builds an invalid model
     def build(self, channels=("a", "b"), hams=None, silent_labels=(), silent_ops=None):
@@ -125,6 +147,10 @@ class TestConstructionValidates:
     def test_rejects_nonhermitian_hamiltonian(self):
         with pytest.raises(ValidationError, match=r"H\(b\) is not hermitian"):
             self.build(hams=np.stack([SX, SM]))
+
+    def test_rejects_nan_hamiltonian(self):
+        with pytest.raises(ValidationError, match=r"H\(a\) is not hermitian"):
+            self.build(hams=np.stack([np.full((2, 2), np.nan), SX]))
 
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValidationError, match="duplicate channel labels"):

@@ -12,6 +12,7 @@ import scipy.stats
 
 from jumpfeedback import (
     CountingWeights,
+    DimensionError,
     HybridState,
     MaserParams,
     QubitParams,
@@ -39,6 +40,7 @@ from jumpfeedback.trajectories import (
     _jump_time,
     _lookahead_tables,
     _streams,
+    whole_steps,
 )
 from helpers import (
     child_env,
@@ -536,13 +538,12 @@ class TestSurvivalEvaluations:
 class TestDeterminism:
     def test_same_seed_bitwise_identical(self):
         model, weights, rho0 = qubit_setup()
-        kwargs = dict(horizon=8.0, n_traj=64, master_seed=106, charge_grid=[4.0, 8.0])
+        kwargs = dict(horizon=8.0, n_traj=64, master_seed=106)
         a = mc_estimate(model, weights, rho0, [1.0, 0.0], **kwargs)
         b = mc_estimate(model, weights, rho0, [1.0, 0.0], **kwargs)
         assert a.mean_charge == b.mean_charge
         assert a.var_charge == b.var_charge
         npt.assert_array_equal(a.memory_freq, b.memory_freq)
-        npt.assert_array_equal(a.grid_charges, b.grid_charges)
 
     def test_different_seed_differs(self):
         model, weights, rho0 = qubit_setup()
@@ -682,19 +683,6 @@ class TestRecordBookkeeping:
             assert rec.memory_path(tj + eps)[0] == rec.jump_channels[j]
         assert rec.memory_path(10.0)[0] == rec.final_memory
 
-    def test_grid_charges_accumulate_monotonically(self):
-        model, weights, rho0 = qubit_setup()
-        grid = [2.0, 5.0, 8.0]
-        est = mc_estimate(
-            model, weights, rho0, [1.0, 0.0], 8.0, 50,
-            master_seed=114, charge_grid=grid, collect_records=True,
-        )
-        assert est.grid_charges.shape == (50, 3)
-        assert np.all(np.diff(est.grid_charges, axis=1) >= 0)
-        for rec, row in zip(est.records, est.grid_charges):
-            assert row[-1] == rec.charge
-            assert row[0] == float((rec.jump_times <= 2.0).sum())
-
 
 class TestSilentChannels:
     def setup_model(self):
@@ -754,6 +742,30 @@ class TestValidation:
         with pytest.raises(ValidationError, match="probability"):
             mc_estimate(model, weights, rho0, [0.4, 0.4], 5.0, 4)
 
+    @pytest.mark.parametrize(
+        "rho0, memory0, message",
+        [
+            (np.array([[1.0, np.nan], [np.nan, 0.0]]), [1.0, 0.0],
+             "initial state has non-finite entries"),
+            (np.diag([1.0, 0.0]), [np.nan, 1.0], "memory0 is not a probability distribution"),
+        ],
+        ids=["nan_state", "nan_memory"],
+    )
+    def test_rejects_nan_inputs(self, rho0, memory0, message):
+        model, weights, _ = qubit_setup()
+        with pytest.raises(ValidationError, match=message):
+            mc_estimate(model, weights, rho0, memory0, 5.0, 8)
+
+    def test_memory0_of_a_wrong_shape_is_a_dimension_error(self):
+        # the one error of every label table, embed's memory_dist included
+        model, weights, rho0 = qubit_setup()
+        with pytest.raises(DimensionError, match="memory0 has shape"):
+            mc_estimate(model, weights, rho0, [1.0], 5.0, 4)
+
+    def test_a_step_count_that_overflows_is_not_whole(self):
+        assert whole_steps(1e300, 1e-300) is None
+        assert whole_steps(5.0, 0.01) == 500
+
     def test_rejects_bad_initial_state(self):
         model, weights, _ = qubit_setup()
         with pytest.raises(ValidationError, match="trace"):
@@ -774,14 +786,10 @@ class TestValidation:
                 scheme="fixed-step", dt=0.13,
             )
 
-    def test_rejects_unknown_scheme_and_bad_grid(self):
+    def test_rejects_unknown_scheme(self):
         model, weights, rho0 = qubit_setup()
         with pytest.raises(ValidationError, match="scheme"):
             mc_estimate(model, weights, rho0, [1.0, 0.0], 5.0, 4, scheme="euler")
-        with pytest.raises(ValidationError, match="grid"):
-            mc_estimate(
-                model, weights, rho0, [1.0, 0.0], 5.0, 4, charge_grid=[4.0, 2.0]
-            )
 
     def test_near_defective_propagator_advises_fixed_step(self):
         # a cascaded five-level chain tuned so H_eff is one Jordan block;
