@@ -424,9 +424,25 @@ def _initial_from_config(icfg, model, path="initial"):
     return dist, rho0, {"memory": dist, "system": canon_sys}
 
 
+def _numbers(items, path):
+    """Floats of a list of finite numbers, checked in one pass.
+
+    Only a list that fails the pass goes through :func:`_expect_number`
+    element by element, which raises the message for its first bad entry.
+    """
+    if set(map(type, items)) <= {int, float}:
+        try:
+            vals = np.array(items, dtype=float)
+        except OverflowError:
+            vals = None
+        if vals is not None and np.isfinite(vals).all():
+            return vals
+    return np.array([_expect_number(x, f"{path}[{i}]") for i, x in enumerate(items)], dtype=float)
+
+
 def _grid_from_config(gcfg, path, allow_negative=True):
     if isinstance(gcfg, list):
-        vals = [_expect_number(x, f"{path}[{i}]") for i, x in enumerate(gcfg)]
+        vals = _numbers(gcfg, path)
     elif isinstance(gcfg, dict):
         _no_extra_keys(gcfg, {"linspace", "logspace"}, path)
         if ("linspace" in gcfg) == ("logspace" in gcfg):
@@ -440,17 +456,16 @@ def _grid_from_config(gcfg, path, allow_negative=True):
         num = _expect_int(spec[2], f"{path}.{key}[2]")
         if num < 1:
             _fail(f"{path}.{key}", "num must be at least 1")
-        fn = np.linspace if key == "linspace" else np.logspace
-        vals = [float(x) for x in fn(start, stop, num)]
+        vals = (np.linspace if key == "linspace" else np.logspace)(start, stop, num)
     else:
         _fail(path, "expected an array of numbers or {linspace/logspace: [...]}")
-    if not vals:
+    if not len(vals):
         _fail(path, "grid must be non-empty")
-    if not all(math.isfinite(x) for x in vals):
+    if not np.isfinite(vals).all():
         _fail(path, "grid values must be finite")
-    if not allow_negative and min(vals) < 0:
+    if not allow_negative and (vals < 0).any():
         _fail(path, "grid values must be non-negative")
-    return vals
+    return vals.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +474,24 @@ def _grid_from_config(gcfg, path, allow_negative=True):
 
 def _fmt(x):
     return format(float(x), ".17g")
+
+
+def _header_line(header):
+    """The header as csv.writer writes it: a cell with a comma, quote or line feed is quoted."""
+    cells = ('"' + c.replace('"', '""') + '"' if any(x in c for x in ',"\n') else c for c in header)
+    return ",".join(cells) + "\n"
+
+
+def _table_text(header, values):
+    """CSV text of a numeric table: the header, then every row of ``values`` (2-D).
+
+    One '%.17g' formatting pass over the whole table; '%.17g' % x equals
+    :func:`_fmt` for every float, nan, infinities, -0.0 and subnormals
+    included.
+    """
+    values = np.asarray(values, dtype=float)
+    line = ",".join(["%.17g"] * values.shape[1]) + "\n"
+    return _header_line(header) + (line * len(values)) % tuple(values.ravel().tolist())
 
 
 def _write_csv(fpath, header, rows):
@@ -478,16 +511,15 @@ def _state_header(model):
 
 
 def _state_rows(blocks):
-    """Formatted :func:`_state_header` rows of stacked hybrid blocks ``(P, m, d, d)``."""
+    """:func:`_state_header` columns of stacked hybrid blocks ``(P, m, d, d)``, one row each."""
     probs = np.einsum("zkii->zk", blocks).real
     system = blocks.sum(axis=1)
     upper = system[(slice(None), *np.triu_indices(blocks.shape[-1], 1))]
-    values = np.hstack([
+    return np.hstack([
         probs,
         np.einsum("zii->zi", system).real,
         np.stack([upper.real, upper.imag], axis=-1).reshape(len(blocks), -1),
     ])
-    return [[_fmt(x) for x in row] for row in values]
 
 
 # ---------------------------------------------------------------------------
@@ -746,10 +778,8 @@ def _run_evolve(ctx, out):
         result = evolve_extended(model, state0, times)
     else:
         result = evolve_memory_resolved(model, state0, times)
-    header = ["time"] + _state_header(model)
     states = _state_rows(np.stack([st.blocks for st in result.states]))
-    rows = [[_fmt(t)] + row for t, row in zip(result.times, states)]
-    out.add("evolve", header, rows)
+    out.add("evolve", ["time"] + _state_header(model), np.column_stack([result.times, states]))
 
 
 def _run_correlation(ctx, out):
@@ -757,9 +787,8 @@ def _run_correlation(ctx, out):
     ext = extended_liouvillian(model)
     state = HybridState(model.channels, _stationary_stack(ext.stack, out)[0])
     corr = two_point_correlation(ext, weights, np.array(ctx["task"]["taus"]), state)
-    rows = [[_fmt(t), _fmt(v)] for t, v in zip(corr.taus, corr.values)]
-    out.add("correlation", ["tau", "F_smooth"], rows)
-    out.add("correlation_background", ["K"], [[_fmt(corr.background)]])
+    out.add("correlation", ["tau", "F_smooth"], np.column_stack([corr.taus, corr.values]))
+    out.add("correlation_background", ["K"], [[corr.background]])
     out.extras["current"] = corr.current
 
 
@@ -768,8 +797,7 @@ def _run_spectrum(ctx, out):
     ext = extended_liouvillian(model)
     state = HybridState(model.channels, _stationary_stack(ext.stack, out)[0])
     spec = power_spectrum(ext, weights, np.array(ctx["task"]["omegas"]), state)
-    rows = [[_fmt(w), _fmt(s)] for w, s in zip(spec.omegas, spec.values)]
-    out.add("spectrum", ["omega", "S"], rows)
+    out.add("spectrum", ["omega", "S"], np.column_stack([spec.omegas, spec.values]))
     out.extras["max_resolvent_residual"] = spec.max_resolvent_residual
 
 
@@ -781,11 +809,7 @@ def _run_noise(ctx, out):
     noise = stationary_noises(stack, nu, blocks)[0]
     background = weighted_jump_rates(stack, nu**2, blocks, "noise background")[0]
     fano = noise / current if current != 0 else float("nan")
-    out.add(
-        "noise",
-        ["current", "noise", "background", "fano"],
-        [[_fmt(current), _fmt(noise), _fmt(background), _fmt(fano)]],
-    )
+    out.add("noise", ["current", "noise", "background", "fano"], [[current, noise, background, fano]])
 
 
 def _run_trajectories(ctx, out):
@@ -806,10 +830,10 @@ def _run_trajectories(ctx, out):
         collect_records=task["dump"],
     )
     header = ["n_traj", "mean_charge", "mean_charge_se", "var_charge", "var_charge_se"]
-    row = [str(est.n_traj), _fmt(est.mean_charge), _fmt(est.mean_charge_se), _fmt(est.var_charge), _fmt(est.var_charge_se)]
+    row = [est.n_traj, est.mean_charge, est.mean_charge_se, est.var_charge, est.var_charge_se]
     for ch, f, se in zip(est.memory_labels, est.memory_freq, est.memory_freq_se):
         header += [f"freq({ch})", f"freq_se({ch})"]
-        row += [_fmt(f), _fmt(se)]
+        row += [f, se]
     out.add("trajectories", header, [row])
     out.extras["rounds"] = est.rounds
     out.extras["jump_events"] = est.jump_events
@@ -831,7 +855,7 @@ def _run_trajectories(ctx, out):
                         _fmt(running),
                     ]
                 )
-        out.add(
+        out.add_records(
             "jumps",
             ["trajectory_id", "time", "channel_label", "memory_before", "charge_after"],
             rows,
@@ -857,12 +881,13 @@ def _run_sweep(ctx, out):
     for var in task["variants"]:
         header += [f"{var['label']}_{c}" for c in cols]
 
-    rows = [[_fmt(value)] + [_fmt(also[k][i]) for k in also] for i, value in enumerate(values)]
+    tables = [np.column_stack([values, *also.values()])]
     # each variant's grid, built at parse, is one stack
     for params, tensors in ctx["grids"]:
         stack = generator_stack(*tensors)
         blocks = _stationary_stack(stack, out)
-        cells = _state_rows(blocks) if inner == "steady" else [[] for _ in values]
+        if inner == "steady":
+            tables.append(_state_rows(blocks))
         if weights_cfg is not None:
             nu = work_table(params) if weights_cfg == "work" else ctx["weights"].per_transition
             columns = [weighted_jump_rates(stack, nu, blocks, "average current")]
@@ -874,11 +899,8 @@ def _run_sweep(ctx, out):
                 columns.append(
                     np.divide(columns[0], norm, out=np.full(len(norm), np.nan), where=norm != 0)
                 )
-            for row, values_at in zip(cells, zip(*columns)):
-                row += [_fmt(x) for x in values_at]
-        for row, row_cells in zip(rows, cells):
-            row += row_cells
-    out.add("sweep", header, rows)
+            tables.append(np.column_stack(columns))
+    out.add("sweep", header, np.hstack(tables))
 
 
 _RUNNERS = {
@@ -899,10 +921,20 @@ class _Outputs:
         self.files = []
         self.extras = {}
 
-    def add(self, suffix, header, rows):
-        fpath = os.path.normpath(
-            os.path.join(self.directory, f"{self.prefix}_{suffix}.csv")
-        )
+    def _path(self, suffix):
+        return os.path.normpath(os.path.join(self.directory, f"{self.prefix}_{suffix}.csv"))
+
+    def add(self, suffix, header, values):
+        """Write a numeric table, ``values`` 2-D, in one write (:func:`_table_text`)."""
+        text = _table_text(header, values)
+        fpath = self._path(suffix)
+        with open(fpath, "w", newline="") as fh:
+            fh.write(text)
+        self.files.append((suffix, fpath, len(values)))
+
+    def add_records(self, suffix, header, rows):
+        """Write rows of strings, labels among them, with csv.writer."""
+        fpath = self._path(suffix)
         _write_csv(fpath, header, rows)
         self.files.append((suffix, fpath, len(rows)))
 

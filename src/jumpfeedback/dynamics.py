@@ -69,6 +69,14 @@ def propagate(ext, vector, times, start=0.0):
     steps that differ only by the rounding of the grid points (a float
     ``linspace`` has several) share the propagator of their mean, so the
     accumulated time does not drift.
+
+    The steps run in the stack's real coordinates
+    (:attr:`GeneratorStack.real_matrices`): each real propagator acts on the
+    real and the imaginary part of the coordinates of ``vector``, so an
+    input whose blocks are not hermitian stays exact.  A run of steps with
+    one propagator P advances in blocks: once b states of the run are known,
+    P^b maps all of them to the next b states in one product (b = 1, 2, 4,
+    ...).  The states go back to the vector layout in one product.
     """
     steps = np.diff(times, prepend=start)
     tol = 4.0 * np.finfo(float).eps * np.abs(times).max(initial=abs(start))
@@ -79,12 +87,27 @@ def propagate(ext, vector, times, start=0.0):
     group[order] = np.cumsum(first) - 1
     bounds = np.flatnonzero(first)
     means = np.add.reduceat(ordered, bounds) / np.diff(np.append(bounds, len(ordered)))
-    propagators = [scipy.linalg.expm(dt * ext.matrix) for dt in means]
-    out = np.empty((len(steps), len(vector)), dtype=complex)
-    for i, g in enumerate(group):
-        vector = propagators[g] @ vector
-        out[i] = vector
-    return out
+    stack = ext.stack
+    propagators = [scipy.linalg.expm(dt * stack.real_matrices[0]) for dt in means]
+    coords = stack.coordinates(np.asarray(vector))
+    # columns 2i and 2i + 1: real and imaginary coordinates after step i
+    out = np.empty((len(coords), 2 * len(steps)))
+    state = np.stack([coords.real, coords.imag], axis=1)
+    runs = np.flatnonzero(np.diff(group, prepend=-1)).tolist()
+    for lo, hi in zip(runs, runs[1:] + [len(steps)]):
+        power = propagators[group[lo]]
+        run = out[:, 2 * lo : 2 * hi]
+        run[:, :2] = power @ state
+        # the first `done` states of the run are known and power = P^done
+        done = 1
+        while done < hi - lo:
+            b = min(done, hi - lo - done)
+            run[:, 2 * done : 2 * (done + b)] = power @ run[:, : 2 * b]
+            done += b
+            if done < hi - lo:
+                power = power @ power
+        state = run[:, -2:]
+    return stack.from_coordinates(out.view(complex).T)
 
 
 def evolve_memory_resolved(model, state0, times, rtol=1e-10, atol=1e-12):

@@ -47,8 +47,8 @@ class CountingWeights:
     channels : tuple of str
         Monitored channel labels, aligned with the model.
     per_transition : ndarray
-        Real ``(m, m)`` matrix; row k is the fired channel, column q the
-        memory value before the jump.
+        Real finite ``(m, m)`` matrix; row k is the fired channel, column q
+        the memory value before the jump.
     """
 
     channels: tuple
@@ -60,6 +60,8 @@ class CountingWeights:
         w = np.ascontiguousarray(np.asarray(self.per_transition, dtype=float))
         if w.shape != (m, m):
             raise DimensionError(f"per_transition shape {w.shape}, expected ({m}, {m})")
+        if not np.isfinite(w).all():
+            raise ValidationError("per_transition has non-finite entries")
         object.__setattr__(self, "per_transition", w)
 
     @property

@@ -7,8 +7,8 @@ lives in the memory-block sector: the stack of column-stacked conditional
 blocks vec(rho(0)), ..., vec(rho(m-1)), of length m*d^2.
 :class:`GeneratorStack` holds the generators of several models on that
 sector, assembled and factorized as one stack, and is the only place that
-knows its layout; :class:`ExtendedGenerator` is one generator, a stack of
-one.
+knows its layout and its real coordinates in an orthonormal hermitian
+operator basis; :class:`ExtendedGenerator` is one generator, a stack of one.
 """
 
 from dataclasses import dataclass
@@ -229,6 +229,65 @@ class GeneratorStack:
         row = np.tile(np.eye(d, dtype=complex).ravel(), m)
         row.flags.writeable = False
         return row
+
+    @cached_property
+    def hermitian_basis(self):
+        """Unitary ``(d^2, d^2)`` whose columns are vec(B_a) of an orthonormal hermitian basis.
+
+        The basis of d x d matrices is E_ii, then (E_ij + E_ji) / sqrt(2) and
+        i (E_ij - E_ji) / sqrt(2) for i < j.  The coordinates Tr[B_a X] of a
+        hermitian X are real; cached, read-only.
+        """
+        d = self.jump_ops.shape[-1]
+        # vec(X) stacks columns, so X[i, j] is entry j * d + i
+        upper = [j * d + i for i in range(d) for j in range(i + 1, d)]
+        lower = [i * d + j for i in range(d) for j in range(i + 1, d)]
+        eye = np.eye(d * d)
+        a, b = eye[:, upper], eye[:, lower]
+        u = np.hstack([eye[:, :: d + 1], np.sqrt(0.5) * (a + b), 1j * np.sqrt(0.5) * (a - b)])
+        u.flags.writeable = False
+        return u
+
+    def coordinates(self, vectors):
+        """Coordinates ``(..., m*d^2)`` of vectors in the :attr:`hermitian_basis` of each block.
+
+        Real for hermitian blocks; :meth:`from_coordinates` inverts it.
+        """
+        u = self.hermitian_basis
+        return (vectors.reshape(-1, len(u)) @ u.conj()).reshape(vectors.shape)
+
+    def from_coordinates(self, coordinates):
+        """Vectors ``(..., m*d^2)`` with the given :meth:`coordinates`: one product."""
+        u = self.hermitian_basis
+        return (coordinates.reshape(-1, len(u)) @ u.T).reshape(coordinates.shape)
+
+    @cached_property
+    def real_matrices(self):
+        """The members acting on :meth:`coordinates`: real ``(P, m*d^2, m*d^2)``; cached, read-only.
+
+        Each (k, q) block is transformed on its own, u^dag L_kq u.  A
+        generator preserves hermiticity, so the imaginary part is round-off
+        plus the anti-hermitian defect that the model's H(q) may carry
+        (within 1e-12 relative), and it is dropped.  An imaginary part above
+        1e-10 of the member's largest entry raises :class:`ValidationError`,
+        for the first such member: that matrix does not preserve hermiticity.
+        """
+        u = self.hermitian_basis
+        p, size = self.matrices.shape[:2]
+        n = len(u)
+        m = size // n
+        rows = np.matmul(u.conj().T.copy(), self.matrices.reshape(p, m, n, size))
+        form = (rows.reshape(-1, n) @ u).reshape(p, size, size)
+        # non-finite entries pass, so that the states they give report them
+        failed = np.abs(form.imag).max(axis=(1, 2)) > 1e-10 * np.abs(form).max(axis=(1, 2))
+        if failed.any():
+            raise ValidationError(
+                f"generator {np.argmax(failed)} does not preserve hermiticity: "
+                "it has no real form in the hermitian basis"
+            )
+        real = form.real.copy()
+        real.flags.writeable = False
+        return real
 
     @cached_property
     def stationary(self):

@@ -566,11 +566,15 @@ def whole_steps(horizon, dt):
 
 
 def check_step(model, dt):
-    """Raise ValidationError unless dt > 0 and dt * (max total jump rate) <= MAX_STEP_PROBABILITY."""
+    """Raise ValidationError unless dt is positive and finite and keeps
+    dt * (max total jump rate) <= MAX_STEP_PROBABILITY."""
     if dt is None:
         raise ValidationError("fixed-step scheme needs dt")
     if dt <= 0:
         raise ValidationError("dt must be positive")
+    # written so that NaN fails too
+    if not dt < np.inf:
+        raise ValidationError("dt must be finite")
     loss = np.stack([model.loss_operator(k) for k in range(model.n_channels)])
     max_rate = np.linalg.eigvalsh(loss).max()
     if dt * max_rate > MAX_STEP_PROBABILITY:
@@ -583,6 +587,9 @@ def check_step(model, dt):
 def _run_batch(model, weights, rho0, memories0, streams, horizon, scheme, dt, burn_in, record):
     if horizon <= 0:
         raise ValidationError("horizon must be positive")
+    # written so that NaN fails too
+    if not horizon < np.inf:
+        raise ValidationError("horizon must be finite")
     if not 0.0 <= burn_in < horizon:
         raise ValidationError("burn_in must lie in [0, horizon)")
     if scheme not in ("waiting-time", "fixed-step"):

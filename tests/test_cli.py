@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import filecmp
 import glob
+import io
 import json
 import os
 import subprocess
@@ -1019,6 +1020,79 @@ class TestDeterminism:
             data = fh.read()
         assert b"\r" not in data
         assert data.endswith(b"\n")
+
+
+def csv_writer_text(header, rows):
+    """A table as csv.writer writes it with every number through format(float(x), '.17g')."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([[format(float(x), ".17g") for x in row] for row in rows])
+    return buf.getvalue()
+
+
+class TestTableWriter:
+    SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308,
+               2.2250738585072014e-308, 0.1, 1 / 3, 1e16, 123456789012345678.0]
+
+    def test_special_values_and_integers_match_the_csv_writer(self):
+        rows = [self.SPECIAL[i : i + 2] for i in range(0, len(self.SPECIAL), 2)]
+        rows += [[3, -7], [0, 2**53 + 1], [400, 10**16]]
+        header = ["a", "b"]
+        assert cli._table_text(header, rows) == csv_writer_text(header, rows)
+        assert cli._table_text(header, np.array(rows, dtype=float)) == csv_writer_text(header, rows)
+
+    def test_every_bit_pattern_formats_alike(self):
+        bits = np.random.default_rng(190).integers(0, 2**64, size=20000, dtype=np.uint64)
+        values = bits.view(float).reshape(-1, 4)
+        assert cli._table_text(list("wxyz"), values) == csv_writer_text(list("wxyz"), values)
+
+    def test_header_quoting_matches_the_csv_writer(self):
+        header = ["plain", "a,b", 'say "hi"', "two\nlines", " lead", "P(x)", "semi;colon"]
+        values = np.arange(14.0).reshape(2, 7)
+        assert cli._table_text(header, values) == csv_writer_text(header, values)
+
+    def test_file_bytes_and_row_count(self, tmp_path):
+        out = cli._Outputs(str(tmp_path), "w")
+        rows = [[1.0, np.nan], [-0.0, 5e-324]]
+        out.add("t", ["x", "y"], rows)
+        with open(tmp_path / "w_t.csv", "rb") as fh:
+            assert fh.read() == csv_writer_text(["x", "y"], rows).encode()
+        assert out.files == [("t", os.path.normpath(str(tmp_path / "w_t.csv")), 2)]
+
+
+class TestGridParse:
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (True, "expected a number, got bool"),
+            ("1.0", "expected a number, got str"),
+            (float("nan"), "expected a finite number, got nan"),
+            (float("inf"), "expected a finite number, got inf"),
+            (-float("inf"), "expected a finite number, got -inf"),
+            (10**400, "expected a finite number, got inf"),
+            ([1.0], "expected a number, got list"),
+        ],
+        ids=["bool", "str", "nan", "inf", "-inf", "overflow", "list"],
+    )
+    def test_bad_entry_is_named_by_its_index(self, tmp_path, entry, message):
+        taus = [0.0, 0.5, 1.0, entry, 2.0, 2.5, 3.0]
+        cfg = base_config(tmp_path, {"kind": "correlation", "taus": taus})
+        cfg["weights"] = "activity"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(cfg)
+        assert str(exc.value) == f"task.taus[3]: {message}"
+
+    def test_values_equal_the_per_element_floats(self):
+        grid = [0, 1, 2.5, -0.0, 10**20, 2**53 + 1, 1e-300, 5e-324]
+        got = cli._grid_from_config(grid, "g")
+        assert got == [float(x) for x in grid]
+        assert all(type(x) is float for x in got)
+        assert str(cli._grid_from_config([-0.0], "g")[0]) == "-0.0"
+
+    def test_numpy_floats_are_numbers(self):
+        got = cli._grid_from_config([np.float64(0.5), 1.5], "g")
+        assert got == [0.5, 1.5] and all(type(x) is float for x in got)
 
 
 class TestModelRoundTrip:

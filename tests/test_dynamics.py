@@ -107,6 +107,65 @@ class TestPropagation:
             npt.assert_allclose(v, dynamics.scipy.linalg.expm(t * ext.matrix) @ v0, atol=1e-13)
 
 
+GRIDS = {
+    "uniform": np.arange(1, 41) * 0.25,
+    "repeated": np.array([0.5, 0.5, 0.5, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]),
+    "uneven": np.array([0.1, 0.4, 0.45, 1.3, 2.0, 2.0, 3.7]),
+    "linspace": np.linspace(0.0, 6.0, 601),
+    # run lengths 1, 2, 3, 5 and 8 around the block sizes 1, 2, 4, 8
+    "runs": np.cumsum([0.3] + [0.1] * 2 + [0.7] * 3 + [0.2] * 5 + [0.05] * 8 + [1.1]),
+}
+
+
+class TestPropagate:
+    """propagate against one dense complex exponential per time, within 1e-12 relative."""
+
+    @staticmethod
+    def check(ext, v0, times, start):
+        out = dynamics.propagate(ext, v0, times, start=start)
+        assert out.shape == (len(times), len(v0))
+        for t, v in zip(times, out):
+            want = dynamics.scipy.linalg.expm((t - start) * ext.matrix) @ v0
+            assert np.abs(v - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    @pytest.mark.parametrize("silent", [0, 2])
+    def test_matches_the_complex_exponential(self, grid, silent):
+        rng = np.random.default_rng(191 + silent)
+        model = random_model(rng, dim=3, n_channels=2, silent=silent)
+        ext = extended_liouvillian(model)
+        self.check(ext, ext.vector(initial_state(rng, model)), GRIDS[grid], 0.0)
+
+    @pytest.mark.parametrize("grid", ["uniform", "runs"])
+    def test_nonzero_start(self, grid):
+        rng = np.random.default_rng(193)
+        model = random_model(rng, dim=2, n_channels=3, silent=1)
+        ext = extended_liouvillian(model)
+        start = -0.35
+        times = start + GRIDS[grid]
+        self.check(ext, ext.vector(initial_state(rng, model)), times, start)
+
+    def test_complex_non_hermitian_start_vector(self):
+        # coordinates of a non-hermitian input are complex and must stay exact
+        rng = np.random.default_rng(194)
+        model = random_model(rng, dim=3, n_channels=2)
+        ext = extended_liouvillian(model)
+        n = len(ext.matrix)
+        v0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+        assert np.abs(ext.stack.coordinates(v0).imag).max() > 0.1
+        for grid in GRIDS.values():
+            self.check(ext, v0, grid, 0.0)
+
+    def test_empty_and_single_grids(self):
+        rng = np.random.default_rng(195)
+        model = random_model(rng, dim=2, n_channels=2)
+        ext = extended_liouvillian(model)
+        v0 = ext.vector(initial_state(rng, model))
+        assert dynamics.propagate(ext, v0, np.array([])).shape == (0, len(v0))
+        self.check(ext, v0, np.array([1.5]), 0.0)
+        self.check(ext, v0, np.array([0.0, 0.0]), 0.0)
+
+
 class TestInputChecks:
     def test_decreasing_times_rejected(self):
         rng = np.random.default_rng(53)

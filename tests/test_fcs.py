@@ -71,6 +71,17 @@ class TestCountingWeights:
         npt.assert_array_equal(w.per_channel, [2.0, 0.0])
         npt.assert_array_equal(w.per_transition, [[2.0, 2.0], [0.0, 0.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(ValidationError, match="per_transition has non-finite entries"):
+            CountingWeights(("a", "b"), np.full((2, 2), bad))
+        with pytest.raises(ValidationError, match="per_transition has non-finite entries"):
+            CountingWeights(("a", "b"), [[1.0, 0.0], [bad, 1.0]])
+        with pytest.raises(ValidationError, match="per_transition has non-finite entries"):
+            CountingWeights.from_channel_weights(("a", "b"), [bad, 1.0])
+        with pytest.raises(ValidationError, match="per_transition has non-finite entries"):
+            CountingWeights.from_channel_weights(("a", "b"), {"b": bad})
+
     def test_transition_resolved_has_no_channel_form(self):
         w = CountingWeights(("a", "b"), [[1.0, 0.0], [0.0, 1.0]])
         assert not w.channel_resolved

@@ -20,6 +20,7 @@ from jumpfeedback import (
     feedback_steady_state,
     maser_model,
     marginals,
+    no_feedback,
     power_spectrum,
     steady_noise,
     unvec,
@@ -323,3 +324,54 @@ class TestGeneratorStack:
         assert str(stacked.value) == str(single.value)
         # the members around it solve on their own
         assert np.isfinite(stationary_blocks(generator_stack(*stack_tensors([connected, connected])))).all()
+
+
+class TestHermitianBasis:
+    """The real coordinates of the memory-block sector that propagation runs in."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_basis_is_orthonormal_and_hermitian(self, dim):
+        rng = np.random.default_rng(196 + dim)
+        stack = extended_liouvillian(random_model(rng, dim=dim, n_channels=2)).stack
+        u = stack.hermitian_basis
+        npt.assert_allclose(u.conj().T @ u, np.eye(dim * dim), atol=1e-15)
+        for column in u.T:
+            b = column.reshape(dim, dim).T
+            npt.assert_array_equal(b, b.conj().T)
+
+    @pytest.mark.parametrize("silent", [0, 2])
+    def test_coordinates_and_real_form(self, silent):
+        rng = np.random.default_rng(201 + silent)
+        model = random_model(rng, dim=3, n_channels=3, silent=silent)
+        ext = extended_liouvillian(model)
+        stack = ext.stack
+        v = ext.vector(embed(model.channels, [0.2, 0.3, 0.5], random_density(rng, 3)))
+        coords = stack.coordinates(v)
+        # hermitian blocks have real coordinates, and the map inverts
+        assert np.abs(coords.imag).max() < 1e-16
+        npt.assert_allclose(stack.from_coordinates(coords), v, atol=1e-15)
+        w = rng.normal(size=(2, 5, len(v))) + 1j * rng.normal(size=(2, 5, len(v)))
+        npt.assert_allclose(stack.from_coordinates(stack.coordinates(w)), w, atol=1e-14)
+        # the real form is the block-diagonal change of basis of the generator
+        full = np.kron(np.eye(model.n_channels), stack.hermitian_basis)
+        dense = full.conj().T @ ext.matrix @ full
+        scale = np.abs(ext.matrix).max()
+        assert np.abs(dense.imag).max() <= 1e-14 * scale
+        assert np.abs(stack.real_matrices[0] - dense.real).max() <= 1e-14 * scale
+        assert stack.real_matrices.dtype == float
+        assert not stack.real_matrices.flags.writeable
+        # and it acts on coordinates as the generator acts on vectors
+        npt.assert_allclose(
+            stack.real_matrices[0] @ coords.real, stack.coordinates(ext.matrix @ v).real,
+            atol=1e-13 * scale,
+        )
+
+    def test_a_matrix_that_breaks_hermiticity_has_no_real_form(self):
+        model = no_feedback(np.zeros((2, 2)), [np.array([[0.0, 1.0], [0.0, 0.0]])], labels=["a"])
+        # vector order (rho00, rho10, rho01, rho11): hermiticity is kept only
+        # when the coherences rho10 and rho01 = conj(rho10) rotate oppositely
+        kept = hybrid.ExtendedGenerator(model=model, matrix=np.diag([0.0, -1j, 1j, 0.0]))
+        npt.assert_allclose(np.abs(kept.stack.real_matrices[0]).max(), 1.0, rtol=1e-15)
+        broken = hybrid.ExtendedGenerator(model=model, matrix=np.diag([0.0, -1j, -1j, 0.0]))
+        with pytest.raises(ValidationError, match="generator 0 does not preserve hermiticity"):
+            broken.stack.real_matrices

@@ -40,6 +40,7 @@ from jumpfeedback.trajectories import (
     _jump_time,
     _lookahead_tables,
     _streams,
+    check_step,
     whole_steps,
 )
 from helpers import (
@@ -734,6 +735,33 @@ class TestValidation:
             mc_estimate(model, weights, rho0, [1.0, 0.0], 0.0, 4)
         with pytest.raises(ValidationError, match="burn_in"):
             mc_estimate(model, weights, rho0, [1.0, 0.0], 5.0, 4, burn_in=5.0)
+
+    @pytest.mark.parametrize(
+        "horizon, message",
+        [(np.inf, "horizon must be finite"), (np.nan, "horizon must be finite"),
+         (-np.inf, "horizon must be positive")],
+    )
+    @pytest.mark.parametrize("scheme, dt", [("waiting-time", None), ("fixed-step", 0.01)])
+    def test_rejects_a_horizon_that_is_not_finite(self, horizon, message, scheme, dt):
+        model, weights, rho0 = qubit_setup()
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            mc_estimate(model, weights, rho0, [1.0, 0.0], horizon, 2, scheme=scheme, dt=dt)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            sample_trajectory(model, weights, rho0, "-1", horizon, scheme=scheme, rng=3, dt=dt)
+
+    @pytest.mark.parametrize(
+        "dt, message",
+        [(np.nan, "dt must be finite"), (np.inf, "dt must be finite"),
+         (0.0, "dt must be positive"), (-0.01, "dt must be positive")],
+    )
+    def test_rejects_a_step_that_is_not_finite(self, dt, message):
+        model, weights, rho0 = qubit_setup()
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            check_step(model, dt)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            mc_estimate(model, weights, rho0, [1.0, 0.0], 5.0, 2, scheme="fixed-step", dt=dt)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            sample_trajectory(model, weights, rho0, "-1", 5.0, scheme="fixed-step", rng=3, dt=dt)
 
     def test_rejects_bad_memory0(self):
         model, weights, rho0 = qubit_setup()
