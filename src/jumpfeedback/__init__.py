@@ -30,7 +30,6 @@ from .errors import (
     ConfigError,
     DegenerateSteadyStateError,
     DimensionError,
-    IntegrationError,
     JumpFeedbackError,
     PositivityError,
     ResolventError,
@@ -62,7 +61,6 @@ from .hybrid import (
 from .dynamics import (
     EvolutionResult,
     evolve_extended,
-    evolve_memory_resolved,
     feedback_steady_state,
     memory_distribution_rate,
 )

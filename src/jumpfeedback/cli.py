@@ -22,11 +22,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .dynamics import (
-    evolve_extended,
-    evolve_memory_resolved,
-    stationary_blocks,
-)
+from .dynamics import evolve_extended, stationary_blocks
 from .errors import ConfigError, JumpFeedbackError, ValidationError
 from .fcs import (
     CountingWeights,
@@ -538,16 +534,13 @@ def _parse_task(tcfg, ctx):
         _no_extra_keys(tcfg, {"kind"}, "task")
 
     elif kind == "evolve":
-        _no_extra_keys(tcfg, {"kind", "times", "method"}, "task")
+        _no_extra_keys(tcfg, {"kind", "times"}, "task")
         times = _grid_from_config(tcfg.get("times"), "task.times", allow_negative=False)
         if any(b <= a for a, b in zip(times, times[1:])):
             _fail("task.times", "must be strictly increasing")
-        method = tcfg.get("method", "exponential")
-        if method not in ("exponential", "ode"):
-            _fail("task.method", "must be 'exponential' or 'ode'")
         if ctx["initial"] is None:
             _fail("initial", "task 'evolve' needs an initial section")
-        canon.update(times=times, method=method)
+        canon.update(times=times)
 
     elif kind == "correlation":
         _no_extra_keys(tcfg, {"kind", "taus"}, "task")
@@ -774,10 +767,7 @@ def _run_evolve(ctx, out):
     times = np.array(ctx["task"]["times"])
     mem_dist, rho0 = ctx["initial"]
     state0 = embed(model.channels, mem_dist, rho0)
-    if ctx["task"]["method"] == "exponential":
-        result = evolve_extended(model, state0, times)
-    else:
-        result = evolve_memory_resolved(model, state0, times)
+    result = evolve_extended(model, state0, times)
     states = _state_rows(np.stack([st.blocks for st in result.states]))
     out.add("evolve", ["time"] + _state_header(model), np.column_stack([result.times, states]))
 

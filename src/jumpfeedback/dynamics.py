@@ -1,9 +1,9 @@
 """Deterministic propagation of the joint system-memory state.
 
-Two interchangeable routes act on the memory-block generator of
-:func:`extended_liouvillian`: adaptive integration of its linear ODE, and
-matrix exponentials.  Both preserve hermiticity and total trace; they agree
-to the integration tolerance and are tested against each other.
+The memory-block generator of :func:`extended_liouvillian` is linear and
+time-independent, so a state at time t is exp(t L) applied to the initial
+one; :func:`propagate` computes it with one real matrix exponential per
+distinct step, preserving hermiticity and total trace.
 """
 
 from dataclasses import dataclass
@@ -11,13 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import IntegrationError, PositivityError, ValidationError
+from .errors import PositivityError, ValidationError
 from .hybrid import HybridState, extended_liouvillian
 from .model import check_density
 
 __all__ = [
     "EvolutionResult",
-    "evolve_memory_resolved",
     "evolve_extended",
     "feedback_steady_state",
     "memory_distribution_rate",
@@ -32,14 +31,11 @@ POSITIVITY_ABORT = 1e-6
 class EvolutionResult:
     """Time-ordered snapshots of a hybrid evolution.
 
-    ``states[i]`` is the HybridState at ``times[i]``; ``method`` records
-    which route produced it ("memory-resolved-ode" or
-    "extended-exponential").
+    ``states[i]`` is the HybridState at ``times[i]``.
     """
 
     times: np.ndarray
     states: tuple
-    method: str
 
 
 def _check_times(times):
@@ -110,47 +106,6 @@ def propagate(ext, vector, times, start=0.0):
     return stack.from_coordinates(out.view(complex).T)
 
 
-def evolve_memory_resolved(model, state0, times, rtol=1e-10, atol=1e-12):
-    """Integrate the memory-resolved master equation with an adaptive RK.
-
-    Parameters
-    ----------
-    model : FeedbackModel
-    state0 : HybridState
-        State at ``times[0]``.
-    times : array_like
-        Non-decreasing output times.
-    rtol, atol : float
-        Tolerances passed to the DOP853 integrator.
-
-    Returns
-    -------
-    EvolutionResult
-    """
-    import scipy.integrate
-
-    times = _check_times(times)
-    if state0.labels != model.channels:
-        raise ValidationError("state labels do not match model channels")
-    if times[-1] == times[0]:
-        states = tuple(HybridState(state0.labels, state0.blocks.copy()) for _ in times)
-        return EvolutionResult(times=times, states=states, method="memory-resolved-ode")
-    ext = extended_liouvillian(model)
-    sol = scipy.integrate.solve_ivp(
-        lambda _, y: ext.matrix @ y,
-        (times[0], times[-1]),
-        ext.vector(state0).astype(complex),
-        t_eval=times,
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-    )
-    if not sol.success:
-        raise IntegrationError(f"memory-resolved integration failed: {sol.message}")
-    states = _checked_states(ext, sol.y.T, times)
-    return EvolutionResult(times=times, states=tuple(states), method="memory-resolved-ode")
-
-
 def evolve_extended(model, state0, times, ext=None):
     """Propagate with matrix exponentials of the memory-block generator.
 
@@ -166,7 +121,7 @@ def evolve_extended(model, state0, times, ext=None):
         ext = extended_liouvillian(model)
     vectors = propagate(ext, ext.vector(state0), times[1:], start=times[0])
     states = [state0] + _checked_states(ext, vectors, times[1:])
-    return EvolutionResult(times=times, states=tuple(states), method="extended-exponential")
+    return EvolutionResult(times=times, states=tuple(states))
 
 
 def stationary_blocks(stack):

@@ -21,10 +21,6 @@ class PositivityError(JumpFeedbackError, RuntimeError):
     """A state that should be positive semidefinite is not."""
 
 
-class IntegrationError(JumpFeedbackError, RuntimeError):
-    """Time integration failed or left the physical state space."""
-
-
 class ResolventError(JumpFeedbackError, RuntimeError):
     """A resolvent solve (i*omega - generator) is singular."""
 

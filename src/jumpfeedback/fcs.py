@@ -372,10 +372,15 @@ def noise_by_quadrature(ext, weights, state=None, t_max=None, gap_factor=40.0):
     Integrates the smooth correlation 2 * (Tr[J exp(tau L) J rho] - J^2)
     over [0, t_max] with adaptive quadrature and adds the background K.
     ``t_max`` defaults to ``gap_factor / spectral_gap``, far past the
-    slowest decay.  Shares only the generator with :func:`steady_noise`.
+    slowest decay; both must be finite and positive.  Shares only the
+    generator with :func:`steady_noise`.
     """
     import scipy.integrate
 
+    for name, value in (("t_max", t_max), ("gap_factor", gap_factor)):
+        # NaN fails the chained comparison
+        if value is not None and not 0.0 < value < np.inf:
+            raise ValidationError(f"{name} must be finite and positive, got {value}")
     state, v = _resolve_stationary(ext, state)
     if t_max is None:
         gap = spectral_gap(ext)
@@ -448,8 +453,8 @@ def tilted_cumulants(ext, weights, chi_step=1e-4):
         the stencil's round-off estimate (64/12) eps ||L||_2 / chi_step^2
         exceeds 1e-2 |D|; the message names a larger ``chi_step``.
     """
-    if chi_step <= 0:
-        raise ValidationError("chi_step must be positive")
+    if not 0.0 < chi_step < np.inf:
+        raise ValidationError(f"chi_step must be finite and positive, got {chi_step}")
     base_evals = np.linalg.eigvals(ext.matrix)
     if len(base_evals) > 1:
         order = np.argsort(base_evals.real)[::-1]

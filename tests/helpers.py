@@ -1,11 +1,11 @@
 """Shared factories and the dense reference for the test suite.
 
-Besides random-model factories and step-by-step trajectory references, this
-module holds the dense oracle: the paper form of jump-based feedback as one
-Lindbladian on the full hybrid space of system and memory, an
-``(m*d)^2 x (m*d)^2`` matrix.  The package computes only on the
-memory-block sector of size m*d^2 (:mod:`jumpfeedback.hybrid`); the tests
-check it against this form.
+Besides random-model factories, step-by-step trajectory references and an
+ODE integration of the memory-block generator, this module holds the dense
+oracle: the paper form of jump-based feedback as one Lindbladian on the full
+hybrid space of system and memory, an ``(m*d)^2 x (m*d)^2`` matrix.  The
+package computes only on the memory-block sector of size m*d^2
+(:mod:`jumpfeedback.hybrid`); the tests check it against this form.
 
 The memory index is major: the full matrix is ``(m*d, m*d)``, block (k, q)
 is the contiguous submatrix ``[k*d:(k+1)*d, q*d:(q+1)*d]``, and an extended
@@ -23,9 +23,11 @@ import scipy.linalg
 import jumpfeedback
 from jumpfeedback import (
     DimensionError,
+    EvolutionResult,
     HybridState,
     Superoperator,
     ValidationError,
+    extended_liouvillian,
     feedback_model,
     unvec,
     vec,
@@ -225,6 +227,33 @@ def dense_gain(model, nu):
         for q in range(m):
             mat += nu[k, q] * sandwich(ops[k * m + q]).matrix
     return mat
+
+
+def evolve_memory_resolved(model, state0, times, rtol=1e-10, atol=1e-12):
+    """ODE oracle for :func:`evolve_extended`: DOP853 on the memory-block generator.
+
+    Integrates dv/dt = L v, L = ``extended_liouvillian(model).matrix``, from
+    ``state0`` at ``times[0]`` and returns an EvolutionResult with the states
+    at the non-decreasing ``times``.  ``rtol`` and ``atol`` go to the
+    integrator.
+    """
+    import scipy.integrate
+
+    times = np.asarray(times, dtype=float)
+    ext = extended_liouvillian(model)
+    sol = scipy.integrate.solve_ivp(
+        lambda _, y: ext.matrix @ y,
+        (times[0], times[-1]),
+        ext.vector(state0).astype(complex),
+        t_eval=times,
+        method="DOP853",
+        rtol=rtol,
+        atol=atol,
+    )
+    if not sol.success:
+        raise RuntimeError(f"memory-resolved integration failed: {sol.message}")
+    states = tuple(HybridState(model.channels, b) for b in ext.stack.blocks(sol.y.T))
+    return EvolutionResult(times=times, states=states)
 
 
 def fixed_step_reference(model, weights, rho0, k0, stream, horizon, dt, burn_in=0.0):

@@ -22,7 +22,6 @@ from jumpfeedback import (
     charge_from_record,
     embed,
     evolve_extended,
-    evolve_memory_resolved,
     extended_liouvillian,
     feedback_model,
     feedback_steady_state,
@@ -46,7 +45,14 @@ from jumpfeedback import (
 )
 from jumpfeedback.cli import main
 
-from helpers import liouvillian, random_density, random_hermitian, random_model, random_operator
+from helpers import (
+    evolve_memory_resolved,
+    liouvillian,
+    random_density,
+    random_hermitian,
+    random_model,
+    random_operator,
+)
 
 # Reference maser operating point shared by several criteria below.
 MASER_POINT = dict(nl=0.3, nr=8.0, gl=0.025, gr=0.025, lam=1.0, delta=0.0, wl=8.0, wr=2.0)

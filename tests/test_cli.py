@@ -12,14 +12,17 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import jumpfeedback.cli as cli
 from jumpfeedback import (
     CountingWeights,
+    HybridState,
     MaserParams,
     QubitParams,
     __version__,
     average_current,
+    embed,
     extended_liouvillian,
     marginals,
     feedback_steady_state,
@@ -452,12 +455,15 @@ class TestNoTraceback:
              "config error: weights.per_channel.+1: expected a finite number, got nan"),
             ({"kind": "sweep", "parameter": "nbar", "values": [0.5, NAN]}, {}, 2,
              "config error: task.values[1]: expected a finite number, got nan"),
+            # the span that hung the removed ODE route; 'method' is no longer a key
+            ({**EVOLVE, "times": [0.0, 1e308], "method": "ode"}, {}, 2,
+             "config error: task: unknown keys ['method']; allowed: ['kind', 'times']"),
         ],
         ids=[
             "step_count_overflow", "evolve_far_time", "correlation_far_lag", "nan_param",
             "inf_horizon", "overflowing_integer", "nan_burn_in", "nan_dt", "nan_time",
             "infinite_grid_end", "nan_memory", "negative_memory", "nan_state_entry",
-            "nan_weight", "nan_sweep_value",
+            "nan_weight", "nan_sweep_value", "evolve_method_key",
         ],
     )
     def test_exit_code_and_message(self, tmp_path, capsys, task, sections, code, message):
@@ -517,13 +523,15 @@ class TestSteadyTask:
 
 
 class TestEvolveTask:
-    def evolve_config(self, directory, method):
-        cfg = base_config(directory, {"kind": "evolve", "times": [0.0, 0.4, 1.2], "method": method})
+    TIMES = [0.0, 0.4, 1.2]
+
+    def evolve_config(self, directory):
+        cfg = base_config(directory, {"kind": "evolve", "times": self.TIMES})
         cfg["initial"] = {"memory": "-1", "system": "ground"}
         return cfg
 
     def test_initial_row_matches_input(self, tmp_path):
-        _, _, files = run_config(self.evolve_config(tmp_path, "exponential"))
+        _, _, files = run_config(self.evolve_config(tmp_path))
         header, rows = read_csv(files[0])
         assert header[0] == "time"
         assert len(rows) == 3
@@ -532,14 +540,19 @@ class TestEvolveTask:
         assert first[1] == pytest.approx(1.0, abs=1e-14)  # P(-1)
         assert first[3] == pytest.approx(1.0, abs=1e-14)  # pop0
 
-    def test_methods_agree(self, tmp_path):
-        _, _, exp_files = run_config(self.evolve_config(tmp_path / "a", "exponential"))
-        _, _, ode_files = run_config(self.evolve_config(tmp_path / "b", "ode"))
-        _, exp_rows = read_csv(exp_files[0])
-        _, ode_rows = read_csv(ode_files[0])
-        a = np.array([[float(x) for x in row] for row in exp_rows])
-        b = np.array([[float(x) for x in row] for row in ode_rows])
-        assert np.max(np.abs(a - b)) < 1e-6
+    def test_csv_matches_dense_exponential(self, tmp_path):
+        _, _, files = run_config(self.evolve_config(tmp_path))
+        _, rows = read_csv(files[0])
+        got = np.array([[float(x) for x in row] for row in rows])
+        assert len(got) == len(self.TIMES)
+        model = qubit_cooling_model(QubitParams(nbar=0.5, gamma=1.0, lam=1.0, delta=0.0))
+        ext = extended_liouvillian(model)
+        v0 = ext.vector(embed(model.channels, [1.0, 0.0], np.diag([1.0, 0.0])))
+        for t, row in zip(self.TIMES, got):
+            blocks = ext.stack.blocks(scipy.linalg.expm(t * ext.matrix) @ v0)[0]
+            system, probs, _ = marginals(HybridState(model.channels, blocks))
+            want = [t, *probs, *system.diagonal().real, system[0, 1].real, system[0, 1].imag]
+            assert np.abs(row - want).max() < 1e-10
 
 
 class TestTrajectoriesTask:

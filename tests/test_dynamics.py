@@ -9,7 +9,6 @@ from jumpfeedback import (
     ValidationError,
     embed,
     evolve_extended,
-    evolve_memory_resolved,
     extended_liouvillian,
     feedback_steady_state,
     marginals,
@@ -22,6 +21,7 @@ from jumpfeedback import dynamics
 from helpers import (
     child_env,
     dense_oracle,
+    evolve_memory_resolved,
     liouvillian,
     random_density,
     random_hermitian,
@@ -67,7 +67,7 @@ class TestCrossMethod:
         rng = np.random.default_rng(52)
         model = random_model(rng, dim=2, n_channels=3)
         state0 = initial_state(rng, model)
-        res = evolve_memory_resolved(model, state0, np.linspace(0.0, 3.0, 7))
+        res = evolve_extended(model, state0, np.linspace(0.0, 3.0, 7))
         for s in res.states:
             assert abs(s.memory_dist.sum() - 1.0) < 1e-9
 
@@ -180,15 +180,15 @@ class TestInputChecks:
         rho = random_density(rng, 2)
         wrong = embed(("p", "q"), [0.5, 0.5], rho)
         with pytest.raises(ValidationError, match="labels"):
-            evolve_memory_resolved(model, wrong, [0.0, 1.0])
+            evolve_extended(model, wrong, [0.0, 1.0])
 
     def test_nan_time_rejected(self):
         rng = np.random.default_rng(60)
         model = random_model(rng, dim=2, n_channels=2)
         state0 = initial_state(rng, model)
-        for evolve in (evolve_extended, evolve_memory_resolved):
+        for times in ([0.0, np.nan], [np.nan, 1.0]):
             with pytest.raises(ValidationError, match="finite values"):
-                evolve(model, state0, [0.0, np.nan])
+                evolve_extended(model, state0, times)
 
     def test_non_finite_state_names_its_time(self):
         rng = np.random.default_rng(59)
@@ -202,7 +202,7 @@ class TestInputChecks:
         rng = np.random.default_rng(55)
         model = random_model(rng, dim=2, n_channels=2)
         state0 = initial_state(rng, model)
-        res = evolve_memory_resolved(model, state0, [0.0])
+        res = evolve_extended(model, state0, [0.0])
         npt.assert_allclose(res.states[0].blocks, state0.blocks, atol=1e-14)
 
 

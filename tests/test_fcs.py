@@ -209,6 +209,42 @@ class TestCrossRoutes:
         assert abs(corr.values[1]) < 1e-6 * max(1.0, abs(corr.values[0]))
 
 
+class TestVerificationRouteInputs:
+    """Spans and steps of the quadrature and stencil routes must be finite and positive.
+
+    On the qubit (nbar 0.5, gamma 1, activity weights; D = 0.846354) a NaN
+    span once returned the background 0.708333 alone, t_max = -1 returned
+    -0.0837 and gap_factor = -40 returned -3.2e21, all without an error.
+    """
+
+    @staticmethod
+    def qubit():
+        from jumpfeedback import QubitParams, qubit_cooling_model
+
+        ext = extended_liouvillian(qubit_cooling_model(QubitParams(nbar=0.5, gamma=1.0)))
+        return ext, CountingWeights.from_channel_weights(ext.model.channels, [1.0, 1.0])
+
+    @pytest.mark.parametrize("name", ["t_max", "gap_factor"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0, -40.0])
+    def test_quadrature_span_rejected(self, name, value):
+        ext, weights = self.qubit()
+        with pytest.raises(ValidationError, match=f"{name} must be finite and positive"):
+            noise_by_quadrature(ext, weights, **{name: value})
+
+    def test_quadrature_span_accepted(self):
+        ext, weights = self.qubit()
+        d = steady_noise(ext, weights)
+        assert abs(d - 0.8463541666666667) < 1e-12
+        for kwargs in ({}, {"t_max": 60.0}, {"gap_factor": 30.0}):
+            assert abs(noise_by_quadrature(ext, weights, **kwargs) - d) < 1e-9
+
+    @pytest.mark.parametrize("chi_step", [np.nan, np.inf, -np.inf, 0.0, -1e-4])
+    def test_stencil_step_rejected(self, chi_step):
+        ext, weights = self.qubit()
+        with pytest.raises(ValidationError, match="chi_step must be finite and positive"):
+            tilted_cumulants(ext, weights, chi_step=chi_step)
+
+
 class TestSpectrumAgainstDenseSolves:
     """The Schur back-substitution against one dense solve per frequency."""
 

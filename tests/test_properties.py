@@ -18,7 +18,6 @@ from jumpfeedback import (
     drazin,
     embed,
     evolve_extended,
-    evolve_memory_resolved,
     extended_liouvillian,
     feedback_steady_state,
     power_spectrum,
@@ -31,7 +30,14 @@ from jumpfeedback import (
     vec,
 )
 
-from helpers import dense_gain, dense_oracle, random_density, random_model, to_matrix
+from helpers import (
+    dense_gain,
+    dense_oracle,
+    evolve_memory_resolved,
+    random_density,
+    random_model,
+    to_matrix,
+)
 
 CASES = st.tuples(
     st.integers(1, 3),  # memory values m
