@@ -72,8 +72,13 @@ def propagate(ext, vector, times, start=0.0):
     input whose blocks are not hermitian stays exact.  A run of steps with
     one propagator P advances in blocks: once b states of the run are known,
     P^b maps all of them to the next b states in one product (b = 1, 2, 4,
-    ...).  The states go back to the vector layout in one product.
+    ...).  The states go back to the vector layout in one product.  Times
+    and ``start`` must be finite, else :class:`ValidationError`.
     """
+    times = np.asarray(times, dtype=float)
+    # written so that NaN fails too
+    if not (np.isfinite(times).all() and np.isfinite(start)):
+        raise ValidationError("times must be finite")
     steps = np.diff(times, prepend=start)
     tol = 4.0 * np.finfo(float).eps * np.abs(times).max(initial=abs(start))
     order = np.argsort(steps, kind="stable")

@@ -232,13 +232,16 @@ def two_point_correlation(ext, weights, taus, state=None):
     """Stationary autocorrelation F(tau) = K delta(tau) + smooth part.
 
     The smooth part is Tr[J exp(tau L) J rho_ss] - J^2, evaluated on the
-    given non-negative lags.  Requires a stationary state; a non-stationary
-    input raises :class:`ValidationError`, and so does a value that is not
-    finite or not real, naming its lag.
+    given finite non-negative lags.  Requires a stationary state; a
+    non-stationary input raises :class:`ValidationError`, and so does a
+    value that is not finite or not real, naming its lag.
     """
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1 or len(taus) == 0:
         raise ValidationError("taus must be a non-empty 1-d array")
+    # written so that NaN fails too
+    if not np.isfinite(taus).all():
+        raise ValidationError("lags must be finite")
     if taus.min() < 0:
         raise ValidationError("lags must be non-negative (F is even in tau)")
     order = np.argsort(taus, kind="stable")
@@ -305,11 +308,15 @@ def power_spectrum(ext, weights, omegas, state=None):
     naming the first such omega.  At omega = 0 the resolvent is replaced by
     the Drazin inverse (one solve with the generator's cached bordered
     factorization, done once however often 0 appears), so S(0) equals the
-    zero-frequency noise.  Values follow the order of ``omegas``.
+    zero-frequency noise.  Values follow the order of ``omegas``, which must
+    be finite.
     """
     omegas = np.asarray(omegas, dtype=float)
     if omegas.ndim != 1 or len(omegas) == 0:
         raise ValidationError("omegas must be a non-empty 1-d array")
+    # written so that NaN fails too
+    if not np.isfinite(omegas).all():
+        raise ValidationError("frequencies must be finite")
     state, v = _resolve_stationary(ext, state)
     jmat = current_superop(ext, weights)
     t = ext.trace_row
@@ -357,7 +364,14 @@ def steady_noise(ext, weights, state=None):
 
 
 def spectral_gap(gen, zero_rtol=1e-9):
-    """Smallest decay rate: min(-Re(lambda)) over nonzero eigenvalues of gen."""
+    """Smallest decay rate: min(-Re(lambda)) over nonzero eigenvalues of gen.
+
+    An eigenvalue counts as zero when its modulus is at most ``zero_rtol``
+    times the largest modulus; ``zero_rtol`` must be finite and positive.
+    """
+    # NaN fails the chained comparison
+    if not 0.0 < zero_rtol < np.inf:
+        raise ValidationError(f"zero_rtol must be finite and positive, got {zero_rtol}")
     evals = np.linalg.eigvals(gen.matrix)
     scale = max(np.abs(evals).max(), 1e-300)
     nonzero = evals[np.abs(evals) > zero_rtol * scale]

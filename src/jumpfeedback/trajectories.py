@@ -27,9 +27,11 @@ memory.
 
 Randomness is drawn from counter-based per-trajectory streams derived from
 ``(master_seed, trajectory_index)``, so results are bit-for-bit reproducible
-and independent of batching and thread count.  Monitored jumps reset the
-memory to their channel; silent jumps update the state only and never
-carry charge.
+and independent of batching and thread count.  A batch reads all of them
+through one Philox generator, resumed by key and counter, which gives the
+same numbers as ``Philox(SeedSequence(master_seed, spawn_key=(i,)))`` for
+trajectory i.  Monitored jumps reset the memory to their channel; silent
+jumps update the state only and never carry charge.
 """
 
 from dataclasses import dataclass
@@ -153,10 +155,56 @@ def trajectory_stream(master_seed, index):
     In :func:`mc_estimate` the stream's first uniform samples the initial
     memory value; everything after that is consumed by the sampling engine.
     Replaying a batch member by hand therefore means drawing that uniform
-    before handing the stream to :func:`sample_trajectory`.  The engine
-    uses the stream's uniforms in order but draws them in whole blocks.
+    before handing the stream to :func:`sample_trajectory`.  The batch
+    itself builds no generator per trajectory: one Philox generator is set
+    to this stream's key and counter whenever the trajectory needs more
+    uniforms, and gives the same numbers.  The engine uses the stream's
+    uniforms in order but draws them in whole blocks.
     """
     return _streams(master_seed, np.array([_uint32_words(index)], dtype=np.uint32))[0]
+
+
+class _KeyedStreams:
+    """The streams of a batch, read through one Philox generator.
+
+    Philox is a keyed bijection of a counter: uniform j of the stream with
+    key K is output j % 4 of the block that K makes of counter j // 4 + 1.
+    To continue stream i, the one generator takes key i and counter
+    drawn // 4 with an empty buffer, and drops the drawn % 4 uniforms of
+    that block that stream i has already used.
+    """
+
+    def __init__(self, keys):
+        self.keys = keys.tolist()
+        self.drawn = [0] * len(self.keys)
+        self.bit_generator = np.random.Philox(_PhiloxKey(keys[0]))
+        self.generator = np.random.Generator(self.bit_generator)
+
+    def fill(self, i, out):
+        """Fill ``out`` with the next uniforms of stream ``i``."""
+        start = self.drawn[i]
+        self.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (start // 4, 0, 0, 0), "key": self.keys[i]},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        if start % 4:
+            self.generator.random(start % 4)
+        self.generator.random(out=out)
+        self.drawn[i] = start + len(out)
+
+
+class _OneStream:
+    """A caller's generator as the one stream of a batch."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def fill(self, i, out):
+        self.rng.random(out=out)
 
 
 @dataclass(frozen=True)
@@ -277,34 +325,35 @@ def _jump_time(coeff, kappa, u, t_max, evaluations=None):
     idx = np.arange(n)
     lo, hi, x, log_u = np.zeros(n), np.array(t_max, dtype=float), t.copy(), np.log(u)
     s, ds, d2s = moments.sum(axis=2).real.T
-    for _ in range(MAX_ROOT_ITERATIONS):
-        above = s > u
-        lo = np.where(above, x, lo)
-        hi = np.where(above, hi, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(MAX_ROOT_ITERATIONS):
+            above = s > u
+            lo = np.where(above, x, lo)
+            hi = np.where(above, hi, x)
             f, df = np.log(s) - log_u, ds / s
             d2f = d2s / s - df * df
             step = -2.0 * f * df / (2.0 * df * df - f * d2f)
             newton = f / df
-        new = x + step
-        scale = np.maximum(x, 1.0)
-        tol = ACCEPT_STEP * scale
-        # the Newton step must be as short: where S is flat (S' = 0 at t = 0
-        # in a dark state) the Halley step vanishes far from the root.  An
-        # accepted step may land on or just past a bracket end, so the
-        # acceptance test comes before the bracket test
-        accepted = (np.abs(step) <= tol) & (np.abs(newton) <= tol)
-        bisect = ~(accepted | ((new > lo) & (new < hi)))
-        new[bisect] = 0.5 * (lo[bisect] + hi[bisect])
-        t[idx] = new
-        keep = ~(accepted | (hi - lo <= ROOT_TOLERANCE * scale))
-        if not keep.any():
-            break
-        idx, moments, kappa, u, log_u = idx[keep], moments[keep], kappa[keep], u[keep], log_u[keep]
-        lo, hi, x = lo[keep], hi[keep], new[keep]
-        if evaluations is not None:
-            evaluations[idx] += 1
-        s, ds, d2s = np.einsum("nkx,nx->kn", moments, _growth(kappa, x)).real
+            new = x + step
+            scale = np.maximum(x, 1.0)
+            tol = ACCEPT_STEP * scale
+            # the Newton step must be as short: where S is flat (S' = 0 at
+            # t = 0 in a dark state) the Halley step vanishes far from the
+            # root.  An accepted step may land on or just past a bracket
+            # end, so the acceptance test comes before the bracket test
+            accepted = (np.abs(step) <= tol) & (np.abs(newton) <= tol)
+            bisect = ~(accepted | ((new > lo) & (new < hi)))
+            if bisect.any():
+                new[bisect] = 0.5 * (lo[bisect] + hi[bisect])
+            t[idx] = new
+            keep = ~(accepted | (hi - lo <= ROOT_TOLERANCE * scale))
+            if not keep.any():
+                break
+            idx, moments, kappa = idx[keep], moments[keep], kappa[keep]
+            u, log_u, lo, hi, x = u[keep], log_u[keep], lo[keep], hi[keep], new[keep]
+            if evaluations is not None:
+                evaluations[idx] += 1
+            s, ds, d2s = np.einsum("nkx,nx->kn", moments, _growth(kappa, x)).real
     return t
 
 
@@ -322,12 +371,10 @@ class _Batch:
     = Tr rho.
     """
 
-    def __init__(
-        self, model, weights, rho0, memories0, streams, burn_in, record, block, window, eigen
-    ):
+    def __init__(self, model, weights, rho0, n, streams, burn_in, record, block, window, eigen):
         if weights.channels != model.channels:
             raise ValidationError("weights channels do not match the model")
-        m, d, n = model.n_channels, model.dim, len(memories0)
+        m, d = model.n_channels, model.dim
         self.m, self.d, self.n_ops = m, d, m + len(model.silent_labels)
         self.labels = model.channels + model.silent_labels
         loss = np.stack([model.loss_operator(k) for k in range(m)])
@@ -361,31 +408,52 @@ class _Batch:
         rate = vh[:, None] @ ops.conj().swapaxes(2, 3) @ ops @ basis[:, None]
         self.rate_rows = rate.swapaxes(2, 3).reshape(m, self.n_ops, d * d)
         self.trace_rows = (vh @ basis).swapaxes(1, 2).reshape(m, d * d)
+        # rho0 in the basis of every memory
+        self.initial_rows = (vinv @ rho0 @ vinv.conj().swapaxes(1, 2)).reshape(m, d * d)
         # charge added when channel c fires at memory k (silent rows are 0)
         self.charge_table = np.zeros((self.n_ops, m))
         self.charge_table[:m, :] = weights.per_transition
 
-        self.memory = np.asarray(memories0, dtype=np.intp).copy()
-        self.states = (vinv @ rho0 @ vinv.conj().swapaxes(1, 2)).reshape(m, d * d)[self.memory]
         self.burn_in = burn_in
         self.charge = np.zeros(n)
         self.rounds = 0
         self.jump_events = 0
         self.survival_evaluations = 0
         self.records = [[] for _ in range(n)] if record else None  # (time, channel, memory)
-        # pre-drawn uniforms: row i holds a block of stream i, then ``window``
-        # columns of padding; ptr[i] is the next unused column (block: draw a
-        # new block first)
+        # pre-drawn uniforms: row i holds a block of stream i, ``window``
+        # columns of padding and one column that holds stream i + 1's first
+        # uniform (see ``draw_first``); ptr[i] is the next unused column
+        # (block: draw a new block first)
         self.streams = streams
-        self.block = block
-        self.uniform_buf = np.zeros((n, block + window))
-        self.windows = sliding_window_view(self.uniform_buf, window, axis=1) if window else None
+        self.block, self.window = block, window
+        self.row_width = block + window + 1
+        self.flat_buf = np.zeros(n * self.row_width + 1)
+        self.uniform_buf = self.flat_buf[1:].reshape(n, self.row_width)
+        self.windows = sliding_window_view(self.uniform_buf, window, axis=1)
         self.ptr = np.full(n, block)
+
+    def start(self, memories0):
+        """Put every trajectory in rho0 at its initial memory index."""
+        self.memory = np.asarray(memories0, dtype=np.intp).copy()
+        self.states = self.initial_rows[self.memory]
+
+    def draw_first(self):
+        """Draw each stream's first uniform together with its first block.
+
+        Stream i's first 1 + block uniforms land in one contiguous slice:
+        the last column of row i - 1 (the leading element of the buffer for
+        i = 0), then the block columns of row i.  Returns the first uniforms.
+        """
+        n, width = len(self.ptr), self.row_width
+        for i in range(n):
+            self.streams.fill(i, self.flat_buf[i * width : i * width + 1 + self.block])
+        self.ptr[:] = 0
+        return self.flat_buf[: n * width : width]
 
     def refill(self, idx):
         """Draw a new block for each trajectory in ``idx`` that used up its own."""
-        for i in idx[self.ptr[idx] == self.block]:
-            self.streams[i].random(out=self.uniform_buf[i, : self.block])
+        for i in idx[self.ptr[idx] == self.block].tolist():
+            self.streams.fill(i, self.uniform_buf[i, : self.block])
             self.ptr[i] = 0
 
     def uniforms(self, idx):
@@ -398,32 +466,34 @@ class _Batch:
         return self.windows[idx, self.ptr[idx]]
 
     def draw(self, idx):
-        self.refill(idx)
-        cols = self.ptr[idx]
-        self.ptr[idx] = cols + 1
-        return self.uniform_buf[idx, cols]
+        """The next ``window`` uniforms of each trajectory in ``idx``, used up."""
+        u = self.uniforms(idx)
+        self.ptr[idx] += self.window
+        return u
 
     def normalized(self, rows, ks):
         """State rows at memories ``ks`` scaled to unit trace."""
         return rows / np.einsum("nx,nx->n", rows, self.trace_rows[ks]).real[:, None]
 
-    def apply_jumps(self, sel, t_jump, u, dt=None):
-        """One jump for each trajectory in ``sel`` at times ``t_jump``.
+    def apply_jumps(self, sel, rows, t_jump, u, dt=None):
+        """One jump for each trajectory in ``sel``, in state ``rows``, at times ``t_jump``.
 
         The channel is picked with uniform ``u`` from the jump weights
-        Tr[L_q rho L_q^dag] of the current state: in proportion to them
+        Tr[L_q rho L_q^dag] of the state: in proportion to them
         (waiting-time), or as the step's outcome when channel q fires with
-        probability dt times its weight (fixed-step, ``dt`` given).
+        probability dt times its weight (fixed-step, ``dt`` given).  Without
+        ``dt`` the rows need not be normalized, since the pick is relative
+        and the post-jump state is normalized.
         """
-        ks, a = self.memory[sel], self.states[sel]
-        w = np.einsum("nqx,nx->nq", self.rate_rows[ks], a).real
+        ks = self.memory[sel]
+        w = (self.rate_rows[ks] @ rows[:, :, None])[:, :, 0].real
         if dt is not None:
             w *= dt
         cum = np.cumsum(np.maximum(w, 0.0), axis=1)
         target = u if dt is not None else u * cum[:, -1]
         picks = np.minimum((cum <= target[:, None]).sum(axis=1), self.n_ops - 1)
         after = self.next_memory[ks, picks]
-        a = np.einsum("nxy,ny->nx", self.jump_maps[ks, picks], a)
+        a = (self.jump_maps[ks, picks] @ rows[:, :, None])[:, :, 0]
         self.states[sel] = self.normalized(a, after)
         counted = t_jump >= self.burn_in
         self.charge[sel[counted]] += self.charge_table[picks, ks][counted]
@@ -468,7 +538,8 @@ def _run_waiting(batch, horizon):
         a, kappa = batch.states[active], batch.decay[ks]
         coeff = a * batch.trace_rows[ks]
         t_wait = horizon - t[active]
-        u = batch.draw(active)
+        # the time uniform and the channel uniform of the round
+        u, u_pick = batch.draw(active).T
         growth = _growth(kappa, t_wait)
         jumps = u >= np.einsum("nx,nx->n", coeff, growth).real
         evaluations = np.zeros(np.count_nonzero(jumps), dtype=np.intp)
@@ -476,10 +547,12 @@ def _run_waiting(batch, horizon):
         batch.survival_evaluations += len(active) + int(evaluations.sum())
         # conditional states at the jump instants, or at the horizon
         growth[jumps] = _growth(kappa[jumps], t_wait[jumps])
-        batch.states[active] = batch.normalized(a * growth, ks)
+        rows = a * growth
+        stay = ~jumps
+        batch.states[active[stay]] = batch.normalized(rows[stay], ks[stay])
         t[active] = np.where(jumps, t[active] + t_wait, horizon)
         active = active[jumps]
-        batch.apply_jumps(active, t[active], batch.draw(active))
+        batch.apply_jumps(active, rows[jumps], t[active], u_pick[jumps])
 
 
 def _lookahead_tables(h_eff, rate_rows, dt):
@@ -545,14 +618,14 @@ def _run_fixed(batch, horizon, dt):
             hit[g] &= u[g] * x[:, :, -1] < total
         jumped = hit.any(axis=1)
         advance = np.where(jumped, hit.argmax(axis=1), width)
-        moved = np.einsum("ni,nij->nj", rows, powers[ks, advance])
-        batch.states[active] = batch.normalized(moved, ks)
+        moved = batch.normalized((rows[:, None, :] @ powers[ks, advance])[:, 0], ks)
+        batch.states[active] = moved
         sel = active[jumped]
         u_jump = u[jumped, advance[jumped]]
         advance[jumped] += 1  # the jumping step itself
         step[active] += advance
         batch.ptr[active] += advance
-        batch.apply_jumps(sel, step[sel] * dt, u_jump, dt)
+        batch.apply_jumps(sel, moved[jumped], step[sel] * dt, u_jump, dt)
         active = active[step[active] < n_steps]
 
 
@@ -584,7 +657,8 @@ def check_step(model, dt):
         )
 
 
-def _run_batch(model, weights, rho0, memories0, streams, horizon, scheme, dt, burn_in, record):
+def _new_batch(model, weights, rho0, n, streams, horizon, scheme, dt, burn_in, record):
+    """Check the run settings and build a batch of n trajectories (see :func:`_run_batch`)."""
     if horizon <= 0:
         raise ValidationError("horizon must be positive")
     # written so that NaN fails too
@@ -597,15 +671,18 @@ def _run_batch(model, weights, rho0, memories0, streams, horizon, scheme, dt, bu
     fixed = scheme == "fixed-step"
     if fixed:
         check_step(model, dt)
-    block, window = (UNIFORM_BLOCK, LOOKAHEAD) if fixed else (WAITING_BLOCK, 0)
-    batch = _Batch(
-        model, weights, rho0, memories0, streams, burn_in, record, block, window, not fixed
-    )
-    if fixed:
+    # a waiting-time round uses two uniforms, so a pair never straddles a block
+    block, window = (UNIFORM_BLOCK, LOOKAHEAD) if fixed else (WAITING_BLOCK, 2)
+    return _Batch(model, weights, rho0, n, streams, burn_in, record, block, window, not fixed)
+
+
+def _run_batch(batch, memories0, horizon, scheme, dt):
+    """Run every trajectory of a batch from its initial memory to the horizon."""
+    batch.start(memories0)
+    if scheme == "fixed-step":
         _run_fixed(batch, horizon, dt)
     else:
         _run_waiting(batch, horizon)
-    return batch
 
 
 def sample_trajectory(
@@ -647,9 +724,8 @@ def sample_trajectory(
         rng = 0
     stream = trajectory_stream(rng, 0) if isinstance(rng, (int, np.integer)) else rng
     k0_idx = model.channel_index(k0)
-    batch = _run_batch(
-        model, weights, rho0, [k0_idx], [stream], horizon, scheme, dt, burn_in, True
-    )
+    batch = _new_batch(model, weights, rho0, 1, _OneStream(stream), horizon, scheme, dt, burn_in, True)
+    _run_batch(batch, [k0_idx], horizon, scheme, dt)
     return batch.record(0, k0_idx, horizon)
 
 
@@ -689,14 +765,13 @@ def mc_estimate(
     m = model.n_channels
     dist = check_distribution(label_table(memory0, model.channels, "memory0"), "memory0")
 
-    streams = _streams(master_seed, np.arange(n_traj, dtype=np.uint32)[:, None])
-    first_uniforms = np.array([s.random() for s in streams])
-    memories0 = np.searchsorted(np.cumsum(dist), first_uniforms, side="right")
-    np.clip(memories0, 0, m - 1, out=memories0)
-
-    batch = _run_batch(
-        model, weights, rho0, memories0, streams, horizon, scheme, dt, burn_in, collect_records
+    streams = _KeyedStreams(_philox_keys(master_seed, np.arange(n_traj, dtype=np.uint32)[:, None]))
+    batch = _new_batch(
+        model, weights, rho0, n_traj, streams, horizon, scheme, dt, burn_in, collect_records
     )
+    memories0 = np.searchsorted(np.cumsum(dist), batch.draw_first(), side="right")
+    np.clip(memories0, 0, m - 1, out=memories0)
+    _run_batch(batch, memories0, horizon, scheme, dt)
 
     charge = batch.charge
     mean = charge.mean()

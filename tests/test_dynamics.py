@@ -166,6 +166,20 @@ class TestPropagate:
         self.check(ext, v0, np.array([0.0, 0.0]), 0.0)
 
 
+class TestPropagateInputs:
+    @pytest.mark.parametrize(
+        "times, start",
+        [([np.nan], 0.0), ([np.inf], 0.0), ([0.0, 0.5, np.nan, 2.0], 0.0), ([1.0], np.nan)],
+    )
+    def test_non_finite_times_rejected(self, times, start):
+        # a NaN step once matched no propagator and returned the output buffer unwritten
+        rng = np.random.default_rng(196)
+        model = random_model(rng, dim=2, n_channels=2)
+        ext = extended_liouvillian(model)
+        with pytest.raises(ValidationError, match="times must be finite"):
+            dynamics.propagate(ext, ext.vector(initial_state(rng, model)), times, start=start)
+
+
 class TestInputChecks:
     def test_decreasing_times_rejected(self):
         rng = np.random.default_rng(53)

@@ -1,6 +1,7 @@
 """Counting statistics: currents, noise, correlations, spectra, tilting."""
 
 import json
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -20,6 +21,7 @@ from jumpfeedback import (
     noise_background,
     noise_by_quadrature,
     power_spectrum,
+    spectral_gap,
     steady_noise,
     tilted_cumulants,
     two_point_correlation,
@@ -243,6 +245,44 @@ class TestVerificationRouteInputs:
         ext, weights = self.qubit()
         with pytest.raises(ValidationError, match="chi_step must be finite and positive"):
             tilted_cumulants(ext, weights, chi_step=chi_step)
+
+
+class TestNonFiniteGrids:
+    """Lags, frequencies and the zero threshold of the gap must be finite.
+
+    On the qubit (nbar 0.5, gamma 1, activity weights) a NaN or infinite lag
+    once returned -0.5017 read from memory never written, a NaN or infinite
+    frequency warned and then reported a singular resolvent, and
+    ``zero_rtol=nan`` gave a gap of 0.
+    """
+
+    GRIDS = [[np.nan], [np.inf], [0.0, 0.5, np.nan, 2.0], [1.0, -np.inf]]
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_correlation_lags_rejected(self, grid):
+        ext, weights = TestVerificationRouteInputs.qubit()
+        with pytest.raises(ValidationError, match="lags must be finite"):
+            two_point_correlation(ext, weights, grid)
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_spectrum_frequencies_rejected_without_a_warning(self, grid):
+        ext, weights = TestVerificationRouteInputs.qubit()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="frequencies must be finite"):
+                power_spectrum(ext, weights, grid)
+
+    @pytest.mark.parametrize("zero_rtol", [np.nan, np.inf, 0.0, -1e-9])
+    def test_gap_threshold_rejected(self, zero_rtol):
+        ext, _ = TestVerificationRouteInputs.qubit()
+        with pytest.raises(ValidationError, match="zero_rtol must be finite and positive"):
+            spectral_gap(ext, zero_rtol=zero_rtol)
+
+    def test_finite_inputs_still_accepted(self):
+        ext, weights = TestVerificationRouteInputs.qubit()
+        assert spectral_gap(ext) > 0
+        assert np.isfinite(two_point_correlation(ext, weights, [0.0, 0.5, 2.0]).values).all()
+        assert np.isfinite(power_spectrum(ext, weights, [0.0, 0.5, 2.0]).values).all()
 
 
 class TestSpectrumAgainstDenseSolves:

@@ -43,6 +43,7 @@ from jumpfeedback.trajectories import (
     check_step,
     whole_steps,
 )
+from jumpfeedback.trajectories import UNIFORM_BLOCK, WAITING_BLOCK, _KeyedStreams, _philox_keys
 from helpers import (
     child_env,
     dense_gain,
@@ -135,6 +136,72 @@ class TestStreams:
             for i in range(n)
         ]
         assert [rec.initial_memory for rec in est.records] == want
+
+
+class TestKeyedStreams:
+    """A batch reads every stream through one Philox generator, resumed by key and counter."""
+
+    @pytest.mark.parametrize("pos", [0, 1, 2, 3, 4, 5, 129, 257])
+    def test_resumed_stream_continues_exactly(self, pos):
+        n = 300
+        streams = _KeyedStreams(_philox_keys(31, np.arange(3, dtype=np.uint32)[:, None]))
+        head, tail = np.empty(pos), np.empty(n - pos)
+        streams.fill(2, head)
+        streams.fill(0, np.empty(7))  # another stream moves the generator in between
+        streams.fill(2, tail)
+        want = trajectory_stream(31, 2).random(n)
+        npt.assert_array_equal(head, want[:pos])
+        npt.assert_array_equal(tail, want[pos:])
+
+    @pytest.mark.parametrize(
+        "scheme, dt, horizon, seed",
+        [("waiting-time", None, 150.0, 140), ("fixed-step", 0.01, 10.5, 141)],
+    )
+    def test_batch_members_equal_their_replays_across_refills(self, scheme, dt, horizon, seed):
+        if scheme == "waiting-time":
+            model, weights, rho0 = qubit_setup(nbar=1.0, gamma=0.8)
+        else:
+            params = MaserParams(nl=1.0, nr=2.0, gl=0.5, gr=0.5, lam=1.0, delta=0.0, wl=8.0, wr=2.0)
+            model, weights = maser_model(params), work_weights(params)
+            rho0 = np.eye(3, dtype=complex) / 3
+        mem0 = np.full(model.n_channels, 1.0 / model.n_channels)
+        est = mc_estimate(
+            model, weights, rho0, mem0, horizon, 6,
+            scheme=scheme, master_seed=seed, dt=dt, collect_records=True,
+        )
+        if dt is None:
+            # two uniforms per round: some stream refills its block twice
+            assert max(len(r.jump_times) for r in est.records) >= WAITING_BLOCK
+        else:
+            assert round(horizon / dt) > UNIFORM_BLOCK
+        for i, rec in enumerate(est.records):
+            stream = trajectory_stream(seed, i)
+            stream.random()  # the batch spends this on the initial memory
+            solo = sample_trajectory(
+                model, weights, rho0, model.channels[rec.initial_memory], horizon,
+                scheme=scheme, rng=stream, dt=dt,
+            )
+            npt.assert_array_equal(solo.jump_times, rec.jump_times)
+            npt.assert_array_equal(solo.jump_channels, rec.jump_channels)
+            npt.assert_array_equal(solo.memory_before, rec.memory_before)
+            npt.assert_array_equal(solo.final_state, rec.final_state)
+            assert solo.charge == rec.charge
+
+    @pytest.mark.parametrize("scheme, dt", [("waiting-time", None), ("fixed-step", 0.1)])
+    def test_any_generator_drives_a_single_trajectory(self, scheme, dt):
+        model, weights, rho0 = qubit_setup()
+        a, b = (
+            sample_trajectory(
+                model, weights, rho0, "-1", 30.0, scheme=scheme,
+                rng=np.random.Generator(np.random.PCG64(5)), dt=dt,
+            )
+            for _ in range(2)
+        )
+        assert len(a.jump_times) > 0
+        npt.assert_array_equal(a.jump_times, b.jump_times)
+        npt.assert_array_equal(a.jump_channels, b.jump_channels)
+        npt.assert_array_equal(a.final_state, b.final_state)
+        assert a.charge == b.charge
 
 
 class TestWaitingTimeDistribution:

@@ -2,7 +2,7 @@
 
 Usage::
 
-    python tools/compare_outputs.py PARENT_SRC CHANGE_SRC [CONFIG ...] [--tol 1e-12]
+    python tools/compare_outputs.py PARENT_SRC CHANGE_SRC [CONFIG ...] [--tol 1e-12] [--trajectories]
 
 ``PARENT_SRC`` and ``CHANGE_SRC`` are directories that hold the
 ``jumpfeedback`` package (a checkout's ``src/``).  Every config, by default
@@ -14,6 +14,15 @@ column relative to that column's largest |value| in the parent's file.
 Text cells must match exactly.  Reports must be equal apart from
 ``wall_time_s``, and a config that fails must fail with the same message on
 both sides.
+
+``--trajectories`` runs the standard Monte Carlo set instead of the
+shipped configs (CONFIG files given as well run with it).  Its configs are
+written into the temporary directory: the maser at the benchmark point
+(work weights, uniform initial memory, maximally mixed system) and
+``qubit_cooling`` with gamma 0.8 and nbar 1 (activity weights, uniform
+initial memory, ground state), each under both schemes (``dt`` 0.01 for
+fixed-step), with seeds 0-9, ``n_traj`` 200, horizon 10 and ``burn_in`` 2;
+the seed-0 configs set ``dump``, so their jump records are compared too.
 
 Exit status: 0 when every CSV agrees within ``--tol`` (default 1e-12) and
 nothing else differs, 1 otherwise.
@@ -52,6 +61,52 @@ for path in configs:
 with open(os.path.join(out, "status.json"), "w") as fh:
     json.dump(status, fh)
 """
+
+# the standard Monte Carlo set: name -> (model, weights, initial memory, initial system)
+MC_MODELS = {
+    "maser": (
+        {
+            "builtin": "maser",
+            "params": {"nl": 1.0, "nr": 2.0, "gl": 0.5, "gr": 0.5, "lam": 1.0, "delta": 0.0,
+                       "wl": 8.0, "wr": 2.0},
+        },
+        "work",
+        {"E_l": 0.25, "I_l": 0.25, "E_r": 0.25, "I_r": 0.25},
+        "maximally_mixed",
+    ),
+    "qubit": (
+        {"builtin": "qubit_cooling", "params": {"gamma": 0.8, "nbar": 1.0}},
+        "activity",
+        {"-1": 0.5, "+1": 0.5},
+        "ground",
+    ),
+}
+MC_SCHEMES = {"waiting-time": {}, "fixed-step": {"dt": 0.01}}
+MC_SEEDS = range(10)
+MC_TASK = {"kind": "trajectories", "n_traj": 200, "horizon": 10.0, "burn_in": 2.0}
+
+
+def write_trajectory_configs(directory):
+    """Write the standard Monte Carlo configs into ``directory``; returns their paths."""
+    paths = []
+    for name, (model, weights, memory, system) in MC_MODELS.items():
+        for scheme, extra in MC_SCHEMES.items():
+            for seed in MC_SEEDS:
+                label = f"mc_{name}_{scheme}_s{seed}"
+                config = {
+                    "model": model,
+                    "weights": weights,
+                    "initial": {"memory": memory, "system": system},
+                    "task": {**MC_TASK, "scheme": scheme, **extra, "dump": seed == 0},
+                    "seed": seed,
+                    "output": {"prefix": label},
+                }
+                path = os.path.join(directory, f"{label}.json")
+                with open(path, "w") as fh:
+                    json.dump(config, fh, indent=2)
+                paths.append(path)
+    return paths
+
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "JUMPFEEDBACK_THREADS")
 
@@ -157,11 +212,18 @@ def main(argv=None):
     parser.add_argument("change_src", help="directory holding the change's jumpfeedback package")
     parser.add_argument("configs", nargs="*", help="config files (default: configs/*.json)")
     parser.add_argument("--tol", type=float, default=1e-12, help="largest accepted relative deviation")
-    args = parser.parse_args(argv)
-    configs = [os.path.abspath(c) for c in args.configs] or sorted(
-        glob.glob(os.path.join(ROOT, "configs", "*.json"))
+    parser.add_argument(
+        "--trajectories", action="store_true", help="run the standard Monte Carlo set (see above)"
     )
+    args = parser.parse_args(argv)
+    configs = [os.path.abspath(c) for c in args.configs]
     with tempfile.TemporaryDirectory() as tmp:
+        if args.trajectories:
+            config_dir = os.path.join(tmp, "configs")
+            os.makedirs(config_dir)
+            configs += write_trajectory_configs(config_dir)
+        elif not configs:
+            configs = sorted(glob.glob(os.path.join(ROOT, "configs", "*.json")))
         parent_out, change_out = os.path.join(tmp, "parent"), os.path.join(tmp, "change")
         parent_status = run_tree(args.parent_src, configs, parent_out)
         change_status = run_tree(args.change_src, configs, change_out)
