@@ -11,7 +11,6 @@ thread pools (applied before numpy loads when the console script starts).
 """
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -468,33 +467,25 @@ def _grid_from_config(gcfg, path, allow_negative=True):
 # CSV output
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
+def _cell(text):
+    """A text cell as csv.writer writes it: quoted if it holds a comma, quote or line feed."""
+    return '"' + text.replace('"', '""') + '"' if any(x in text for x in ',"\n') else text
 
 
-def _header_line(header):
-    """The header as csv.writer writes it: a cell with a comma, quote or line feed is quoted."""
-    cells = ('"' + c.replace('"', '""') + '"' if any(x in c for x in ',"\n') else c for c in header)
-    return ",".join(cells) + "\n"
+def _table_text(header, values, row=None):
+    """CSV text of a table: the header, then every row of ``values`` (2-D).
 
-
-def _table_text(header, values):
-    """CSV text of a numeric table: the header, then every row of ``values`` (2-D).
-
-    One '%.17g' formatting pass over the whole table; '%.17g' % x equals
-    :func:`_fmt` for every float, nan, infinities, -0.0 and subnormals
-    included.
+    One formatting pass over the whole table with the %-format ``row`` of
+    one line, by default '%.17g' in every column of a float table.
+    '%.17g' % x equals format(float(x), '.17g') for every float, nan,
+    infinities, -0.0 and subnormals included.  Text cells go in through
+    '%s' and must already be quoted (:func:`_cell`).
     """
-    values = np.asarray(values, dtype=float)
-    line = ",".join(["%.17g"] * values.shape[1]) + "\n"
-    return _header_line(header) + (line * len(values)) % tuple(values.ravel().tolist())
-
-
-def _write_csv(fpath, header, rows):
-    with open(fpath, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    if row is None:
+        values = np.asarray(values, dtype=float)
+        row = ",".join(["%.17g"] * values.shape[1])
+    lines = ((row + "\n") * len(values)) % tuple(values.ravel().tolist())
+    return ",".join(map(_cell, header)) + "\n" + lines
 
 
 def _state_header(model):
@@ -706,6 +697,10 @@ def parse_config(raw):
     prefix = _expect_str(out_cfg.get("prefix", "run"), "output.prefix")
     if not prefix or any(c in prefix for c in "/\\"):
         _fail("output.prefix", "must be a nonempty name without path separators")
+    # no file system takes a NUL byte in a path
+    for key, value in (("directory", directory), ("prefix", prefix)):
+        if "\0" in value:
+            _fail(f"output.{key}", "must not contain a NUL byte")
 
     ctx = {
         "model": model,
@@ -830,25 +825,30 @@ def _run_trajectories(ctx, out):
     out.extras["survival_evaluations"] = est.survival_evaluations
 
     if task["dump"]:
-        rows = []
-        for tid, rec in enumerate(est.records):
-            running = 0.0
-            for t, ch, mem in zip(rec.jump_times, rec.jump_channels, rec.memory_before):
-                if ch < rec.n_monitored and t >= rec.burn_in:
-                    running += weights.per_transition[ch, mem]
-                rows.append(
-                    [
-                        str(tid),
-                        _fmt(t),
-                        rec.labels[ch],
-                        model.channels[mem],
-                        _fmt(running),
-                    ]
-                )
-        out.add_records(
+        records = est.records
+        m = model.n_channels
+        labels = np.array([_cell(label) for label in records[0].labels], dtype=object)
+        # charge per jump, 0 for silent channels and inside the burn-in
+        nu = np.zeros((len(labels), m))
+        nu[:m] = weights.per_transition
+        # a running sum that starts at 0.0 never reads -0; cumsum adds in the same order
+        charges = [
+            np.cumsum(np.where(r.jump_times >= r.burn_in, nu[r.jump_channels, r.memory_before], 0.0))
+            + 0.0
+            for r in records
+        ]
+        counts = [len(r.jump_times) for r in records]
+        cells = np.empty((sum(counts), 5), dtype=object)
+        cells[:, 0] = np.repeat(np.arange(len(records)), counts)
+        cells[:, 1] = np.concatenate([r.jump_times for r in records])
+        cells[:, 2] = labels[np.concatenate([r.jump_channels for r in records])]
+        cells[:, 3] = labels[np.concatenate([r.memory_before for r in records])]
+        cells[:, 4] = np.concatenate(charges)
+        out.add(
             "jumps",
             ["trajectory_id", "time", "channel_label", "memory_before", "charge_after"],
-            rows,
+            cells,
+            "%d,%.17g,%s,%s,%.17g",
         )
 
 
@@ -914,19 +914,13 @@ class _Outputs:
     def _path(self, suffix):
         return os.path.normpath(os.path.join(self.directory, f"{self.prefix}_{suffix}.csv"))
 
-    def add(self, suffix, header, values):
-        """Write a numeric table, ``values`` 2-D, in one write (:func:`_table_text`)."""
-        text = _table_text(header, values)
+    def add(self, suffix, header, values, row=None):
+        """Write a table, ``values`` 2-D, in one write (:func:`_table_text`)."""
+        text = _table_text(header, values, row)
         fpath = self._path(suffix)
         with open(fpath, "w", newline="") as fh:
             fh.write(text)
         self.files.append((suffix, fpath, len(values)))
-
-    def add_records(self, suffix, header, rows):
-        """Write rows of strings, labels among them, with csv.writer."""
-        fpath = self._path(suffix)
-        _write_csv(fpath, header, rows)
-        self.files.append((suffix, fpath, len(rows)))
 
 
 def run_config(raw, base_dir="."):

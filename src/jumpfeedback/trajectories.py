@@ -39,7 +39,6 @@ from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ValidationError
 from .model import check_density, check_distribution, label_table
@@ -129,24 +128,6 @@ def _philox_keys(master_seed, spawn_words):
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-class _PhiloxKey(ISeedSequence):
-    """Seed for ``np.random.Philox`` whose state is a precomputed key."""
-
-    def __init__(self, key):
-        self.key = key
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.key
-
-
-def _streams(master_seed, spawn_words):
-    """One Philox generator per row of ``spawn_words`` (see :func:`_philox_keys`)."""
-    return [
-        np.random.Generator(np.random.Philox(_PhiloxKey(key)))
-        for key in _philox_keys(master_seed, spawn_words)
-    ]
-
-
 def trajectory_stream(master_seed, index):
     """Counter-based random stream of trajectory ``index`` under a master seed.
 
@@ -161,7 +142,8 @@ def trajectory_stream(master_seed, index):
     uniforms, and gives the same numbers.  The engine uses the stream's
     uniforms in order but draws them in whole blocks.
     """
-    return _streams(master_seed, np.array([_uint32_words(index)], dtype=np.uint32))[0]
+    key = _philox_keys(master_seed, np.array([_uint32_words(index)], dtype=np.uint32))[0]
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 class _KeyedStreams:
@@ -177,7 +159,7 @@ class _KeyedStreams:
     def __init__(self, keys):
         self.keys = keys.tolist()
         self.drawn = [0] * len(self.keys)
-        self.bit_generator = np.random.Philox(_PhiloxKey(keys[0]))
+        self.bit_generator = np.random.Philox(key=keys[0])
         self.generator = np.random.Generator(self.bit_generator)
 
     def fill(self, i, out):
@@ -368,7 +350,8 @@ class _Batch:
     ``jump_maps[k, q]`` = M (x) M^*, M = V_k'^-1 L_q(k) V_k, takes a to the
     post-jump row in the basis of the next memory k' = ``next_memory[k, q]``,
     ``rate_rows[k, q] . a`` = Tr[L_q rho L_q^dag] and ``trace_rows[k] . a``
-    = Tr rho.
+    = Tr rho.  When recording, every round keeps its jumps as arrays in
+    ``events``, and :meth:`records` builds each trajectory's record from them.
     """
 
     def __init__(self, model, weights, rho0, n, streams, burn_in, record, block, window, eigen):
@@ -419,7 +402,8 @@ class _Batch:
         self.rounds = 0
         self.jump_events = 0
         self.survival_evaluations = 0
-        self.records = [[] for _ in range(n)] if record else None  # (time, channel, memory)
+        # one (trajectories, times, channels, memories) chunk per round, if recording
+        self.events = [] if record else None
         # pre-drawn uniforms: row i holds a block of stream i, ``window``
         # columns of padding and one column that holds stream i + 1's first
         # uniform (see ``draw_first``); ptr[i] is the next unused column
@@ -497,27 +481,43 @@ class _Batch:
         self.states[sel] = self.normalized(a, after)
         counted = t_jump >= self.burn_in
         self.charge[sel[counted]] += self.charge_table[picks, ks][counted]
-        if self.records is not None:
-            for i, event in zip(sel, zip(t_jump, picks.tolist(), ks.tolist())):
-                self.records[i].append(event)
+        if self.events is not None:
+            self.events.append((sel, t_jump, picks, ks))
         self.memory[sel] = after
         self.jump_events += len(sel)
 
-    def record(self, i, initial_memory, horizon):
-        events = np.array(self.records[i], dtype=float).reshape(-1, 3)
-        v = self.basis[self.memory[i]]
-        return TrajectoryRecord(
-            labels=self.labels,
-            n_monitored=self.m,
-            initial_memory=int(initial_memory),
-            jump_times=events[:, 0].copy(),
-            jump_channels=events[:, 1].astype(np.intp),
-            memory_before=events[:, 2].astype(np.intp),
-            final_state=v @ self.states[i].reshape(self.d, self.d) @ v.conj().T,
-            final_memory=int(self.memory[i]),
-            horizon=float(horizon),
-            burn_in=float(self.burn_in),
-            charge=float(self.charge[i]),
+    def records(self, initial_memories, horizon):
+        """The :class:`TrajectoryRecord` of every trajectory, from the recorded rounds.
+
+        A round holds each trajectory at most once, so sorting the events
+        stably by trajectory keeps every trajectory's jumps in time order.
+        """
+        n, d = len(self.memory), self.d
+        empty = (np.empty(0, np.intp), np.empty(0), np.empty(0, np.intp), np.empty(0, np.intp))
+        traj, times, channels, before = (np.concatenate(c) for c in zip(empty, *self.events))
+        order = np.argsort(traj, kind="stable")
+        bounds = np.searchsorted(traj[order], np.arange(n + 1)).tolist()
+        times, channels, before = times[order], channels[order], before[order]
+        v = self.basis[self.memory]
+        finals = v @ self.states.reshape(n, d, d) @ v.conj().swapaxes(1, 2)
+        return tuple(
+            TrajectoryRecord(
+                labels=self.labels,
+                n_monitored=self.m,
+                initial_memory=int(k0),
+                jump_times=times[a:b],
+                jump_channels=channels[a:b],
+                memory_before=before[a:b],
+                final_state=final,
+                final_memory=k,
+                horizon=float(horizon),
+                burn_in=float(self.burn_in),
+                charge=charge,
+            )
+            for a, b, k0, final, k, charge in zip(
+                bounds[:-1], bounds[1:], initial_memories, finals,
+                self.memory.tolist(), self.charge.tolist(),
+            )
         )
 
 
@@ -562,7 +562,7 @@ def _lookahead_tables(h_eff, rate_rows, dt):
     P^s for s = 0..LOOKAHEAD, and for a real row [Re r, Im r] the product
     with ``look[k]`` holds, for each of the next LOOKAHEAD steps s, the
     unnormalized jump probabilities dt Tr[L_q rho_s L_q^dag] and the trace
-    of rho_s, r P^s.
+    of rho_s, r P^s, laid out channel-major: column c * LOOKAHEAD + s.
     """
     m, d = h_eff.shape[:2]
     eye = np.eye(d)
@@ -575,8 +575,8 @@ def _lookahead_tables(h_eff, rate_rows, dt):
     powers = np.stack(pw, axis=1)
     trace_col = np.broadcast_to(eye.reshape(d * d, 1), (m, d * d, 1))
     cols = np.concatenate([dt * rate_rows.swapaxes(1, 2), trace_col], axis=2)
-    # table[k, x, s, c]: entry x of column c of P^s cols[k]
-    table = (powers[:, :LOOKAHEAD] @ cols[:, None]).swapaxes(1, 2)
+    # table[k, x, c, s]: entry x of column c of P^s cols[k]
+    table = (powers[:, :LOOKAHEAD] @ cols[:, None]).transpose(0, 2, 3, 1)
     look = np.concatenate([table.real, -table.imag], axis=1).reshape(m, 2 * d * d, -1)
     return powers, look
 
@@ -609,13 +609,10 @@ def _run_fixed(batch, horizon, dt):
         for k in np.unique(ks):
             g = ks == k
             x = real_rows[g] @ look[k]
-            x = x.reshape(-1, LOOKAHEAD, n_cols)
-            w = np.maximum(x[:, :, :-1], 0.0)
-            # the channel slices added in order: the bits of w.sum(axis=2)
-            total = w[:, :, 0]
-            for c in range(1, n_cols - 1):
-                total = total + w[:, :, c]
-            hit[g] &= u[g] * x[:, :, -1] < total
+            x = x.reshape(-1, n_cols, LOOKAHEAD)
+            # a sum over a non-last axis adds the channels in order
+            total = np.maximum(x[:, :-1], 0.0).sum(axis=1)
+            hit[g] &= u[g] * x[:, -1] < total
         jumped = hit.any(axis=1)
         advance = np.where(jumped, hit.argmax(axis=1), width)
         moved = batch.normalized((rows[:, None, :] @ powers[ks, advance])[:, 0], ks)
@@ -726,7 +723,7 @@ def sample_trajectory(
     k0_idx = model.channel_index(k0)
     batch = _new_batch(model, weights, rho0, 1, _OneStream(stream), horizon, scheme, dt, burn_in, True)
     _run_batch(batch, [k0_idx], horizon, scheme, dt)
-    return batch.record(0, k0_idx, horizon)
+    return batch.records([k0_idx], horizon)[0]
 
 
 def mc_estimate(
@@ -783,10 +780,6 @@ def mc_estimate(
     freq = np.bincount(batch.memory, minlength=m) / n_traj
     freq_se = np.sqrt(freq * (1.0 - freq) / n_traj)
 
-    records = None
-    if collect_records:
-        records = tuple(batch.record(i, memories0[i], horizon) for i in range(n_traj))
-
     return McEstimate(
         n_traj=n_traj,
         scheme=scheme,
@@ -803,5 +796,5 @@ def mc_estimate(
         rounds=batch.rounds,
         jump_events=batch.jump_events,
         survival_evaluations=batch.survival_evaluations,
-        records=records,
+        records=batch.records(memories0, horizon) if collect_records else None,
     )

@@ -385,6 +385,19 @@ class TestValidateRejectsWhatRunRejects:
         assert captured.err == message + "\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    @pytest.mark.parametrize("key", ["directory", "prefix"])
+    def test_nul_byte_in_output_path(self, tmp_path, capsys, verb, key):
+        out = tmp_path / "out"
+        cfg = self.config(out, EVOLVE, "ground")
+        cfg["output"][key] = "a\u0000b"
+        rc = main([verb, write_config(tmp_path, cfg)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == f"config error: output.{key}: must not contain a NUL byte\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "task", [EVOLVE, {**FIXED_STEP, "dt": 0.01}], ids=["evolve", "fixed_step"]
     )
@@ -639,6 +652,59 @@ class TestTrajectoriesTask:
         for tid, rec in enumerate(est.records):
             if rec.jump_times.size:
                 assert final[tid] == pytest.approx(rec.charge, abs=1e-12)
+
+    def test_jump_dump_equals_the_csv_writer_rows(self, tmp_path):
+        # labels with a comma, a quote and a line feed; a silent channel; a
+        # -0.0 weight and a pair that cancels, so running sums pass through zero
+        s, zero = 0.5, [[0.0, 0.0], [0.0, 0.0]]
+        model_cfg = {
+            "dim": 2,
+            "channels": ["down,1", 'up "2"'],
+            "hamiltonians": {"down,1": [[0.0, 0.3], [0.3, 0.0]]},
+            "jump_ops": {"down,1": [[0.0, s], [0.0, 0.0]], 'up "2"': [[0.0, 0.0], [s, 0.0]]},
+            "silent_ops": {"phase\nflip": {"down,1": [[s, 0.0], [0.0, -s]], 'up "2"': zero}},
+        }
+        nu = [[-0.0, 0.25], [-0.25, 1.0]]
+        task = {"kind": "trajectories", "n_traj": 40, "horizon": 4.0, "burn_in": 0.5, "dump": True}
+        cfg = base_config(tmp_path, task)
+        cfg.update(
+            model=model_cfg,
+            weights={"per_transition": nu},
+            initial={"memory": {"down,1": 0.5, 'up "2"': 0.5}, "system": "ground"},
+            seed=11,
+        )
+        _, _, files = run_config(cfg)
+        model, _ = model_from_config(model_cfg)
+        est = mc_estimate(
+            model, CountingWeights(model.channels, np.array(nu)), np.diag([1.0, 0.0]),
+            [0.5, 0.5], 4.0, 40, master_seed=11, burn_in=0.5, collect_records=True,
+        )
+        # the per-jump rows of a running sum and csv.writer
+        rows, first_counted = [], []
+        for tid, rec in enumerate(est.records):
+            running, counted = 0.0, []
+            for t, ch, mem in zip(rec.jump_times, rec.jump_channels, rec.memory_before):
+                if ch < rec.n_monitored and t >= rec.burn_in:
+                    running += nu[ch][mem]
+                    counted.append(nu[ch][mem])
+                rows.append([str(tid), format(t, ".17g"), rec.labels[ch], model.channels[mem],
+                             format(running, ".17g")])
+            first_counted += counted[:1]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["trajectory_id", "time", "channel_label", "memory_before", "charge_after"])
+        writer.writerows(rows)
+        [dump] = [f for f in files if f.endswith("_jumps.csv")]
+        with open(dump, newline="") as fh:
+            text = fh.read()
+        assert text == buf.getvalue()
+        # the cases the test is for occur
+        assert any(len(r.jump_times) == 0 for r in est.records)
+        assert "phase\nflip" in {row[2] for row in rows}
+        assert any(w == 0 and np.signbit(w) for w in first_counted)
+        assert "0" in {row[4] for row in rows}
+        _, parsed = read_csv(dump)
+        assert len(parsed) == len(rows) and all(row[4] != "-0" for row in parsed)
 
 
 class TestSpectrumTask:

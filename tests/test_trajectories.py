@@ -39,7 +39,6 @@ from jumpfeedback.trajectories import (
     MAX_ROOT_ITERATIONS,
     _jump_time,
     _lookahead_tables,
-    _streams,
     check_step,
     whole_steps,
 )
@@ -108,13 +107,15 @@ class TestStreams:
         # the keys come from a vectorized copy of numpy's SeedSequence hash;
         # indices past 2**32 - 1 take two spawn-key words
         indices = [*range(47), 2**32 - 1, 2**32, 2**70]
-        batch = _streams(seed, np.arange(47, dtype=np.uint32)[:, None])
+        batch = _KeyedStreams(_philox_keys(seed, np.arange(47, dtype=np.uint32)[:, None]))
         for pos, i in enumerate(indices):
             ss = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
             want = np.random.Generator(np.random.Philox(ss)).random(300)
             npt.assert_array_equal(trajectory_stream(seed, i).random(300), want)
-            if pos < len(batch):
-                npt.assert_array_equal(batch[pos].random(300), want)
+            if pos < len(batch.keys):
+                got = np.empty(300)
+                batch.fill(pos, got)
+                npt.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("seed", [0, 5, 2**40])
     @pytest.mark.parametrize(
@@ -525,7 +526,7 @@ class TestFixedStepLookahead:
             for _ in range(LOOKAHEAD):
                 pw.append(pw[-1] @ step_t)
             cols = np.concatenate([dt * rate_rows[k].T, eye.reshape(d * d, 1)], axis=1)
-            table = np.stack([p @ cols for p in pw[:LOOKAHEAD]], axis=1)
+            table = np.stack([p @ cols for p in pw[:LOOKAHEAD]], axis=2)
             npt.assert_array_equal(powers[k], np.stack(pw))
             npt.assert_array_equal(
                 look[k], np.concatenate([table.real, -table.imag]).reshape(2 * d * d, -1)
