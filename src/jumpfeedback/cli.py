@@ -25,6 +25,7 @@ from .dynamics import evolve_extended, stationary_blocks
 from .errors import ConfigError, JumpFeedbackError, ValidationError
 from .fcs import (
     CountingWeights,
+    jump_rate_table,
     power_spectrum,
     stationarity_residuals,
     stationary_noises,
@@ -468,8 +469,12 @@ def _grid_from_config(gcfg, path, allow_negative=True):
 
 
 def _cell(text):
-    """A text cell as csv.writer writes it: quoted if it holds a comma, quote or line feed."""
-    return '"' + text.replace('"', '""') + '"' if any(x in text for x in ',"\n') else text
+    """A text cell, quoted as csv.writer's default dialect quotes it.
+
+    That is when it holds a comma, a quote, a line feed or a carriage
+    return, so that csv.reader reads every row back whole.
+    """
+    return '"' + text.replace('"', '""') + '"' if any(x in text for x in ',"\n\r') else text
 
 
 def _table_text(header, values, row=None):
@@ -790,9 +795,10 @@ def _run_noise(ctx, out):
     nu = ctx["weights"].per_transition
     stack = extended_liouvillian(ctx["model"]).stack
     blocks = _stationary_stack(stack, out)
-    current = weighted_jump_rates(stack, nu, blocks, "average current")[0]
-    noise = stationary_noises(stack, nu, blocks)[0]
-    background = weighted_jump_rates(stack, nu**2, blocks, "noise background")[0]
+    rates = jump_rate_table(stack, blocks)
+    current = weighted_jump_rates(stack, nu, blocks, "average current", rates)[0]
+    noise = stationary_noises(stack, nu, blocks, rates)[0]
+    background = weighted_jump_rates(stack, nu**2, blocks, "noise background", rates)[0]
     fano = noise / current if current != 0 else float("nan")
     out.add("noise", ["current", "noise", "background", "fano"], [[current, noise, background, fano]])
 
@@ -880,9 +886,10 @@ def _run_sweep(ctx, out):
             tables.append(_state_rows(blocks))
         if weights_cfg is not None:
             nu = work_table(params) if weights_cfg == "work" else ctx["weights"].per_transition
-            columns = [weighted_jump_rates(stack, nu, blocks, "average current")]
+            rates = jump_rate_table(stack, blocks)
+            columns = [weighted_jump_rates(stack, nu, blocks, "average current", rates)]
             if inner == "noise":
-                columns.append(stationary_noises(stack, nu, blocks))
+                columns.append(stationary_noises(stack, nu, blocks, rates))
             if power_norm:
                 norm = params.gl * (params.wl - params.wr)
                 # nan where gl (wl - wr) vanishes, as the noise task's fano factor
@@ -943,8 +950,7 @@ def run_config(raw, base_dir="."):
         report["extras"] = out.extras
     report_path = os.path.join(directory, f"{ctx['prefix']}_report.json")
     with open(report_path, "w", newline="") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report, report_path, [fpath for _, fpath, _ in out.files]
 
 
@@ -979,12 +985,18 @@ def main(argv=None):
         raw = _load_json(args.config)
         if args.verb == "validate":
             ctx, _ = parse_config(raw)
-            model = ctx["model"]
+            model, task = ctx["model"], ctx["task"]
             silent = len(model.silent_labels)
+            size = model.n_channels * model.dim**2
             print(
                 f"ok: dim {model.dim}, channels {list(model.channels)}"
                 + (f", {silent} silent" if silent else "")
-                + f", task {ctx['task']['kind']}"
+                + f", generator {size}, task {task['kind']}"
+                + (
+                    f" ({len(task['values'])} points x {len(task['variants'])} variants)"
+                    if task["kind"] == "sweep"
+                    else ""
+                )
             )
             return 0
         report, report_path, files = run_config(raw)

@@ -30,6 +30,7 @@ __all__ = [
     "steady_noise",
     "stationary_noises",
     "stationarity_residuals",
+    "jump_rate_table",
     "weighted_jump_rates",
     "spectral_gap",
     "noise_by_quadrature",
@@ -121,15 +122,27 @@ def _real_part(z, what, tol=IMAG_RESIDUE_TOL):
     return z.real
 
 
-def weighted_jump_rates(stack, nu, blocks, what):
-    """sum_kq nu[k, q] Tr[L_k(q) rho(q) L_k(q)^dag] of every member of a stack.
+def jump_rate_table(stack, blocks):
+    """Tr[L_k(q) rho(q) L_k(q)^dag] of every member of a stack, ``(P, m, m)``.
 
-    Read off the jump operators.  ``blocks`` is ``(P, m, d, d)`` and ``nu``
-    is ``(P, m, m)`` or shared; ``what`` names the quantity in the error a
-    non-real trace raises.
+    Read off the jump operators; ``blocks`` is ``(P, m, d, d)``.  Entry
+    [z, k, q] is complex as computed; :func:`weighted_jump_rates` weights
+    it and checks that the sum is real.
     """
     ops = stack.jump_ops
-    rates = np.einsum("zkqab,zqbc,zkqac->zkq", ops, blocks, ops.conj())
+    return np.einsum("zkqab,zqbc,zkqac->zkq", ops, blocks, ops.conj())
+
+
+def weighted_jump_rates(stack, nu, blocks, what, rates=None):
+    """sum_kq nu[k, q] Tr[L_k(q) rho(q) L_k(q)^dag] of every member of a stack.
+
+    ``blocks`` is ``(P, m, d, d)`` and ``nu`` is ``(P, m, m)`` or shared;
+    ``what`` names the quantity in the error a non-real trace raises.
+    ``rates``, when given, is :func:`jump_rate_table` of the same stack
+    and blocks, so that several weights share one table.
+    """
+    if rates is None:
+        rates = jump_rate_table(stack, blocks)
     return _real_part(np.sum(nu * rates, axis=(1, 2)), what)
 
 
@@ -193,16 +206,17 @@ def _zero_frequency_terms(stack, jmats, v):
     return _real_part(jx @ t, "zero-frequency term", tol=1e-6)
 
 
-def stationary_noises(stack, nu, blocks):
+def stationary_noises(stack, nu, blocks, rates=None):
     """Zero-frequency noise D = K - 2 Tr[J L+ J rho_ss] of every member.
 
     ``blocks`` ``(P, m, d, d)`` are the members' stationary states (see
     :func:`stationarity_residuals`) and ``nu`` is ``(P, m, m)`` or shared.
     L+ is applied by one solve with the stack's cached bordered
-    factorization and never formed.  A noise below -1e-10 raises
+    factorization and never formed.  ``rates`` is as in
+    :func:`weighted_jump_rates`.  A noise below -1e-10 raises
     :class:`ValidationError`, for the first such member.
     """
-    background = weighted_jump_rates(stack, nu**2, blocks, "noise background")
+    background = weighted_jump_rates(stack, nu**2, blocks, "noise background", rates)
     terms = _zero_frequency_terms(stack, stack.gain_matrices(nu), stack.vectors(blocks))
     noise = background - 2.0 * terms
     failed = noise < -1e-10

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import DegenerateSteadyStateError, DimensionError, PositivityError, ValidationError
 from .model import FeedbackModel, check_density, check_distribution, label_table
@@ -130,13 +131,6 @@ def marginals(state):
     return system, probs, conditionals
 
 
-def _inverse_or_inf(b):
-    try:
-        return np.linalg.inv(b)
-    except np.linalg.LinAlgError:
-        return np.full_like(b, np.inf)
-
-
 class StationaryStack:
     """Inverses of the bordered generators [[L, c], [t, 0]] of a stack.
 
@@ -150,10 +144,11 @@ class StationaryStack:
     - [b; 0] with t @ b = 0 gives x = L+ b, L+ the Drazin inverse
       (:meth:`drazin`), since L x = b and t @ x = 0.
 
-    ``matrices`` is ``(P, n, n)`` and shares ``t``.  One call of numpy's
-    batched ``linalg.inv`` (an LU with partial pivoting per member) inverts
-    all P bordered matrices and gives each one's exact 1-norm reciprocal
-    condition 1 / (|B|_1 |B^-1|_1), :attr:`rcond`.
+    ``matrices`` is ``(P, n, n)`` and shares ``t``.  Each bordered matrix
+    is inverted in place by LAPACK ``zgetrf`` (an LU with partial pivoting)
+    and ``zgetri``, which gives each one's exact 1-norm reciprocal
+    condition 1 / (|B|_1 |B^-1|_1), :attr:`rcond`.  A member whose LU
+    meets an exactly zero pivot gets an all-inf inverse and rcond 0.
 
     B is invertible exactly when the kernel of L is one-dimensional and its
     vector has non-zero trace.  A reciprocal condition below machine
@@ -166,19 +161,23 @@ class StationaryStack:
 
     def __init__(self, matrices, trace_row):
         n = len(trace_row)
-        b = np.zeros((len(matrices), n + 1, n + 1), dtype=complex)
-        b[:, :n, :n] = matrices
-        b[:, :n, n] = trace_row.conj() / np.vdot(trace_row, trace_row).real
-        b[:, n, :n] = trace_row
-        anorm = np.abs(b).sum(axis=1).max(axis=1)
+        # each B is stored transposed, so that it is the Fortran-ordered
+        # matrix LAPACK takes: the inverse overwrites it in place
+        work = np.zeros((len(matrices), n + 1, n + 1), dtype=complex)
+        inverse = work.swapaxes(1, 2)
+        inverse[:, :n, :n] = matrices
+        inverse[:, :n, n] = trace_row.conj() / np.vdot(trace_row, trace_row).real
+        inverse[:, n, :n] = trace_row
+        anorm = np.abs(inverse).sum(axis=1).max(axis=1)
         if not np.isfinite(anorm).all():
             raise np.linalg.LinAlgError("generator has non-finite entries")
-        try:
-            inverse = np.linalg.inv(b)
-        except np.linalg.LinAlgError:
-            # an exactly singular member: invert one by one, so that the
-            # others keep their condition and the first failure is reported
-            inverse = np.stack([_inverse_or_inf(x) for x in b])
+        lwork = int(lapack.zgetri_lwork(n + 1)[0].real)
+        for b in inverse:
+            lu, piv, info = lapack.zgetrf(b, overwrite_a=True)
+            if info == 0:
+                _, info = lapack.zgetri(lu, piv, lwork=lwork, overwrite_lu=True)
+            if info != 0:
+                b[:] = np.inf
         rcond = 1.0 / (anorm * np.abs(inverse).sum(axis=1).max(axis=1))
         # written so that a NaN condition fails too
         failed = ~(rcond >= np.finfo(float).eps)
@@ -370,11 +369,13 @@ def generator_stack(hamiltonians, jump_ops, silent_ops):
     )
     silent_gain = np.einsum("zskil,zskjp->zkijlp", silent_ops.conj(), silent_ops)
     diagonal = (drift + silent_gain).reshape(p, m, n, n)
-    mats = _gain_matrices(jump_ops, np.ones((m, m)))
-    blocks = mats.reshape(p, m, n, m, n)
-    for k in range(m):
-        blocks[:, k, :, k] += diagonal[:, k]
-    return GeneratorStack(jump_ops=jump_ops, matrices=mats)
+    # an einsum, not a broadcast conj(L) * L: numpy's broadcast complex
+    # product can leave round-off in the imaginary part of |L_ij|^2, which
+    # real_matrices' hermiticity check then sees on a zero generator
+    blocks = np.einsum("zkqil,zkqjp->zkijqlp", jump_ops.conj(), jump_ops).reshape(p, m, n, m, n)
+    k = np.arange(m)
+    blocks[:, k, :, k] += diagonal.swapaxes(0, 1)
+    return GeneratorStack(jump_ops=jump_ops, matrices=blocks.reshape(p, m * n, m * n))
 
 
 def extended_liouvillian(model):

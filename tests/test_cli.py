@@ -80,7 +80,15 @@ class TestVerbs:
         rc = main(["validate", write_config(tmp_path, cfg)])
         out = capsys.readouterr().out
         assert rc == 0
-        assert out == "ok: dim 2, channels ['-1', '+1'], task steady\n"
+        assert out == "ok: dim 2, channels ['-1', '+1'], generator 8, task steady\n"
+
+    def test_validate_reports_sweep_grid(self, capsys):
+        rc = main(["validate", os.path.join(CONFIG_DIR, "fig2b_maser_noise.json")])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "ok: dim 3, channels ['E_l', 'I_l', 'E_r', 'I_r'], generator 36, "
+            "task sweep (25 points x 4 variants)\n"
+        )
 
     def test_validate_mentions_silent_channels(self, tmp_path, capsys):
         cfg = base_config(tmp_path, {"kind": "steady"})
@@ -1091,6 +1099,45 @@ class TestDeterminism:
         _, canon = parse_config(cfg)
         _, canon2 = parse_config(canon)
         assert canon2 == canon
+
+    def test_carriage_return_in_a_label_reads_back(self, tmp_path):
+        section = model_to_config(qubit_cooling_model(QubitParams(nbar=0.5, gamma=1.0)))
+        cfg = base_config(tmp_path, {"kind": "steady"})
+        cfg["model"] = json.loads(json.dumps(section).replace('"-1"', '"a\\rb"'))
+        _, _, files = run_config(cfg)
+        header, rows = read_csv(files[0])
+        assert header[:2] == ["P(a\rb)", "P(+1)"]
+        assert len(rows) == 1 and len(rows[0]) == len(header)
+
+    def test_thread_count_never_changes_deterministic_outputs(self, tmp_path):
+        # a five-point chunk of the fig2b noise sweep and a 61-lag chunk of the
+        # fig3b correlation, as the benchmark runs them
+        with open(os.path.join(CONFIG_DIR, "fig2b_maser_noise.json")) as fh:
+            sweep = json.load(fh)
+        task = sweep["task"]
+        task["values"] = task["values"][:5]
+        task["also"] = {k: v[:5] for k, v in task["also"].items()}
+        with open(os.path.join(CONFIG_DIR, "fig3b_maser_correlation_feedback.json")) as fh:
+            correlation = json.load(fh)
+        correlation["task"]["taus"] = {"linspace": [0.0, 6.0, 61]}
+        code = (
+            "import json, sys\n"
+            "from jumpfeedback.cli import run_config\n"
+            "for path in sys.argv[2:]:\n"
+            "    run_config(json.load(open(path)), base_dir=sys.argv[1])\n"
+        )
+        paths = [write_config(tmp_path, cfg, f"{i}.json") for i, cfg in enumerate((sweep, correlation))]
+        outputs = []
+        for threads in ("1", "2"):
+            env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+            env["JUMPFEEDBACK_THREADS"] = threads
+            out = tmp_path / f"threads{threads}"
+            subprocess.run(
+                [sys.executable, "-c", code, str(out), *paths], env=child_env(env), check=True
+            )
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))})
+        assert len(outputs[0]) == 3
+        assert outputs[0] == outputs[1]
 
     def test_csv_lines_end_with_lf(self, tmp_path):
         cfg = base_config(tmp_path, {"kind": "steady"})

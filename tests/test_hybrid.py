@@ -230,19 +230,64 @@ class TestStationaryLU:
         ext = extended_liouvillian(model)
         weights = CountingWeights.from_channel_weights(model.channels, [1.0, -0.5])
         calls = []
-        inv = np.linalg.inv
+        getrf = hybrid.lapack.zgetrf
 
-        def counting(a):
+        def counting(a, **kwargs):
             calls.append(a.shape)
-            return inv(a)
+            return getrf(a, **kwargs)
 
-        # the stacked factorization inverts every bordered generator at once
-        monkeypatch.setattr(hybrid.np.linalg, "inv", counting)
+        # the stacked factorization inverts each bordered generator once
+        monkeypatch.setattr(hybrid.lapack, "zgetrf", counting)
         state = feedback_steady_state(model, ext=ext)
         noise = steady_noise(ext, weights)
         spec = power_spectrum(ext, weights, [0.0], state=state)
-        assert calls == [(1, 4 * 2 + 1, 4 * 2 + 1)]
+        assert calls == [(4 * 2 + 1, 4 * 2 + 1)]
         assert abs(spec.values[0] - noise) < 1e-10 * max(1.0, abs(noise))
+
+    @pytest.mark.parametrize("silent", [0, 2])
+    def test_rcond_is_the_exact_one_norm_condition(self, silent):
+        rng = np.random.default_rng(47 + silent)
+        models = [random_model(rng, dim=3, n_channels=2, silent=silent) for _ in range(3)]
+        stack = generator_stack(*stack_tensors(models))
+        t = stack.trace_row
+        n = len(t)
+        for i, mat in enumerate(stack.matrices):
+            b = np.zeros((n + 1, n + 1), dtype=complex)
+            b[:n, :n] = mat
+            b[:n, n] = t.conj() / np.vdot(t, t).real
+            b[n, :n] = t
+            inverse = np.linalg.inv(b)
+            want = 1.0 / (np.linalg.norm(b, 1) * np.linalg.norm(inverse, 1))
+            assert abs(stack.stationary.rcond[i] - want) <= 1e-10 * want
+            scale = np.abs(inverse).max()
+            assert np.abs(stack.stationary.vectors[i] - inverse[:n, n]).max() <= 1e-12 * scale
+            x = rng.normal(size=n) + 1j * rng.normal(size=n)
+            x -= (t @ x) * b[:n, n]
+            got = stack.stationary.drazin(np.stack([x] * len(models)))[i]
+            assert np.abs(got - inverse[:n, :n] @ x).max() <= 1e-12 * scale * np.abs(x).sum()
+
+    def test_first_singular_member_is_reported_without_warning(self):
+        # member rcond: a weakly coupled pair of sectors is singular to
+        # working precision (~3e-20), a disconnected pair meets an exactly
+        # zero pivot (0); the first of them in stack order is reported
+        sm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+        weak = feedback_model(
+            dim=2,
+            channels=["a", "b"],
+            hamiltonians=sx,
+            jump_ops={"a": {"a": sm, "b": 1e-9 * sm}, "b": {"b": sm, "a": 1e-9 * sm}},
+        )
+        connected = feedback_model(
+            dim=2, channels=["a", "b"], hamiltonians=sx, jump_ops={"a": sm, "b": sm.T}
+        )
+        for members, zero in (([weak, disconnected_model()], False), ([disconnected_model(), weak], True)):
+            stack = generator_stack(*stack_tensors([connected, *members, connected]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DegenerateSteadyStateError) as err:
+                    stack.stationary
+            assert ("rcond 0.0e+00" in str(err.value)) == zero
 
     def test_disconnected_memory_sectors_raise_without_warning(self):
         with warnings.catch_warnings():
@@ -279,6 +324,26 @@ def stack_tensors(models):
     return [np.stack([getattr(m, a) for m in models]) for a in ("hamiltonians", "jump_ops", "silent_ops")]
 
 
+def per_block_assembly(hamiltonians, jump_ops, silent_ops):
+    """generator_stack's matrices, with the gains weighted by ones and each diagonal block added in turn."""
+    p, m, d = hamiltonians.shape[:3]
+    n = d * d
+    loss = np.einsum("zkqij,zkqil->zqjl", jump_ops.conj(), jump_ops)
+    loss += np.einsum("zsqij,zsqil->zqjl", silent_ops.conj(), silent_ops)
+    h_eff = hamiltonians - 0.5j * loss
+    eye = np.eye(d)
+    drift = -1j * (
+        np.einsum("il,zkjp->zkijlp", eye, h_eff) - np.einsum("zkil,jp->zkijlp", h_eff.conj(), eye)
+    )
+    silent_gain = np.einsum("zskil,zskjp->zkijlp", silent_ops.conj(), silent_ops)
+    diagonal = (drift + silent_gain).reshape(p, m, n, n)
+    gains = np.einsum("zkqil,zkqjp->zkijqlp", np.ones((m, m, 1, 1)) * jump_ops.conj(), jump_ops)
+    blocks = gains.reshape(p, m, n, m, n)
+    for k in range(m):
+        blocks[:, k, :, k] += diagonal[:, k]
+    return blocks.reshape(p, m * n, m * n)
+
+
 class TestGeneratorStack:
     """The stacked kernels equal a loop of single-model calls."""
 
@@ -305,6 +370,16 @@ class TestGeneratorStack:
             self.assert_close(blocks[i], state.blocks)
             self.assert_close(current[i], average_current(ext, weights, state))
             self.assert_close(noise[i], steady_noise(ext, weights, state=state))
+
+    def test_assembly_equals_the_per_block_form_bit_for_bit(self):
+        rng = np.random.default_rng(52)
+        for _ in range(200):
+            m, d = (int(x) for x in rng.integers(1, 4, size=2))
+            silent = int(rng.integers(0, 2))
+            models = [random_model(rng, dim=d, n_channels=m, silent=silent) for _ in range(2)]
+            tensors = stack_tensors(models)
+            got = generator_stack(*tensors).matrices
+            assert got.tobytes() == per_block_assembly(*tensors).tobytes()
 
     def test_degenerate_member_raises_the_single_model_error(self):
         sm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)

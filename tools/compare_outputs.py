@@ -12,8 +12,9 @@ directory.  For every CSV the script prints whether the two files are
 byte-identical, and otherwise the largest |difference| of each numeric
 column relative to that column's largest |value| in the parent's file.
 Text cells must match exactly.  Reports must be equal apart from
-``wall_time_s``, and a config that fails must fail with the same message on
-both sides.
+``wall_time_s``; for reports that differ the script prints each differing
+key path with both values and, for numbers, their relative difference.  A
+config that fails must fail with the same message on both sides.
 
 ``--trajectories`` runs the standard Monte Carlo set instead of the
 shipped configs (CONFIG files given as well run with it).  Its configs are
@@ -162,6 +163,43 @@ def csv_deviation(parent_path, change_path):
     return worst, where
 
 
+MISSING = "(missing)"
+
+
+def json_differences(parent, change, path=""):
+    """Yield (key path, parent value, change value) for every place two JSON values differ.
+
+    Dicts are compared key by key and lists of equal length item by item;
+    a key on one side only is paired with ``MISSING``.
+    """
+    if isinstance(parent, dict) and isinstance(change, dict):
+        for key in sorted(set(parent) | set(change)):
+            sub = f"{path}.{key}" if path else key
+            if key in parent and key in change:
+                yield from json_differences(parent[key], change[key], sub)
+            else:
+                yield sub, parent.get(key, MISSING), change.get(key, MISSING)
+    elif isinstance(parent, list) and isinstance(change, list) and len(parent) == len(change):
+        for i, (a, b) in enumerate(zip(parent, change)):
+            yield from json_differences(a, b, f"{path}[{i}]")
+    elif parent != change:
+        yield path, parent, change
+
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def describe_difference(path, a, b):
+    """One line: the key path, both values and, for two numbers, their relative difference."""
+    line = f"  {path}: parent {a!r}, change {b!r}"
+    if _is_number(a) and _is_number(b):
+        scale = max(abs(a), abs(b))
+        rel = abs(a - b) / scale if scale else 0.0
+        line += f", relative difference {rel:.3g}"
+    return line
+
+
 def compare(parent_out, change_out, tol):
     """Print one line per output file; returns the number of failures."""
     failures = 0
@@ -195,9 +233,11 @@ def compare(parent_out, change_out, tol):
                 a, b = json.load(fa), json.load(fb)
             a.pop("wall_time_s", None)
             b.pop("wall_time_s", None)
-            same = a == b
-            print(f"{name}: {'equal apart from wall_time_s' if same else 'DIFFERS'}")
-            failures += not same
+            differences = list(json_differences(a, b))
+            print(f"{name}: {'DIFFERS' if differences else 'equal apart from wall_time_s'}")
+            for difference in differences:
+                print(describe_difference(*difference))
+            failures += bool(differences)
             continue
         dev, column = csv_deviation(p, c)
         bad = not dev <= tol
