@@ -45,7 +45,7 @@ from .models import (
     work_table,
     work_weights,
 )
-from .trajectories import check_step, mc_estimate, whole_steps
+from .trajectories import MAX_TRAJECTORIES, check_step, mc_estimate, rank_one_jumps, whole_steps
 
 __all__ = ["main", "run_config", "model_from_config", "model_to_config"]
 
@@ -566,6 +566,8 @@ def _parse_task(tcfg, ctx):
         n_traj = _expect_int(tcfg.get("n_traj"), "task.n_traj")
         if n_traj < 1:
             _fail("task.n_traj", "must be at least 1")
+        if n_traj > MAX_TRAJECTORIES:
+            _fail("task.n_traj", f"must be at most 2**32 = {MAX_TRAJECTORIES}")
         horizon = _expect_number(tcfg.get("horizon"), "task.horizon")
         if horizon <= 0:
             _fail("task.horizon", "must be positive")
@@ -964,6 +966,17 @@ def _load_json(path):
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 
 
+def _task_detail(model, task):
+    """What ``validate`` adds after the task kind: a sweep's grid, a Monte Carlo path."""
+    if task["kind"] == "sweep":
+        return f" ({len(task['values'])} points x {len(task['variants'])} variants)"
+    if task["kind"] != "trajectories":
+        return ""
+    if task["scheme"] == "waiting-time":
+        return " (waiting-time)"
+    return f" (fixed-step, {'class tables' if rank_one_jumps(model) else 'lookahead'})"
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="jumpfeedback",
@@ -992,11 +1005,7 @@ def main(argv=None):
                 f"ok: dim {model.dim}, channels {list(model.channels)}"
                 + (f", {silent} silent" if silent else "")
                 + f", generator {size}, task {task['kind']}"
-                + (
-                    f" ({len(task['values'])} points x {len(task['variants'])} variants)"
-                    if task["kind"] == "sweep"
-                    else ""
-                )
+                + _task_detail(model, task)
             )
             return 0
         report, report_path, files = run_config(raw)
@@ -1007,7 +1016,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (JumpFeedbackError, np.linalg.LinAlgError, OSError) as exc:
+    except (JumpFeedbackError, np.linalg.LinAlgError, OSError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

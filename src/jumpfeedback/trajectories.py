@@ -3,8 +3,8 @@
 Two sampling schemes share one event-driven engine.  Each round finds the
 next jump of every active trajectory in one vectorized search, then applies
 all those jumps through one path: channel pick, state update (one gathered
-product with a stacked (memory, channel) table), charge, records and
-memory.
+product with a stacked (memory, channel) table, or for a trajectory on a
+class table the class the jump leads to), charge, records and memory.
 
 * ``"waiting-time"`` (default): between jumps the conditional state evolves
   under the no-jump propagator exp(-i H_eff(k) t).  States are held in the
@@ -23,7 +23,11 @@ memory.
   built from powers of that map gives the jump weights over the next
   LOOKAHEAD steps; a trajectory jumps at its first step whose uniform falls
   below them, or advances by the whole window.  Jumps are exactly those of
-  stepping one dt at a time.  States stay in the physical basis.
+  stepping one dt at a time.  States stay in the physical basis.  When every
+  jump operator has rank <= 1 (:func:`rank_one_jumps`), the state after a
+  jump depends only on (memory, channel); a trajectory then carries only
+  its class and the steps since, and its window is read from per-class
+  tables built once per batch (:class:`_ClassTables`).
 
 Randomness is drawn from counter-based per-trajectory streams derived from
 ``(master_seed, trajectory_index)``, so results are bit-for-bit reproducible
@@ -50,12 +54,16 @@ __all__ = [
     "mc_estimate",
     "charge_from_record",
     "trajectory_stream",
+    "rank_one_jumps",
 ]
 
 UNIFORM_BLOCK = 1024  # uniforms pre-drawn per trajectory, fixed-step: one per step
 WAITING_BLOCK = 128  # the same for the waiting-time scheme: two per jump
 MAX_STEP_PROBABILITY = 0.05
 LOOKAHEAD = 64  # fixed-step steps searched for a jump per round
+MAX_TRAJECTORIES = 2**32  # stream indices are 32-bit words
+RANK_TOL = 1e-10  # a jump operator with s_1 <= RANK_TOL * s_0 has rank <= 1
+TABLE_FLOATS = 1 << 18  # entries the class tables of a batch may hold (2 MiB)
 ROOT_TOLERANCE = 1e-14  # relative bracket width at which a jump-time root has converged
 ACCEPT_STEP = 1e-7  # relative Halley step that is taken as the last one
 MAX_ROOT_ITERATIONS = 100
@@ -383,6 +391,9 @@ class _Batch:
         vinv, vh = np.linalg.inv(basis), basis.conj().swapaxes(1, 2)
         # ops[k, q] = L_q(k), monitored channels first; those reset the memory to q
         ops = np.concatenate([model.jump_ops, model.silent_ops]).swapaxes(0, 1)
+        self.ops = ops
+        # fixed-step rounds run on class tables (see _run_fixed)
+        self.rank_one = not eigen and rank_one_jumps(model)
         ch = np.arange(self.n_ops)
         self.next_memory = np.where(ch < m, ch, np.arange(m)[:, None])
         jump = vinv[self.next_memory] @ ops @ basis[:, None]
@@ -467,23 +478,31 @@ class _Batch:
         (waiting-time), or as the step's outcome when channel q fires with
         probability dt times its weight (fixed-step, ``dt`` given).  Without
         ``dt`` the rows need not be normalized, since the pick is relative
-        and the post-jump state is normalized.
+        and the post-jump state is normalized.  Returns the picked channels.
         """
         ks = self.memory[sel]
         w = (self.rate_rows[ks] @ rows[:, :, None])[:, :, 0].real
         if dt is not None:
             w *= dt
         cum = np.cumsum(np.maximum(w, 0.0), axis=1)
-        target = u if dt is not None else u * cum[:, -1]
-        picks = np.minimum((cum <= target[:, None]).sum(axis=1), self.n_ops - 1)
-        after = self.next_memory[ks, picks]
+        picks = self.pick(cum, u if dt is not None else u * cum[:, -1])
         a = (self.jump_maps[ks, picks] @ rows[:, :, None])[:, :, 0]
-        self.states[sel] = self.normalized(a, after)
+        self.states[sel] = self.normalized(a, self.next_memory[ks, picks])
+        self.land(sel, t_jump, picks)
+        return picks
+
+    def pick(self, cum, target):
+        """The channel of each row of cumulative jump weights ``cum`` that ``target`` selects."""
+        return np.minimum((cum <= target[:, None]).sum(axis=1), self.n_ops - 1)
+
+    def land(self, sel, t_jump, picks):
+        """Charge, record and memory of the jumps ``picks`` at times ``t_jump``."""
+        ks = self.memory[sel]
         counted = t_jump >= self.burn_in
         self.charge[sel[counted]] += self.charge_table[picks, ks][counted]
         if self.events is not None:
             self.events.append((sel, t_jump, picks, ks))
-        self.memory[sel] = after
+        self.memory[sel] = self.next_memory[ks, picks]
         self.jump_events += len(sel)
 
     def records(self, initial_memories, horizon):
@@ -581,49 +600,170 @@ def _lookahead_tables(h_eff, rate_rows, dt):
     return powers, look
 
 
+def rank_one_jumps(model):
+    """Whether every jump operator L_q(k), monitored and silent, has rank <= 1.
+
+    Rank <= 1 means s_1 <= RANK_TOL * s_0 for the operator's singular
+    values.  Then the state right after a jump depends only on (memory,
+    channel), and the fixed-step scheme reads its rounds from per-class
+    tables (:class:`_ClassTables`); otherwise it searches every
+    trajectory's own state with the lookahead tables.
+    """
+    s = np.linalg.svd(np.concatenate([model.jump_ops, model.silent_ops]), compute_uv=False)
+    return s.shape[-1] < 2 or bool((s[..., 1] <= RANK_TOL * s[..., 0]).all())
+
+
+class _ClassTables:
+    """Fixed-step tables of the classes of a batch whose jump operators have rank <= 1.
+
+    A jump through L = |a><b| leaves |a><a| whatever the state before, so a
+    trajectory s steps after its last jump is in the state P^s rho_c of its
+    class c, normalized.  A class is rho0 at an initial memory, or the state
+    L L^dag normalized that channel q leaves when it fires at memory k;
+    classes of equal memory and state are one.  ``cum[c, s]`` holds the
+    cumulative jump probabilities dt Tr[L_q rho_s L_q^dag] / Tr rho_s over
+    the channels; the last, their sum, is the probability that step s
+    jumps, and ``windows[c, s]`` holds it for the LOOKAHEAD steps from s.
+    Each LOOKAHEAD rows come from one product of a normalized block start
+    ``anchors[c, b]`` (offset b * LOOKAHEAD) with the lookahead tables.
+    Offsets below ``end`` are tabled; ``end`` covers the horizon unless the
+    tables would exceed TABLE_FLOATS entries, and a trajectory that reaches
+    it continues from ``anchors[c, -1]`` on its own state.
+    """
+
+    def __init__(self, batch, powers, look, n_steps):
+        m, n_ops = batch.m, batch.n_ops
+        gain = batch.ops @ batch.ops.conj().swapaxes(2, 3)
+        traces = np.trace(gain, axis1=2, axis2=3).real
+        index, starts, memories = {}, [], []
+
+        def add(k, row):
+            key = (k, row.tobytes())
+            if key not in index:
+                index[key] = len(starts)
+                starts.append(row)
+                memories.append(k)
+            return index[key]
+
+        # the class each memory starts in and the class each jump (k, q)
+        # leads to; -1 for a channel whose operator is 0, which never fires
+        self.initial = np.full(m, -1)
+        for k in np.unique(batch.memory).tolist():
+            self.initial[k] = add(k, batch.initial_rows[k])
+        self.after = np.full((m, n_ops), -1)
+        for k, q in zip(*np.nonzero(traces > 0)):
+            self.after[k, q] = add(batch.next_memory[k, q], (gain[k, q] / traces[k, q]).ravel())
+
+        n_cls, n_cols = len(starts), n_ops + 1
+        self.memory = ks = np.array(memories, dtype=np.intp)
+        cap = max(1, TABLE_FLOATS // (LOOKAHEAD * n_cls * n_cols) - 1)
+        blocks = min(-(-n_steps // LOOKAHEAD), cap)
+        self.end = blocks * LOOKAHEAD
+        self.anchors = np.empty((n_cls, blocks + 1, len(starts[0])), dtype=complex)
+        cum = np.empty((n_cls, blocks + 1, LOOKAHEAD, n_ops))
+        look, advance = look[ks], powers[ks, LOOKAHEAD]
+        rows = np.array(starts)
+        for b in range(blocks + 1):
+            if b:
+                rows = batch.normalized((rows[:, None] @ advance)[:, 0], ks)
+            self.anchors[:, b] = rows
+            x = (np.concatenate([rows.real, rows.imag], axis=1)[:, None] @ look)[:, 0]
+            x = x.reshape(n_cls, n_cols, LOOKAHEAD)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                weights = np.cumsum(np.maximum(x[:, :-1], 0.0), axis=1) / x[:, -1:]
+            cum[:, b] = weights.swapaxes(1, 2)
+        self.cum = cum.reshape(n_cls, -1, n_ops)
+        self.windows = sliding_window_view(np.ascontiguousarray(self.cum[:, :, -1]), LOOKAHEAD, axis=1)
+        self.powers = powers
+
+    def states(self, batch, c, off):
+        """Normalized state rows of classes ``c`` at offsets ``off``."""
+        b, s = np.divmod(off, LOOKAHEAD)
+        ks = self.memory[c]
+        return batch.normalized((self.anchors[c, b][:, None] @ self.powers[ks, s])[:, 0], ks)
+
+
 def _run_fixed(batch, horizon, dt):
     """Each round finds the first jumping step of every active trajectory
-    within its next LOOKAHEAD steps, or advances it by the whole window
-    (see :func:`_lookahead_tables`).
+    within its next LOOKAHEAD steps, or advances it by the whole window.
+
+    A trajectory on a class table (:class:`_ClassTables`, built when
+    :func:`rank_one_jumps` holds) carries only its class and offset and
+    reads the hazards of its window there; any other searches its own state
+    with the lookahead tables (see :func:`_lookahead_tables`).  Both compare
+    the same uniforms with the same jump probabilities, so they find the
+    same jumps up to the round-off of those probabilities.
     """
     n_steps = whole_steps(horizon, dt)
     if n_steps is None:
         raise ValidationError("horizon must be an integer number of steps")
     powers, look = _lookahead_tables(batch.h_eff, batch.rate_rows, dt)
     n_cols = batch.n_ops + 1
-
-    step = np.zeros(len(batch.memory), dtype=np.intp)
-    active = np.arange(len(step))
+    n = len(batch.memory)
+    tables = _ClassTables(batch, powers, look, n_steps) if batch.rank_one else None
+    # each trajectory's class and steps since the class began; class -1:
+    # the trajectory's own state, in batch.states
+    cls = tables.initial[batch.memory] if tables else np.full(n, -1)
+    offset = np.zeros(n, dtype=np.intp)
+    step = np.zeros(n, dtype=np.intp)
+    active = np.arange(n)
     ahead = np.arange(LOOKAHEAD)
     while active.size:
         batch.rounds += 1
         u = batch.uniforms(active)
-        width = np.minimum(
-            LOOKAHEAD,
-            np.minimum(batch.block - batch.ptr[active], n_steps - step[active]),
-        )
-        ks = batch.memory[active]
-        rows = batch.states[active]
-        real_rows = np.concatenate([rows.real, rows.imag], axis=1)
+        ks, c, off = batch.memory[active], cls[active], offset[active]
+        on = c >= 0
+        room = np.minimum(batch.block - batch.ptr[active], n_steps - step[active])
+        if tables:
+            room = np.where(on, np.minimum(room, tables.end - off), room)
+        width = np.minimum(LOOKAHEAD, room)
         hit = ahead < width[:, None]
-        for k in np.unique(ks):
-            g = ks == k
-            x = real_rows[g] @ look[k]
-            x = x.reshape(-1, n_cols, LOOKAHEAD)
-            # a sum over a non-last axis adds the channels in order
-            total = np.maximum(x[:, :-1], 0.0).sum(axis=1)
-            hit[g] &= u[g] * x[:, -1] < total
+        own = np.flatnonzero(~on)
+        if not own.size:
+            hit &= u < tables.windows[c, off]
+        elif own.size < len(on):
+            hit[on] &= u[on] < tables.windows[c[on], off[on]]
+        if own.size:
+            mine, k_own = active[own], ks[own]
+            rows = batch.states[mine]
+            real_rows = np.concatenate([rows.real, rows.imag], axis=1)
+            for k in np.unique(k_own):
+                g = k_own == k
+                x = real_rows[g] @ look[k]
+                x = x.reshape(-1, n_cols, LOOKAHEAD)
+                # a sum over a non-last axis adds the channels in order
+                total = np.maximum(x[:, :-1], 0.0).sum(axis=1)
+                hit[own[g]] &= u[own[g]] * x[:, -1] < total
         jumped = hit.any(axis=1)
         advance = np.where(jumped, hit.argmax(axis=1), width)
-        moved = batch.normalized((rows[:, None, :] @ powers[ks, advance])[:, 0], ks)
-        batch.states[active] = moved
-        sel = active[jumped]
         u_jump = u[jumped, advance[jumped]]
-        advance[jumped] += 1  # the jumping step itself
-        step[active] += advance
-        batch.ptr[active] += advance
-        batch.apply_jumps(sel, moved[jumped], step[sel] * dt, u_jump, dt)
+        if own.size:
+            moved = batch.normalized((rows[:, None, :] @ powers[k_own, advance[own]])[:, 0], k_own)
+            batch.states[mine] = moved
+        offset[active] += advance
+        # the jumping step itself counts as a step
+        step[active] += advance + jumped
+        batch.ptr[active] += advance + jumped
+        j_on, j_own = jumped & on, jumped[own]
+        if j_on.any():
+            sel = active[j_on]
+            picks = batch.pick(tables.cum[c[j_on], off[j_on] + advance[j_on]], u_jump[on[jumped]])
+            batch.land(sel, step[sel] * dt, picks)
+            cls[sel], offset[sel] = tables.after[ks[j_on], picks], 0
+        if j_own.any():
+            sel = mine[j_own]
+            picks = batch.apply_jumps(sel, moved[j_own], step[sel] * dt, u_jump[~on[jumped]], dt)
+            if tables:
+                cls[sel], offset[sel] = tables.after[k_own[j_own], picks], 0
+        if tables and tables.end < n_steps:
+            # trajectories at the end of their table go on with their own state
+            leave = active[on & (off + advance == tables.end)]
+            batch.states[leave] = tables.anchors[cls[leave], -1]
+            cls[leave] = -1
         active = active[step[active] < n_steps]
+    if tables:
+        sel = np.flatnonzero(cls >= 0)
+        batch.states[sel] = tables.states(batch, cls[sel], offset[sel])
 
 
 def whole_steps(horizon, dt):
@@ -759,6 +899,8 @@ def mc_estimate(
     """
     if n_traj < 1:
         raise ValidationError("need at least one trajectory")
+    if n_traj > MAX_TRAJECTORIES:
+        raise ValidationError(f"n_traj must be at most 2**32 = {MAX_TRAJECTORIES}, got {n_traj}")
     m = model.n_channels
     dist = check_distribution(label_table(memory0, model.channels, "memory0"), "memory0")
 

@@ -61,6 +61,17 @@ def random_density(rng, d):
     return rho / np.trace(rho).real
 
 
+# keyword arguments of feedback_model and an explicit config section: two
+# memories, channel "a" jumps through a rank-2 operator and "b" through a
+# rank-1 one, so the fixed-step scheme takes the lookahead search
+RANK_TWO_MODEL = {
+    "dim": 2,
+    "channels": ["a", "b"],
+    "hamiltonians": {"a": [[0.5, 0.3], [0.3, -0.5]], "b": [[-0.5, 0.0], [0.0, 0.5]]},
+    "jump_ops": {"a": [[0.2, 0.5], [0.0, 0.3]], "b": [[0.0, 0.0], [0.6, 0.0]]},
+}
+
+
 def random_model(rng, dim=3, n_channels=3, scale=0.6, silent=0):
     """A generic validated feedback model with dense random operators."""
     channels = tuple(f"ch{i}" for i in range(n_channels))

@@ -43,11 +43,18 @@ from jumpfeedback.cli import (
 from jumpfeedback.errors import ConfigError
 from jumpfeedback.fcs import stationarity_residuals
 
-from helpers import child_env, random_model
+from helpers import RANK_TWO_MODEL, child_env, random_model
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 QUBIT_MODEL = {"builtin": "qubit_cooling", "params": {"nbar": 0.5, "gamma": 1.0}}
 MASER_PARAMS = {"nl": 0.3, "nr": 8.0, "gl": 0.025, "gr": 0.025, "wl": 8.0, "wr": 2.0}
+
+
+def trajectory_task(scheme, n_traj=20):
+    task = {"kind": "trajectories", "n_traj": n_traj, "horizon": 2.0, "scheme": scheme}
+    if scheme == "fixed-step":
+        task["dt"] = 0.01
+    return task
 
 
 def base_config(directory, task, prefix="t"):
@@ -88,6 +95,57 @@ class TestVerbs:
         assert capsys.readouterr().out == (
             "ok: dim 3, channels ['E_l', 'I_l', 'E_r', 'I_r'], generator 36, "
             "task sweep (25 points x 4 variants)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "model, scheme, detail",
+        [
+            ("maser", "fixed-step", "fixed-step, class tables"),
+            ("rank two", "fixed-step", "fixed-step, lookahead"),
+            ("maser", "waiting-time", "waiting-time"),
+        ],
+    )
+    def test_validate_names_the_monte_carlo_path(self, tmp_path, capsys, model, scheme, detail):
+        cfg = base_config(tmp_path, trajectory_task(scheme))
+        if model == "maser":
+            cfg["model"] = {"builtin": "maser", "params": MASER_PARAMS}
+            cfg["weights"] = "work"
+            cfg["initial"] = {"memory": "E_l", "system": "ground"}
+            summary = "dim 3, channels ['E_l', 'I_l', 'E_r', 'I_r'], generator 36"
+        else:
+            cfg["model"] = RANK_TWO_MODEL
+            cfg["weights"] = "activity"
+            cfg["initial"] = {"memory": "a", "system": "ground"}
+            summary = "dim 2, channels ['a', 'b'], generator 8"
+        rc = main(["validate", write_config(tmp_path, cfg)])
+        assert rc == 0
+        assert capsys.readouterr().out == f"ok: {summary}, task trajectories ({detail})\n"
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_more_trajectories_than_stream_indices_is_config_error(self, tmp_path, capsys, verb):
+        cfg = base_config(tmp_path, trajectory_task("fixed-step", n_traj=10**10))
+        cfg["weights"] = "activity"
+        cfg["initial"] = {"memory": "-1", "system": "ground"}
+        rc = main([verb, write_config(tmp_path, cfg)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: task.n_traj: must be at most 2**32 = 4294967296\n"
+        )
+        assert not (tmp_path / "t_report.json").exists()
+
+    def test_memory_error_exits_one(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 32.0 TiB for an array")
+
+        # nothing is allocated for real: the estimate fails at once
+        monkeypatch.setattr(cli, "mc_estimate", exhausted)
+        cfg = base_config(tmp_path, trajectory_task("fixed-step", n_traj=2**32))
+        cfg["weights"] = "activity"
+        cfg["initial"] = {"memory": "-1", "system": "ground"}
+        rc = main(["run", write_config(tmp_path, cfg)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: MemoryError: Unable to allocate 32.0 TiB for an array\n"
         )
 
     def test_validate_mentions_silent_channels(self, tmp_path, capsys):

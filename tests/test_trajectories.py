@@ -1,5 +1,6 @@
 """Stochastic trajectory sampling: distributions, determinism, bookkeeping."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from jumpfeedback import (
     charge_from_record,
     drazin,
     extended_liouvillian,
+    feedback_model,
     feedback_steady_state,
     marginals,
     maser_model,
@@ -34,16 +36,19 @@ from jumpfeedback import (
     work_weights,
 )
 
+import jumpfeedback.trajectories as trajectories
 from jumpfeedback.trajectories import (
     LOOKAHEAD,
     MAX_ROOT_ITERATIONS,
     _jump_time,
     _lookahead_tables,
     check_step,
+    rank_one_jumps,
     whole_steps,
 )
 from jumpfeedback.trajectories import UNIFORM_BLOCK, WAITING_BLOCK, _KeyedStreams, _philox_keys
 from helpers import (
+    RANK_TWO_MODEL,
     child_env,
     dense_gain,
     dense_oracle,
@@ -533,6 +538,170 @@ class TestFixedStepLookahead:
             )
 
 
+BENCH_MASER = MaserParams(nl=1.0, nr=2.0, gl=0.5, gr=0.5, lam=1.0, delta=0.0, wl=8.0, wr=2.0)
+
+
+def rank_two_model():
+    return feedback_model(**RANK_TWO_MODEL)
+
+
+def class_case(name):
+    """(model, weights, rho0) of a fixed-step class-table case."""
+    if name == "classical maser":
+        return maser_model(BENCH_MASER, classical=True), work_weights(BENCH_MASER), np.eye(3) / 3
+    if name == "maser nl = 0":
+        params = dataclasses.replace(BENCH_MASER, nl=0.0)
+        return maser_model(params), work_weights(params), np.eye(3) / 3
+    model = rank_two_model()
+    return model, CountingWeights.activity(model.channels), np.diag([0.3, 0.7]).astype(complex)
+
+
+class TestClassTables:
+    """Rank-one jump operators: fixed-step rounds read per-class tables."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The class tables every batch builds, in order."""
+        tables = []
+
+        class Recorded(trajectories._ClassTables):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tables.append(self)
+
+        monkeypatch.setattr(trajectories, "_ClassTables", Recorded)
+        return tables
+
+    def replay_against_reference(self, model, weights, rho0, horizon, dt, seed, n=4):
+        """Records of n single trajectories, each checked against the plain stepper."""
+        records = []
+        for i in range(n):
+            k0 = i % model.n_channels
+            rec = sample_trajectory(
+                model, weights, rho0, model.channels[k0], horizon,
+                scheme="fixed-step", rng=trajectory_stream(seed, i), dt=dt, burn_in=1.0,
+            )
+            times, channels, before, final, charge = fixed_step_reference(
+                model, weights, rho0, k0, trajectory_stream(seed, i), horizon, dt, 1.0
+            )
+            npt.assert_array_equal(rec.jump_times, times)
+            npt.assert_array_equal(rec.jump_channels, channels)
+            npt.assert_array_equal(rec.memory_before, before)
+            assert rec.charge == charge
+            npt.assert_allclose(rec.final_state, final, rtol=0, atol=1e-12)
+            records.append(rec)
+        return records
+
+    def test_rank_one_predicate(self):
+        qubit, _, _ = qubit_setup()
+        for name in ("classical maser", "maser nl = 0"):
+            assert rank_one_jumps(class_case(name)[0])
+        assert rank_one_jumps(maser_model(BENCH_MASER))
+        assert rank_one_jumps(qubit)
+        assert rank_one_jumps(poisson_model(1.0))
+        assert not rank_one_jumps(rank_two_model())
+        assert not rank_one_jumps(random_model(np.random.default_rng(5), dim=2, n_channels=2))
+
+    @pytest.mark.parametrize("name", ["classical maser", "maser nl = 0"])
+    def test_engine_matches_plain_stepper(self, built, name):
+        model, weights, rho0 = class_case(name)
+        # 1250 steps: crosses the first uniform block
+        records = self.replay_against_reference(model, weights, rho0, 12.5, 0.01, 201)
+        assert len(built) == len(records)
+        fired = np.concatenate([r.jump_channels for r in records])
+        assert len(fired) > 10
+        if name == "classical maser":
+            # silent hops fire, and only at memory E_r, where the feedback gates them on
+            hops = np.concatenate([r.jump_channels >= model.n_channels for r in records])
+            assert hops.any()
+            before = np.concatenate([r.memory_before for r in records])
+            assert set(before[hops].tolist()) == {model.channel_index("E_r")}
+        else:
+            # the zero I_l operator leads to no class and never fires
+            i_l = model.channel_index("I_l")
+            assert i_l not in fired
+            assert (built[0].after[:, i_l] == -1).all()
+
+    @pytest.mark.parametrize("name", ["classical maser", "maser nl = 0"])
+    def test_batch_members_equal_their_replays(self, built, name):
+        model, weights, rho0 = class_case(name)
+        mem0 = np.full(model.n_channels, 1.0 / model.n_channels)
+        est = mc_estimate(
+            model, weights, rho0, mem0, 10.5, 6,
+            scheme="fixed-step", master_seed=204, dt=0.01, collect_records=True,
+        )
+        for i, rec in enumerate(est.records):
+            stream = trajectory_stream(204, i)
+            stream.random()  # the batch spends this on the initial memory
+            solo = sample_trajectory(
+                model, weights, rho0, model.channels[rec.initial_memory], 10.5,
+                scheme="fixed-step", rng=stream, dt=0.01,
+            )
+            npt.assert_array_equal(solo.jump_times, rec.jump_times)
+            npt.assert_array_equal(solo.jump_channels, rec.jump_channels)
+            npt.assert_array_equal(solo.memory_before, rec.memory_before)
+            npt.assert_array_equal(solo.final_state, rec.final_state)
+            assert solo.charge == rec.charge
+        assert len(built) == 1 + len(est.records)
+
+    def test_a_rank_two_operator_takes_the_lookahead_search(self, built):
+        model, weights, rho0 = class_case("rank two")
+        records = self.replay_against_reference(model, weights, rho0, 12.5, 0.01, 205)
+        assert built == []
+        fired = np.concatenate([r.jump_channels for r in records])
+        assert set(fired.tolist()) == {0, 1}
+
+    def test_tables_reproduce_the_lookahead_search(self, monkeypatch):
+        model, weights = maser_model(BENCH_MASER), work_weights(BENCH_MASER)
+        kwargs = dict(
+            scheme="fixed-step", master_seed=206, dt=0.01, burn_in=2.0, collect_records=True
+        )
+        mem0 = {c: 0.25 for c in model.channels}
+        tabled = mc_estimate(model, weights, np.eye(3) / 3, mem0, 10.0, 200, **kwargs)
+        monkeypatch.setattr(trajectories, "rank_one_jumps", lambda model: False)
+        searched = mc_estimate(model, weights, np.eye(3) / 3, mem0, 10.0, 200, **kwargs)
+        assert (tabled.rounds, tabled.jump_events) == (searched.rounds, searched.jump_events)
+        assert tabled.mean_charge == searched.mean_charge
+        assert tabled.var_charge == searched.var_charge
+        npt.assert_array_equal(tabled.memory_freq, searched.memory_freq)
+        for a, b in zip(tabled.records, searched.records):
+            npt.assert_array_equal(a.jump_times, b.jump_times)
+            npt.assert_array_equal(a.jump_channels, b.jump_channels)
+            npt.assert_array_equal(a.memory_before, b.memory_before)
+            npt.assert_allclose(a.final_state, b.final_state, rtol=0, atol=1e-12)
+
+    def test_runs_past_the_table_end_match_the_plain_stepper(self, built, monkeypatch):
+        # tables of one block: every wait longer than 64 steps leaves them
+        monkeypatch.setattr(trajectories, "TABLE_FLOATS", 1 << 10)
+        model, weights, rho0 = qubit_setup(nbar=0.2, gamma=0.3)
+        records = self.replay_against_reference(model, weights, rho0, 12.5, 0.01, 207)
+        assert {t.end for t in built} == {LOOKAHEAD}
+        waits = np.concatenate([np.diff(r.jump_times, prepend=0.0) for r in records])
+        assert len(waits) > 4
+        assert (waits > LOOKAHEAD * 0.01).any()
+
+    def test_dark_state_keeps_the_tables_bounded(self, built, monkeypatch):
+        monkeypatch.setattr(trajectories, "TABLE_FLOATS", 1 << 12)
+        # no absorption: the ground state at memory -1 never jumps
+        model, weights, rho0 = qubit_setup(nbar=0.0, gamma=0.8)
+        for horizon, dt in ((40.0, 0.01), (80.0, 0.005)):
+            rec = sample_trajectory(
+                model, weights, rho0, "-1", horizon,
+                scheme="fixed-step", rng=trajectory_stream(208, 0), dt=dt,
+            )
+            _, channels, _, final, _ = fixed_step_reference(
+                model, weights, rho0, 0, trajectory_stream(208, 0), horizon, dt
+            )
+            assert len(rec.jump_times) == len(channels) == 0
+            npt.assert_allclose(rec.final_state, final, rtol=0, atol=1e-12)
+        first, second = built
+        assert first.end == second.end <= 4000 // 5
+        for t in built:
+            n_cls, rows, n_ops = t.cum.shape
+            assert n_cls * rows * (n_ops + 1) <= 1 << 12
+            assert t.anchors.shape == first.anchors.shape
+
+
 class TestWaitingTimeReference:
     """The eigen-coordinate engine reproduces a physical-basis stepper."""
 
@@ -830,6 +999,15 @@ class TestValidation:
             mc_estimate(model, weights, rho0, [1.0, 0.0], 5.0, 2, scheme="fixed-step", dt=dt)
         with pytest.raises(ValidationError, match=f"^{message}$"):
             sample_trajectory(model, weights, rho0, "-1", 5.0, scheme="fixed-step", rng=3, dt=dt)
+
+    def test_more_trajectories_than_stream_indices_rejected_before_any_work(self, monkeypatch):
+        def no_keys(*args):
+            raise AssertionError("keys derived")
+
+        monkeypatch.setattr(trajectories, "_philox_keys", no_keys)
+        model, weights, rho0 = qubit_setup()
+        with pytest.raises(ValidationError, match="n_traj must be at most 2\\*\\*32"):
+            mc_estimate(model, weights, rho0, [1.0, 0.0], 5.0, 2**32 + 1)
 
     def test_rejects_bad_memory0(self):
         model, weights, rho0 = qubit_setup()

@@ -18,12 +18,17 @@ config that fails must fail with the same message on both sides.
 
 ``--trajectories`` runs the standard Monte Carlo set instead of the
 shipped configs (CONFIG files given as well run with it).  Its configs are
-written into the temporary directory: the maser at the benchmark point
-(work weights, uniform initial memory, maximally mixed system) and
-``qubit_cooling`` with gamma 0.8 and nbar 1 (activity weights, uniform
-initial memory, ground state), each under both schemes (``dt`` 0.01 for
-fixed-step), with seeds 0-9, ``n_traj`` 200, horizon 10 and ``burn_in`` 2;
-the seed-0 configs set ``dump``, so their jump records are compared too.
+written into the temporary directory, four models each under both schemes
+(``dt`` 0.01 for fixed-step), with seeds 0-9, ``n_traj`` 200, horizon 10
+and ``burn_in`` 2; the seed-0 configs set ``dump``, so their jump records
+are compared too.  The models: the maser at the benchmark point and the
+classical maser at the same point (work weights, uniform initial memory,
+maximally mixed system); ``qubit_cooling`` with gamma 0.8 and nbar 1
+(activity weights, uniform initial memory, ground state); and an explicit
+two-level model whose jump operator "a" has rank 2 (activity weights,
+uniform initial memory, ground state).  The first three have rank-one jump
+operators, so their fixed-step runs take the class tables; the last takes
+the lookahead search.
 
 Exit status: 0 when every CSV agrees within ``--tol`` (default 1e-12) and
 nothing else differs, 1 otherwise.
@@ -63,22 +68,38 @@ with open(os.path.join(out, "status.json"), "w") as fh:
     json.dump(status, fh)
 """
 
+MC_MASER_PARAMS = {"nl": 1.0, "nr": 2.0, "gl": 0.5, "gr": 0.5, "lam": 1.0, "delta": 0.0,
+                   "wl": 8.0, "wr": 2.0}
+MC_MASER_MEMORY = {"E_l": 0.25, "I_l": 0.25, "E_r": 0.25, "I_r": 0.25}
 # the standard Monte Carlo set: name -> (model, weights, initial memory, initial system)
 MC_MODELS = {
     "maser": (
-        {
-            "builtin": "maser",
-            "params": {"nl": 1.0, "nr": 2.0, "gl": 0.5, "gr": 0.5, "lam": 1.0, "delta": 0.0,
-                       "wl": 8.0, "wr": 2.0},
-        },
+        {"builtin": "maser", "params": MC_MASER_PARAMS},
         "work",
-        {"E_l": 0.25, "I_l": 0.25, "E_r": 0.25, "I_r": 0.25},
+        MC_MASER_MEMORY,
+        "maximally_mixed",
+    ),
+    "maser_classical": (
+        {"builtin": "maser", "params": {**MC_MASER_PARAMS, "classical": True}},
+        "work",
+        MC_MASER_MEMORY,
         "maximally_mixed",
     ),
     "qubit": (
         {"builtin": "qubit_cooling", "params": {"gamma": 0.8, "nbar": 1.0}},
         "activity",
         {"-1": 0.5, "+1": 0.5},
+        "ground",
+    ),
+    "rank_two": (
+        {
+            "dim": 2,
+            "channels": ["a", "b"],
+            "hamiltonians": {"a": [[0.5, 0.3], [0.3, -0.5]], "b": [[-0.5, 0.0], [0.0, 0.5]]},
+            "jump_ops": {"a": [[0.2, 0.5], [0.0, 0.3]], "b": [[0.0, 0.0], [0.6, 0.0]]},
+        },
+        "activity",
+        {"a": 0.5, "b": 0.5},
         "ground",
     ),
 }
