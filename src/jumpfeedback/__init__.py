@@ -51,7 +51,7 @@ from .model import (
     validate,
 )
 from .hybrid import (
-    ExtendedGenerator,
+    GeneratorStack,
     HybridState,
     embed,
     extended_liouvillian,

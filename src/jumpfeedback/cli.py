@@ -760,7 +760,7 @@ def _stationary_stack(stack, out):
 
 def _run_steady(ctx, out):
     model = ctx["model"]
-    blocks = _stationary_stack(extended_liouvillian(model).stack, out)
+    blocks = _stationary_stack(extended_liouvillian(model), out)
     out.add("steady", _state_header(model), _state_rows(blocks))
 
 
@@ -777,7 +777,7 @@ def _run_evolve(ctx, out):
 def _run_correlation(ctx, out):
     model, weights = ctx["model"], ctx["weights"]
     ext = extended_liouvillian(model)
-    state = HybridState(model.channels, _stationary_stack(ext.stack, out)[0])
+    state = HybridState(model.channels, _stationary_stack(ext, out)[0])
     corr = two_point_correlation(ext, weights, np.array(ctx["task"]["taus"]), state)
     out.add("correlation", ["tau", "F_smooth"], np.column_stack([corr.taus, corr.values]))
     out.add("correlation_background", ["K"], [[corr.background]])
@@ -787,7 +787,7 @@ def _run_correlation(ctx, out):
 def _run_spectrum(ctx, out):
     model, weights = ctx["model"], ctx["weights"]
     ext = extended_liouvillian(model)
-    state = HybridState(model.channels, _stationary_stack(ext.stack, out)[0])
+    state = HybridState(model.channels, _stationary_stack(ext, out)[0])
     spec = power_spectrum(ext, weights, np.array(ctx["task"]["omegas"]), state)
     out.add("spectrum", ["omega", "S"], np.column_stack([spec.omegas, spec.values]))
     out.extras["max_resolvent_residual"] = spec.max_resolvent_residual
@@ -795,7 +795,7 @@ def _run_spectrum(ctx, out):
 
 def _run_noise(ctx, out):
     nu = ctx["weights"].per_transition
-    stack = extended_liouvillian(ctx["model"]).stack
+    stack = extended_liouvillian(ctx["model"])
     blocks = _stationary_stack(stack, out)
     rates = jump_rate_table(stack, blocks)
     current = weighted_jump_rates(stack, nu, blocks, "average current", rates)[0]
@@ -882,7 +882,7 @@ def _run_sweep(ctx, out):
     tables = [np.column_stack([values, *also.values()])]
     # each variant's grid, built at parse, is one stack
     for params, tensors in ctx["grids"]:
-        stack = generator_stack(*tensors)
+        stack = generator_stack(ctx["model"].channels, *tensors)
         blocks = _stationary_stack(stack, out)
         if inner == "steady":
             tables.append(_state_rows(blocks))

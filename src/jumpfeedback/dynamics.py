@@ -3,7 +3,9 @@
 The memory-block generator of :func:`extended_liouvillian` is linear and
 time-independent, so a state at time t is exp(t L) applied to the initial
 one; :func:`propagate` computes it with one real matrix exponential per
-distinct step, preserving hermiticity and total trace.
+distinct step, preserving hermiticity and total trace.  The generator is a
+:class:`GeneratorStack`; the functions of one model take a stack of one and
+fail on a larger one.
 """
 
 from dataclasses import dataclass
@@ -49,12 +51,21 @@ def _check_times(times):
 
 def _checked_states(ext, vectors, times):
     """HybridStates of ``vectors`` at ``times``, all checked by one :func:`check_density` call."""
-    blocks = ext.stack.blocks(np.asarray(vectors))
+    blocks = ext.blocks(np.asarray(vectors))
     check_density(
-        blocks, lambda i: f"state at t={times[i]:.6g}", ext.model.channels,
+        blocks, lambda i: f"state at t={times[i]:.6g}", ext.channels,
         POSITIVITY_ABORT, PositivityError, computed=True,
     )
-    return [HybridState(ext.model.channels, b) for b in blocks]
+    return [HybridState(ext.channels, b) for b in blocks]
+
+
+def _check_generator(model, ext):
+    """``ext``, or the model's generator when None; labels other than the model's raise."""
+    if ext is None:
+        return extended_liouvillian(model)
+    if ext.channels != model.channels:
+        raise ValidationError("generator channels do not match model channels")
+    return ext
 
 
 def propagate(ext, vector, times, start=0.0):
@@ -66,7 +77,7 @@ def propagate(ext, vector, times, start=0.0):
     ``linspace`` has several) share the propagator of their mean, so the
     accumulated time does not drift.
 
-    The steps run in the stack's real coordinates
+    ``ext`` is a stack of one.  The steps run in its real coordinates
     (:attr:`GeneratorStack.real_matrices`): each real propagator acts on the
     real and the imaginary part of the coordinates of ``vector``, so an
     input whose blocks are not hermitian stays exact.  A run of steps with
@@ -88,9 +99,9 @@ def propagate(ext, vector, times, start=0.0):
     group[order] = np.cumsum(first) - 1
     bounds = np.flatnonzero(first)
     means = np.add.reduceat(ordered, bounds) / np.diff(np.append(bounds, len(ordered)))
-    stack = ext.stack
-    propagators = [scipy.linalg.expm(dt * stack.real_matrices[0]) for dt in means]
-    coords = stack.coordinates(np.asarray(vector))
+    (real,) = ext.real_matrices
+    propagators = [scipy.linalg.expm(dt * real) for dt in means]
+    coords = ext.coordinates(np.asarray(vector))
     # columns 2i and 2i + 1: real and imaginary coordinates after step i
     out = np.empty((len(coords), 2 * len(steps)))
     state = np.stack([coords.real, coords.imag], axis=1)
@@ -108,7 +119,7 @@ def propagate(ext, vector, times, start=0.0):
             if done < hi - lo:
                 power = power @ power
         state = run[:, -2:]
-    return stack.from_coordinates(out.view(complex).T)
+    return ext.from_coordinates(out.view(complex).T)
 
 
 def evolve_extended(model, state0, times, ext=None):
@@ -116,15 +127,16 @@ def evolve_extended(model, state0, times, ext=None):
 
     One exponential is computed per distinct step of the grid (see
     :func:`propagate`): a float ``linspace`` grid costs a few, an arbitrary
-    grid one per step.  ``ext`` allows passing a prebuilt ExtendedGenerator
-    to skip reassembly.
+    grid one per step.  ``ext``, the prebuilt :func:`extended_liouvillian`
+    of ``model``, skips reassembly.  One with other channel labels raises
+    :class:`ValidationError`; one of another model with the same labels is
+    the caller's responsibility.
     """
     times = _check_times(times)
     if state0.labels != model.channels:
         raise ValidationError("state labels do not match model channels")
-    if ext is None:
-        ext = extended_liouvillian(model)
-    vectors = propagate(ext, ext.vector(state0), times[1:], start=times[0])
+    ext = _check_generator(model, ext)
+    vectors = propagate(ext, ext.vectors(state0.blocks[None])[0], times[1:], start=times[0])
     states = [state0] + _checked_states(ext, vectors, times[1:])
     return EvolutionResult(times=times, states=tuple(states))
 
@@ -145,15 +157,17 @@ def stationary_blocks(stack):
 def feedback_steady_state(model, ext=None):
     """Unique stationary HybridState of the feedback dynamics.
 
-    :func:`stationary_blocks` of ``ext`` as a stack of one.  Raises
+    :func:`stationary_blocks` of ``ext``, by default
+    :func:`extended_liouvillian` of ``model``.  An ``ext`` with other
+    channel labels raises :class:`ValidationError`; one of another model
+    with the same labels is the caller's responsibility.  Raises
     :class:`DegenerateSteadyStateError` when the kernel is not
     one-dimensional (e.g. disconnected memory sectors) and
     :class:`PositivityError` when a hermitized block has an eigenvalue
     below -1e-10.
     """
-    if ext is None:
-        ext = extended_liouvillian(model)
-    return HybridState(model.channels, stationary_blocks(ext.stack)[0])
+    (blocks,) = stationary_blocks(_check_generator(model, ext))
+    return HybridState(model.channels, blocks)
 
 
 def memory_distribution_rate(model, state):

@@ -3,9 +3,11 @@
 Charge is accumulated per memory transition: a jump of channel k while the
 memory reads q adds the weight ``nu[k, q]``.  Channel-resolved counting
 (weights independent of q) is the special case of constant rows.  All
-quantities below act on the memory-block generator of a feedback model
-(:func:`extended_liouvillian`); with a trivial (no-feedback) model they
-reduce to standard Lindblad counting statistics.
+quantities below act on the memory-block generator of a feedback model, a
+:class:`GeneratorStack`: the stack kernels serve every member at once, and
+the single-model functions take the stack of one of
+:func:`extended_liouvillian` and fail on a larger one.  With a trivial
+(no-feedback) model they reduce to standard Lindblad counting statistics.
 """
 
 from dataclasses import dataclass
@@ -14,8 +16,9 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .dynamics import feedback_steady_state, propagate
+from .dynamics import propagate, stationary_blocks
 from .errors import DimensionError, ResolventError, StencilError, ValidationError
+from .hybrid import HybridState
 from .model import label_table
 
 __all__ = [
@@ -91,7 +94,7 @@ class CountingWeights:
 
 
 def _check_weights(ext, weights):
-    if weights.channels != ext.model.channels:
+    if weights.channels != ext.channels:
         raise ValidationError("weights channels do not match the model")
 
 
@@ -101,7 +104,8 @@ def current_superop(ext, weights):
     A matrix on the memory-block vectors of ``ext``.
     """
     _check_weights(ext, weights)
-    return ext.gain_matrix(weights.per_transition)
+    (gain,) = ext.gain_matrices(weights.per_transition)
+    return gain
 
 
 # a computed trace counts as real when |imag| <= IMAG_RESIDUE_TOL * max(1, |real|)
@@ -149,21 +153,19 @@ def weighted_jump_rates(stack, nu, blocks, what, rates=None):
 def average_current(ext, weights, state):
     """Mean charge rate Tr[J rho] in the given hybrid state."""
     _check_weights(ext, weights)
-    return float(
-        weighted_jump_rates(
-            ext.stack, weights.per_transition, state.blocks[None], "average current"
-        )[0]
+    (current,) = weighted_jump_rates(
+        ext, weights.per_transition, state.blocks[None], "average current"
     )
+    return float(current)
 
 
 def noise_background(ext, weights, state):
     """Self-correlation background K = Tr[H2 rho], the delta weight at tau=0."""
     _check_weights(ext, weights)
-    return float(
-        weighted_jump_rates(
-            ext.stack, weights.per_transition**2, state.blocks[None], "noise background"
-        )[0]
+    (background,) = weighted_jump_rates(
+        ext, weights.per_transition**2, state.blocks[None], "noise background"
     )
+    return float(background)
 
 
 def stationarity_residuals(stack, blocks):
@@ -188,22 +190,10 @@ def stationarity_residuals(stack, blocks):
 def _resolve_stationary(ext, state):
     """Return (state, memory-block vector), computing and checking stationarity."""
     if state is None:
-        state = feedback_steady_state(ext.model, ext=ext)
-    stationarity_residuals(ext.stack, state.blocks[None])
-    return state, ext.vector(state)
-
-
-def _zero_frequency_terms(stack, jmats, v):
-    """Re Tr[J L+ Q J rho_ss] per member, L+ applied by the stack's bordered factorization.
-
-    ``jmats`` and ``v`` carry the stack axis.  L+ is never formed (Landi et
-    al., PRX Quantum 5, 020201, 2024).
-    """
-    t = stack.trace_row
-    jv = np.matmul(jmats, v[..., None])[..., 0]
-    x = stack.stationary.drazin(jv - v * (jv @ t)[:, None])
-    jx = np.matmul(jmats, x[..., None])[..., 0]
-    return _real_part(jx @ t, "zero-frequency term", tol=1e-6)
+        (blocks,) = stationary_blocks(ext)
+        state = HybridState(ext.channels, blocks)
+    stationarity_residuals(ext, state.blocks[None])
+    return state, ext.vectors(state.blocks[None])[0]
 
 
 def stationary_noises(stack, nu, blocks, rates=None):
@@ -212,13 +202,17 @@ def stationary_noises(stack, nu, blocks, rates=None):
     ``blocks`` ``(P, m, d, d)`` are the members' stationary states (see
     :func:`stationarity_residuals`) and ``nu`` is ``(P, m, m)`` or shared.
     L+ is applied by one solve with the stack's cached bordered
-    factorization and never formed.  ``rates`` is as in
-    :func:`weighted_jump_rates`.  A noise below -1e-10 raises
-    :class:`ValidationError`, for the first such member.
+    factorization and never formed (Landi et al., PRX Quantum 5, 020201,
+    2024).  ``rates`` is as in :func:`weighted_jump_rates`.  A noise below
+    -1e-10 raises :class:`ValidationError`, for the first such member.
     """
     background = weighted_jump_rates(stack, nu**2, blocks, "noise background", rates)
-    terms = _zero_frequency_terms(stack, stack.gain_matrices(nu), stack.vectors(blocks))
-    noise = background - 2.0 * terms
+    jmats, v = stack.gain_matrices(nu), stack.vectors(blocks)
+    t = stack.trace_row
+    jv = np.matmul(jmats, v[..., None])[..., 0]
+    x = stack.stationary.drazin(jv - v * (jv @ t)[:, None])
+    jx = np.matmul(jmats, x[..., None])[..., 0]
+    noise = background - 2.0 * _real_part(jx @ t, "zero-frequency term", tol=1e-6)
     failed = noise < -1e-10
     if failed.any():
         raise ValidationError(
@@ -320,10 +314,11 @@ def power_spectrum(ext, weights, omegas, state=None):
     the physical basis: a residual ||(i omega - L) x - b|| above 1e-8
     max(1, ||b||), or a non-finite one, raises :class:`ResolventError`
     naming the first such omega.  At omega = 0 the resolvent is replaced by
-    the Drazin inverse (one solve with the generator's cached bordered
-    factorization, done once however often 0 appears), so S(0) equals the
-    zero-frequency noise.  Values follow the order of ``omegas``, which must
-    be finite.
+    the Drazin inverse: S(0) is :func:`stationary_noises` of the state,
+    computed once however often 0 appears and after the resolvents, so it
+    equals the zero-frequency noise and a value below -1e-10 raises
+    :class:`ValidationError`.  Values follow the order of ``omegas``, which
+    must be finite.
     """
     omegas = np.asarray(omegas, dtype=float)
     if omegas.ndim != 1 or len(omegas) == 0:
@@ -337,8 +332,6 @@ def power_spectrum(ext, weights, omegas, state=None):
     background = noise_background(ext, weights, state)
     values = np.empty(len(omegas))
     zero = omegas == 0.0
-    if zero.any():
-        values[zero] = background - 2.0 * _zero_frequency_terms(ext.stack, jmat[None], v[None])[0]
     worst = None
     if not zero.all():
         finite = omegas[~zero]
@@ -346,8 +339,9 @@ def power_spectrum(ext, weights, omegas, state=None):
         jv = jmat @ v
         # project off the stationary direction before the resolvent
         b = jv - v * (t @ jv)
-        x = _resolvent_columns(ext.matrix, b, shifts)
-        resid = np.linalg.norm(x * shifts - ext.matrix @ x - b[:, None], axis=0)
+        (lmat,) = ext.matrices
+        x = _resolvent_columns(lmat, b, shifts)
+        resid = np.linalg.norm(x * shifts - lmat @ x - b[:, None], axis=0)
         resid /= max(1.0, np.linalg.norm(b))
         # written so that a NaN residual, from a non-finite column, fails too
         failed = ~(resid <= 1e-8)
@@ -361,6 +355,8 @@ def power_spectrum(ext, weights, omegas, state=None):
             )
         worst = float(resid.max())
         values[~zero] = background + 2.0 * ((t @ jmat) @ x).real
+    if zero.any():
+        values[zero] = stationary_noises(ext, weights.per_transition, state.blocks[None])[0]
     return SpectrumSamples(
         omegas=omegas, values=values, background=background, max_resolvent_residual=worst
     )
@@ -369,16 +365,17 @@ def power_spectrum(ext, weights, omegas, state=None):
 def steady_noise(ext, weights, state=None):
     """Zero-frequency noise D = K - 2 Tr[J L+ J rho_ss], L+ the Drazin inverse.
 
-    :func:`stationary_noises` of ``ext`` as a stack of one, after checking
+    :func:`stationary_noises` of ``ext``, a stack of one, after checking
     that ``state`` is stationary.
     """
     _check_weights(ext, weights)
     state, _ = _resolve_stationary(ext, state)
-    return float(stationary_noises(ext.stack, weights.per_transition, state.blocks[None])[0])
+    (noise,) = stationary_noises(ext, weights.per_transition, state.blocks[None])
+    return float(noise)
 
 
 def spectral_gap(gen, zero_rtol=1e-9):
-    """Smallest decay rate: min(-Re(lambda)) over nonzero eigenvalues of gen.
+    """Smallest decay rate: min(-Re(lambda)) over nonzero eigenvalues of gen, a stack of one.
 
     An eigenvalue counts as zero when its modulus is at most ``zero_rtol``
     times the largest modulus; ``zero_rtol`` must be finite and positive.
@@ -386,7 +383,8 @@ def spectral_gap(gen, zero_rtol=1e-9):
     # NaN fails the chained comparison
     if not 0.0 < zero_rtol < np.inf:
         raise ValidationError(f"zero_rtol must be finite and positive, got {zero_rtol}")
-    evals = np.linalg.eigvals(gen.matrix)
+    (matrix,) = gen.matrices
+    evals = np.linalg.eigvals(matrix)
     scale = max(np.abs(evals).max(), 1e-300)
     nonzero = evals[np.abs(evals) > zero_rtol * scale]
     if len(nonzero) == 0:
@@ -420,7 +418,8 @@ def noise_by_quadrature(ext, weights, state=None, t_max=None, gap_factor=40.0):
     current = (ext.trace_row @ jv).real
     tj = ext.trace_row @ jmat
     # eigen-propagation keeps each integrand sample cheap
-    evals, vecs = np.linalg.eig(ext.matrix)
+    (matrix,) = ext.matrices
+    evals, vecs = np.linalg.eig(matrix)
     coeff_r = np.linalg.solve(vecs, jv)
     coeff_l = tj @ vecs
 
@@ -439,7 +438,9 @@ def tilted_generator(ext, weights, chi):
     """
     _check_weights(ext, weights)
     factors = np.exp(chi * weights.per_transition) - 1.0
-    return ext.matrix + ext.gain_matrix(factors)
+    (matrix,) = ext.matrices
+    (gain,) = ext.gain_matrices(factors)
+    return matrix + gain
 
 
 def _dominant_eigenvalue(mat, min_gap, chi):
@@ -483,7 +484,8 @@ def tilted_cumulants(ext, weights, chi_step=1e-4):
     """
     if not 0.0 < chi_step < np.inf:
         raise ValidationError(f"chi_step must be finite and positive, got {chi_step}")
-    base_evals = np.linalg.eigvals(ext.matrix)
+    (matrix,) = ext.matrices
+    base_evals = np.linalg.eigvals(matrix)
     if len(base_evals) > 1:
         order = np.argsort(base_evals.real)[::-1]
         gap0 = base_evals[order[0]].real - base_evals[order[1]].real
@@ -501,7 +503,7 @@ def tilted_cumulants(ext, weights, chi_step=1e-4):
     )
     # eigenvalue round-off eps * ||L|| enters the second difference with the
     # stencil's weights (64 / 12) and is divided by h^2
-    roundoff = 64.0 / 12.0 * np.finfo(float).eps * np.linalg.norm(ext.matrix, 2) / h**2
+    roundoff = 64.0 / 12.0 * np.finfo(float).eps * np.linalg.norm(matrix, 2) / h**2
     if roundoff > 1e-2 * abs(noise):
         # 10% above the step that meets the bound, so the printed value does too
         wider = 1.1 * h * np.sqrt(roundoff / (1e-2 * abs(noise))) if noise else 10.0 * h

@@ -8,7 +8,8 @@ blocks vec(rho(0)), ..., vec(rho(m-1)), of length m*d^2.
 :class:`GeneratorStack` holds the generators of several models on that
 sector, assembled and factorized as one stack, and is the only place that
 knows its layout and its real coordinates in an orthonormal hermitian
-operator basis; :class:`ExtendedGenerator` is one generator, a stack of one.
+operator basis.  It is the only generator type: one model's generator
+(:func:`extended_liouvillian`) is a stack of one.
 """
 
 from dataclasses import dataclass
@@ -18,11 +19,10 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import DegenerateSteadyStateError, DimensionError, PositivityError, ValidationError
-from .model import FeedbackModel, check_density, check_distribution, label_table
+from .model import check_density, check_distribution, label_table
 
 __all__ = [
     "HybridState",
-    "ExtendedGenerator",
     "GeneratorStack",
     "StationaryStack",
     "validate_hybrid_state",
@@ -199,16 +199,19 @@ class StationaryStack:
 class GeneratorStack:
     """Feedback generators of models that share channels and dimension.
 
-    ``matrices[i]`` is the ``(m*d^2, m*d^2)`` generator of the i-th model on
-    the memory-block sector, and ``jump_ops[i]`` its jump operators.  A
-    member acts on the stacked vec(rho(k)) of a HybridState, the memory
-    index major (:meth:`vectors`): block (k, q) of size d^2 maps vec(rho(q))
-    to its contribution to d vec(rho(k))/dt.  Every deterministic kernel
-    takes a stack, so a single generator is a stack of one
-    (:attr:`ExtendedGenerator.stack`).  The bordered factorization of all
-    members is computed once, on first use.
+    ``channels`` are the members' shared memory labels, ``matrices[i]`` is
+    the ``(m*d^2, m*d^2)`` generator of the i-th model on the memory-block
+    sector, and ``jump_ops[i]`` its jump operators.  A member acts on the
+    stacked vec(rho(k)) of a HybridState, the memory index major
+    (:meth:`vectors`): block (k, q) of size d^2 maps vec(rho(q)) to its
+    contribution to d vec(rho(k))/dt.  Every deterministic kernel takes a
+    stack, so a single generator is a stack of one
+    (:func:`extended_liouvillian`); the single-model functions unpack their
+    one member and fail on a larger stack.  The bordered factorization of
+    all members is computed once, on first use.
     """
 
+    channels: tuple
     jump_ops: np.ndarray
     matrices: np.ndarray
 
@@ -298,46 +301,6 @@ class GeneratorStack:
         return _gain_matrices(self.jump_ops, nu)
 
 
-@dataclass(frozen=True)
-class ExtendedGenerator:
-    """Feedback generator of one model on the memory-block sector.
-
-    ``matrix`` is ``(m*d^2, m*d^2)`` and acts on :meth:`vector` of a
-    HybridState.  The layout, the bordered factorization and every kernel
-    are those of :attr:`stack`, this generator as a stack of one.
-    """
-
-    model: FeedbackModel
-    matrix: np.ndarray
-
-    @cached_property
-    def stack(self):
-        """This generator as a :class:`GeneratorStack` of one; cached."""
-        return GeneratorStack(self.model.jump_ops[None], self.matrix[None])
-
-    def vector(self, state):
-        """Stacked column-stacked blocks vec(rho(0)), ..., vec(rho(m-1))."""
-        return self.stack.vectors(state.blocks[None])[0]
-
-    def state(self, vector):
-        """HybridState whose blocks are stacked in ``vector``."""
-        return HybridState(self.model.channels, self.stack.blocks(np.asarray(vector))[0])
-
-    @property
-    def trace_row(self):
-        """Row t with t @ vector(state) = sum_k Tr[rho(k)]; cached, read-only."""
-        return self.stack.trace_row
-
-    @property
-    def stationary(self):
-        """The cached :class:`StationaryStack` of this generator, a stack of one."""
-        return self.stack.stationary
-
-    def gain_matrix(self, nu):
-        """Weighted jump gains: nu[k, q] * conj(L_k(q)) (x) L_k(q) on block (k, q)."""
-        return self.stack.gain_matrices(nu)[0]
-
-
 def _gain_matrices(ops, nu):
     # vec(L X L^dag) = (conj(L) kron L) vec(X); row (k, i, j), column (q, l, p)
     size = ops.shape[1] * ops.shape[-1] ** 2
@@ -346,16 +309,17 @@ def _gain_matrices(ops, nu):
     ).reshape(len(ops), size, size)
 
 
-def generator_stack(hamiltonians, jump_ops, silent_ops):
+def generator_stack(channels, hamiltonians, jump_ops, silent_ops):
     """Assemble the generators of models that share channels and dimension.
 
-    The arguments are the models' tensors (see :class:`FeedbackModel`), each
-    with a leading stack axis.  Block (k, q) is the gain conj(L_k(q)) (x)
-    L_k(q), which moves the memory from q to k.  Block (k, k) adds the drift
-    of memory value k, -i (1 (x) H_eff - conj(H_eff) (x) 1) with H_eff =
-    H(k) - i W(k) / 2 and W the loss operator of every monitored and silent
-    channel at k, and the gains of the silent operators, which leave the
-    memory at k.  Each term is one array operation over all members.
+    ``channels`` are the shared memory labels and the other arguments the
+    models' tensors (see :class:`FeedbackModel`), each with a leading stack
+    axis.  Block (k, q) is the gain conj(L_k(q)) (x) L_k(q), which moves the
+    memory from q to k.  Block (k, k) adds the drift of memory value k,
+    -i (1 (x) H_eff - conj(H_eff) (x) 1) with H_eff = H(k) - i W(k) / 2 and
+    W the loss operator of every monitored and silent channel at k, and the
+    gains of the silent operators, which leave the memory at k.  Each term
+    is one array operation over all members.
     """
     p, m, d = hamiltonians.shape[:3]
     n = d * d
@@ -375,10 +339,11 @@ def generator_stack(hamiltonians, jump_ops, silent_ops):
     blocks = np.einsum("zkqil,zkqjp->zkijqlp", jump_ops.conj(), jump_ops).reshape(p, m, n, m, n)
     k = np.arange(m)
     blocks[:, k, :, k] += diagonal.swapaxes(0, 1)
-    return GeneratorStack(jump_ops=jump_ops, matrices=blocks.reshape(p, m * n, m * n))
+    return GeneratorStack(channels, jump_ops, blocks.reshape(p, m * n, m * n))
 
 
 def extended_liouvillian(model):
-    """Assemble the generator of one feedback model (:func:`generator_stack`)."""
-    stack = generator_stack(model.hamiltonians[None], model.jump_ops[None], model.silent_ops[None])
-    return ExtendedGenerator(model=model, matrix=stack.matrices[0])
+    """The generator of one feedback model: a :class:`GeneratorStack` of one."""
+    return generator_stack(
+        model.channels, model.hamiltonians[None], model.jump_ops[None], model.silent_ops[None]
+    )

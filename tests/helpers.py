@@ -11,8 +11,8 @@ The memory index is major: the full matrix is ``(m*d, m*d)``, block (k, q)
 is the contiguous submatrix ``[k*d:(k+1)*d, q*d:(q+1)*d]``, and an extended
 operator built from a system operator A acting in memory sector (k, q) is
 ``kron(|k><q|, A)``.  Restricted to block-diagonal states,
-:func:`dense_oracle` acts block by block as the package's
-``ExtendedGenerator`` does.
+:func:`dense_oracle` acts block by block as the package's generator, the
+``GeneratorStack`` of one that ``extended_liouvillian`` returns, does.
 """
 
 import os
@@ -243,7 +243,7 @@ def dense_gain(model, nu):
 def evolve_memory_resolved(model, state0, times, rtol=1e-10, atol=1e-12):
     """ODE oracle for :func:`evolve_extended`: DOP853 on the memory-block generator.
 
-    Integrates dv/dt = L v, L = ``extended_liouvillian(model).matrix``, from
+    Integrates dv/dt = L v, L = ``extended_liouvillian(model).matrices[0]``, from
     ``state0`` at ``times[0]`` and returns an EvolutionResult with the states
     at the non-decreasing ``times``.  ``rtol`` and ``atol`` go to the
     integrator.
@@ -253,9 +253,9 @@ def evolve_memory_resolved(model, state0, times, rtol=1e-10, atol=1e-12):
     times = np.asarray(times, dtype=float)
     ext = extended_liouvillian(model)
     sol = scipy.integrate.solve_ivp(
-        lambda _, y: ext.matrix @ y,
+        lambda _, y: ext.matrices[0] @ y,
         (times[0], times[-1]),
-        ext.vector(state0).astype(complex),
+        ext.vectors(state0.blocks[None])[0].astype(complex),
         t_eval=times,
         method="DOP853",
         rtol=rtol,
@@ -263,7 +263,7 @@ def evolve_memory_resolved(model, state0, times, rtol=1e-10, atol=1e-12):
     )
     if not sol.success:
         raise RuntimeError(f"memory-resolved integration failed: {sol.message}")
-    states = tuple(HybridState(model.channels, b) for b in ext.stack.blocks(sol.y.T))
+    states = tuple(HybridState(model.channels, b) for b in ext.blocks(sol.y.T))
     return EvolutionResult(times=times, states=states)
 
 

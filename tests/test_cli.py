@@ -626,9 +626,9 @@ class TestEvolveTask:
         assert len(got) == len(self.TIMES)
         model = qubit_cooling_model(QubitParams(nbar=0.5, gamma=1.0, lam=1.0, delta=0.0))
         ext = extended_liouvillian(model)
-        v0 = ext.vector(embed(model.channels, [1.0, 0.0], np.diag([1.0, 0.0])))
+        v0 = ext.vectors(embed(model.channels, [1.0, 0.0], np.diag([1.0, 0.0])).blocks[None])[0]
         for t, row in zip(self.TIMES, got):
-            blocks = ext.stack.blocks(scipy.linalg.expm(t * ext.matrix) @ v0)[0]
+            blocks = ext.blocks(scipy.linalg.expm(t * ext.matrices[0]) @ v0)[0]
             system, probs, _ = marginals(HybridState(model.channels, blocks))
             want = [t, *probs, *system.diagonal().real, system[0, 1].real, system[0, 1].imag]
             assert np.abs(row - want).max() < 1e-10
@@ -1057,7 +1057,7 @@ class TestHealthExtras:
     def single_model_health(model):
         ext = extended_liouvillian(model)
         state = feedback_steady_state(model, ext=ext)
-        residual = stationarity_residuals(ext.stack, state.blocks[None])[0]
+        residual = stationarity_residuals(ext, state.blocks[None])[0]
         return ext.stationary.rcond[0], residual
 
     def test_sweep_report(self, tmp_path):
@@ -1105,7 +1105,7 @@ class TestHealthExtras:
         def solved_again(*args, **kwargs):
             raise AssertionError("the kernel solved the stationary state again")
 
-        monkeypatch.setattr("jumpfeedback.fcs.feedback_steady_state", solved_again)
+        monkeypatch.setattr("jumpfeedback.fcs.stationary_blocks", solved_again)
         report, _, _ = run_config(cfg)
         rcond, _ = self.single_model_health(maser_model(MaserParams(**MASER_PARAMS)))
         assert set(report["extras"]) == {own, "min_rcond", "max_stationarity_residual"}

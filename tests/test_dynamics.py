@@ -93,18 +93,18 @@ class TestPropagation:
         monkeypatch.undo()
         assert len(calls) == 1
         for i in (1, 300, 600):
-            direct = expm(times[i] * ext.matrix) @ ext.vector(state0)
-            npt.assert_allclose(ext.vector(res.states[i]), direct, atol=1e-12)
+            direct = expm(times[i] * ext.matrices[0]) @ ext.vectors(state0.blocks[None])[0]
+            npt.assert_allclose(ext.vectors(res.states[i].blocks[None])[0], direct, atol=1e-12)
 
     def test_distinct_steps_stay_exact(self):
         rng = np.random.default_rng(63)
         model = random_model(rng, dim=2, n_channels=2)
         ext = extended_liouvillian(model)
-        v0 = ext.vector(initial_state(rng, model))
+        v0 = ext.vectors(initial_state(rng, model).blocks[None])[0]
         times = np.array([0.5, 0.5, 1.25, 3.0])
         out = dynamics.propagate(ext, v0, times)
         for t, v in zip(times, out):
-            npt.assert_allclose(v, dynamics.scipy.linalg.expm(t * ext.matrix) @ v0, atol=1e-13)
+            npt.assert_allclose(v, dynamics.scipy.linalg.expm(t * ext.matrices[0]) @ v0, atol=1e-13)
 
 
 GRIDS = {
@@ -125,7 +125,7 @@ class TestPropagate:
         out = dynamics.propagate(ext, v0, times, start=start)
         assert out.shape == (len(times), len(v0))
         for t, v in zip(times, out):
-            want = dynamics.scipy.linalg.expm((t - start) * ext.matrix) @ v0
+            want = dynamics.scipy.linalg.expm((t - start) * ext.matrices[0]) @ v0
             assert np.abs(v - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("grid", list(GRIDS))
@@ -134,7 +134,7 @@ class TestPropagate:
         rng = np.random.default_rng(191 + silent)
         model = random_model(rng, dim=3, n_channels=2, silent=silent)
         ext = extended_liouvillian(model)
-        self.check(ext, ext.vector(initial_state(rng, model)), GRIDS[grid], 0.0)
+        self.check(ext, ext.vectors(initial_state(rng, model).blocks[None])[0], GRIDS[grid], 0.0)
 
     @pytest.mark.parametrize("grid", ["uniform", "runs"])
     def test_nonzero_start(self, grid):
@@ -143,16 +143,16 @@ class TestPropagate:
         ext = extended_liouvillian(model)
         start = -0.35
         times = start + GRIDS[grid]
-        self.check(ext, ext.vector(initial_state(rng, model)), times, start)
+        self.check(ext, ext.vectors(initial_state(rng, model).blocks[None])[0], times, start)
 
     def test_complex_non_hermitian_start_vector(self):
         # coordinates of a non-hermitian input are complex and must stay exact
         rng = np.random.default_rng(194)
         model = random_model(rng, dim=3, n_channels=2)
         ext = extended_liouvillian(model)
-        n = len(ext.matrix)
+        n = len(ext.matrices[0])
         v0 = rng.normal(size=n) + 1j * rng.normal(size=n)
-        assert np.abs(ext.stack.coordinates(v0).imag).max() > 0.1
+        assert np.abs(ext.coordinates(v0).imag).max() > 0.1
         for grid in GRIDS.values():
             self.check(ext, v0, grid, 0.0)
 
@@ -160,7 +160,7 @@ class TestPropagate:
         rng = np.random.default_rng(195)
         model = random_model(rng, dim=2, n_channels=2)
         ext = extended_liouvillian(model)
-        v0 = ext.vector(initial_state(rng, model))
+        v0 = ext.vectors(initial_state(rng, model).blocks[None])[0]
         assert dynamics.propagate(ext, v0, np.array([])).shape == (0, len(v0))
         self.check(ext, v0, np.array([1.5]), 0.0)
         self.check(ext, v0, np.array([0.0, 0.0]), 0.0)
@@ -177,7 +177,7 @@ class TestPropagateInputs:
         model = random_model(rng, dim=2, n_channels=2)
         ext = extended_liouvillian(model)
         with pytest.raises(ValidationError, match="times must be finite"):
-            dynamics.propagate(ext, ext.vector(initial_state(rng, model)), times, start=start)
+            dynamics.propagate(ext, ext.vectors(initial_state(rng, model).blocks[None])[0], times, start=start)
 
 
 class TestInputChecks:
@@ -212,6 +212,16 @@ class TestInputChecks:
             with pytest.raises(PositivityError, match=r"state at t=1e\+308 has non-finite"):
                 evolve_extended(model, state0, [0.0, 1e308])
 
+    def test_generator_of_another_model_rejected(self):
+        # the channel labels say whose generator it is; the state's labels once won silently
+        rng = np.random.default_rng(61)
+        model = random_model(rng, dim=2, n_channels=2)
+        other = no_feedback(np.zeros((2, 2)), [random_operator(rng, 2)] * 2, labels=["x", "y"])
+        with pytest.raises(ValidationError, match="generator channels"):
+            evolve_extended(
+                model, initial_state(rng, model), [0.0, 1.0], ext=extended_liouvillian(other)
+            )
+
     def test_single_time_returns_initial(self):
         rng = np.random.default_rng(55)
         model = random_model(rng, dim=2, n_channels=2)
@@ -226,8 +236,16 @@ class TestSteadyState:
         model = random_model(rng, dim=3, n_channels=2, silent=1)
         ext = extended_liouvillian(model)
         ss = feedback_steady_state(model, ext=ext)
-        assert np.abs(ext.matrix @ ext.vector(ss)).max() < 1e-10
+        assert np.abs(ext.matrices[0] @ ext.vectors(ss.blocks[None])[0]).max() < 1e-10
         assert abs(ss.memory_dist.sum() - 1.0) < 1e-12
+
+    def test_generator_of_another_model_rejected(self):
+        # it once returned the other model's blocks under this model's labels
+        rng = np.random.default_rng(57)
+        model = random_model(rng, dim=2, n_channels=2)
+        other = no_feedback(np.zeros((2, 2)), [random_operator(rng, 2)] * 2, labels=["x", "y"])
+        with pytest.raises(ValidationError, match="generator channels"):
+            feedback_steady_state(model, ext=extended_liouvillian(other))
 
     def test_matches_dense_steady_state_of_extension(self):
         rng = np.random.default_rng(57)

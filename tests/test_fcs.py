@@ -9,7 +9,7 @@ import pytest
 
 from jumpfeedback import (
     CountingWeights,
-    ExtendedGenerator,
+    GeneratorStack,
     ResolventError,
     StencilError,
     ValidationError,
@@ -63,7 +63,7 @@ def resonant_generator(omega0=1.0, gamma=0.5):
     mat = np.zeros((4, 4), dtype=complex)
     mat[0, 3], mat[3, 3] = gamma, -gamma
     mat[1, 1], mat[2, 2] = -1j * omega0, 1j * omega0
-    return ExtendedGenerator(model=model, matrix=mat)
+    return GeneratorStack(model.channels, model.jump_ops[None], mat[None])
 
 
 class TestCountingWeights:
@@ -99,10 +99,10 @@ class TestCountingWeights:
             CountingWeights.from_channel_weights(("a",), {"b": 1.0})
 
     def test_mismatched_channels_rejected_downstream(self):
-        _, ext, _ = poisson_setup(1.0, 1.0)
+        model, ext, _ = poisson_setup(1.0, 1.0)
         wrong = CountingWeights.from_channel_weights(("zz",), {"zz": 1.0})
         with pytest.raises(ValidationError, match="channels"):
-            average_current(ext, wrong, feedback_steady_state(ext.model, ext=ext))
+            average_current(ext, wrong, feedback_steady_state(model, ext=ext))
 
 
 class TestPoissonProcess:
@@ -139,22 +139,22 @@ class TestCrossRoutes:
     """Independent computations of the same cumulants must agree."""
 
     def test_spectrum_at_zero_equals_drazin_noise(self):
-        _, ext, weights = random_setup(70, dim=2, n_channels=2)
-        ss = feedback_steady_state(ext.model, ext=ext)
+        model, ext, weights = random_setup(70, dim=2, n_channels=2)
+        ss = feedback_steady_state(model, ext=ext)
         d = steady_noise(ext, weights, ss)
         spec = power_spectrum(ext, weights, np.array([0.0]), state=ss)
         assert abs(spec.values[0] - d) < 1e-12 * max(1.0, abs(d))
 
     def test_quadrature_route_agrees(self):
-        _, ext, weights = random_setup(71, dim=2, n_channels=2)
-        ss = feedback_steady_state(ext.model, ext=ext)
+        model, ext, weights = random_setup(71, dim=2, n_channels=2)
+        ss = feedback_steady_state(model, ext=ext)
         d = steady_noise(ext, weights, ss)
         d_quad = noise_by_quadrature(ext, weights, state=ss)
         assert abs(d_quad - d) < 1e-5 * max(1.0, abs(d))
 
     def test_tilted_route_agrees(self):
-        _, ext, weights = random_setup(72, dim=2, n_channels=2, silent=1)
-        ss = feedback_steady_state(ext.model, ext=ext)
+        model, ext, weights = random_setup(72, dim=2, n_channels=2, silent=1)
+        ss = feedback_steady_state(model, ext=ext)
         j = average_current(ext, weights, ss)
         d = steady_noise(ext, weights, ss)
         jt, dt = tilted_cumulants(ext, weights)
@@ -224,7 +224,7 @@ class TestVerificationRouteInputs:
         from jumpfeedback import QubitParams, qubit_cooling_model
 
         ext = extended_liouvillian(qubit_cooling_model(QubitParams(nbar=0.5, gamma=1.0)))
-        return ext, CountingWeights.from_channel_weights(ext.model.channels, [1.0, 1.0])
+        return ext, CountingWeights.from_channel_weights(ext.channels, [1.0, 1.0])
 
     @pytest.mark.parametrize("name", ["t_max", "gap_factor"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0, -40.0])
@@ -289,13 +289,13 @@ class TestSpectrumAgainstDenseSolves:
     """The Schur back-substitution against one dense solve per frequency."""
 
     @staticmethod
-    def reference(ext, weights, omegas):
-        ss = feedback_steady_state(ext.model, ext=ext)
-        v = ext.vector(ss)
+    def reference(model, ext, weights, omegas):
+        ss = feedback_steady_state(model, ext=ext)
+        v = ext.vectors(ss.blocks[None])[0]
         t = ext.trace_row
-        lmat = ext.matrix
-        jmat = ext.gain_matrix(weights.per_transition)
-        background = (t @ ext.gain_matrix(weights.per_transition**2) @ v).real
+        lmat = ext.matrices[0]
+        jmat = ext.gain_matrices(weights.per_transition)[0]
+        background = (t @ ext.gain_matrices(weights.per_transition**2)[0] @ v).real
         jv = jmat @ v
         b = jv - v * (t @ jv)
         n = len(v)
@@ -318,10 +318,10 @@ class TestSpectrumAgainstDenseSolves:
         ],
     )
     def test_unsorted_grid_with_repeated_zero(self, seed, kwargs):
-        _, ext, weights = random_setup(seed, **kwargs)
+        model, ext, weights = random_setup(seed, **kwargs)
         omegas = np.array([1.3, 0.0, -0.4, 1e5, -2.5, 0.0, 0.05, -1e5, 0.4])
         spec = power_spectrum(ext, weights, omegas)
-        ref = self.reference(ext, weights, omegas)
+        ref = self.reference(model, ext, weights, omegas)
         npt.assert_allclose(spec.values, ref, rtol=1e-10, atol=0.0)
         assert spec.values[1] == spec.values[5]
         assert 0.0 <= spec.max_resolvent_residual < 1e-12
@@ -338,7 +338,7 @@ class TestResonantShift:
 
     def test_exact_eigenvalue_raises_naming_omega(self):
         ext = resonant_generator(omega0=1.0)
-        weights = CountingWeights.activity(ext.model.channels)
+        weights = CountingWeights.activity(ext.channels)
         assert np.isfinite(power_spectrum(ext, weights, np.array([0.5, 2.0])).values).all()
         with pytest.raises(ResolventError, match=r"singular at omega=-1$"):
             power_spectrum(ext, weights, np.array([0.5, 0.0, -1.0, 1.0, 2.0]))
@@ -375,10 +375,10 @@ class TestDirectTraces:
             feedback_steady_state(model, ext=ext),
             embed(model.channels, rng.dirichlet(np.ones(3)), random_density(rng, 3)),
         ):
-            v = ext.vector(state)
+            v = ext.vectors(state.blocks[None])[0]
             for got, gains in (
-                (average_current(ext, weights, state), ext.gain_matrix(nu)),
-                (noise_background(ext, weights, state), ext.gain_matrix(nu**2)),
+                (average_current(ext, weights, state), ext.gain_matrices(nu)[0]),
+                (noise_background(ext, weights, state), ext.gain_matrices(nu**2)[0]),
             ):
                 want = (ext.trace_row @ (gains @ v)).real
                 assert abs(got - want) <= 1e-12 * abs(want)
@@ -430,8 +430,8 @@ class TestInputValidation:
                 two_point_correlation(ext, weights, np.array([0.0, 1e308]))
 
     def test_unsorted_lags_allowed(self):
-        _, ext, weights = random_setup(78, dim=2, n_channels=2)
-        ss = feedback_steady_state(ext.model, ext=ext)
+        model, ext, weights = random_setup(78, dim=2, n_channels=2)
+        ss = feedback_steady_state(model, ext=ext)
         taus = np.array([2.0, 0.5, 1.0, 0.0])
         shuffled = two_point_correlation(ext, weights, taus, state=ss)
         ordered = two_point_correlation(ext, weights, np.sort(taus), state=ss)

@@ -6,7 +6,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from jumpfeedback import hybrid
+import jumpfeedback
+from jumpfeedback import dynamics, hybrid
 from jumpfeedback import (
     CountingWeights,
     average_current,
@@ -22,7 +23,9 @@ from jumpfeedback import (
     marginals,
     no_feedback,
     power_spectrum,
+    spectral_gap,
     steady_noise,
+    two_point_correlation,
     unvec,
     validate_hybrid_state,
     vec,
@@ -189,8 +192,9 @@ class TestExtendedConstruction:
             via_dense = from_matrix(
                 model.channels, dense_oracle(model)(to_matrix(state)), offblock_tol=None
             )
+            moved = ext.matrices[0] @ ext.vectors(state.blocks[None])[0]
             npt.assert_allclose(
-                ext.state(ext.matrix @ ext.vector(state)).blocks, via_dense.blocks, atol=1e-12
+                HybridState(ext.channels, ext.blocks(moved)[0]).blocks, via_dense.blocks, atol=1e-12
             )
 
     def test_layout_roundtrip_and_trace_row(self):
@@ -198,12 +202,12 @@ class TestExtendedConstruction:
         model = random_model(rng, dim=3, n_channels=2)
         ext = extended_liouvillian(model)
         state = embed(model.channels, [0.3, 0.7], random_density(rng, 3))
-        v = ext.vector(state)
+        v = ext.vectors(state.blocks[None])[0]
         assert v.shape == (2 * 9,)
-        npt.assert_array_equal(ext.state(v).blocks, state.blocks)
+        npt.assert_array_equal(HybridState(ext.channels, ext.blocks(v)[0]).blocks, state.blocks)
         assert abs(ext.trace_row @ v - 1.0) < 1e-14
         # the generator preserves the total trace
-        assert np.abs(ext.trace_row @ ext.matrix).max() < 1e-12
+        assert np.abs(ext.trace_row @ ext.matrices[0]).max() < 1e-12
 
     def test_gain_matrix_matches_dense_weighted_jumps(self):
         rng = np.random.default_rng(42)
@@ -216,8 +220,9 @@ class TestExtendedConstruction:
             model.channels,
             unvec(dense_gain(model, nu) @ vec(to_matrix(state)), 6),
         )
+        gained = ext.gain_matrices(nu)[0] @ ext.vectors(state.blocks[None])[0]
         npt.assert_allclose(
-            ext.state(ext.gain_matrix(nu) @ ext.vector(state)).blocks,
+            HybridState(ext.channels, ext.blocks(gained)[0]).blocks,
             via_dense.blocks,
             atol=1e-12,
         )
@@ -302,9 +307,9 @@ class TestStationaryLU:
             model = maser_model(params, feedback=feedback)
             ext = extended_liouvillian(model)
             state = feedback_steady_state(model, ext=ext)
-            v = ext.vector(state)
+            v = ext.vectors(state.blocks[None])[0]
             assert abs(ext.trace_row @ v - 1.0) < 1e-12
-            assert np.linalg.norm(ext.matrix @ v) < 1e-12 * np.abs(ext.matrix).max()
+            assert np.linalg.norm(ext.matrices[0] @ v) < 1e-12 * np.abs(ext.matrices[0]).max()
             assert np.linalg.eigvalsh(state.blocks).min() > -1e-10
 
 
@@ -320,8 +325,9 @@ def disconnected_model():
 
 
 def stack_tensors(models):
-    """The tensors of ``models`` stacked on a leading axis, as generator_stack takes them."""
-    return [np.stack([getattr(m, a) for m in models]) for a in ("hamiltonians", "jump_ops", "silent_ops")]
+    """generator_stack's arguments: the channels of ``models``, then their tensors stacked on a leading axis."""
+    tensors = [np.stack([getattr(m, a) for m in models]) for a in ("hamiltonians", "jump_ops", "silent_ops")]
+    return [models[0].channels, *tensors]
 
 
 def per_block_assembly(hamiltonians, jump_ops, silent_ops):
@@ -365,7 +371,7 @@ class TestGeneratorStack:
             ext = extended_liouvillian(model)
             weights = CountingWeights(model.channels, nu[i])
             state = feedback_steady_state(model, ext=ext)
-            self.assert_close(stack.matrices[i], ext.matrix)
+            self.assert_close(stack.matrices[i], ext.matrices[0])
             self.assert_close(stack.stationary.rcond[i], ext.stationary.rcond[0])
             self.assert_close(blocks[i], state.blocks)
             self.assert_close(current[i], average_current(ext, weights, state))
@@ -379,7 +385,7 @@ class TestGeneratorStack:
             models = [random_model(rng, dim=d, n_channels=m, silent=silent) for _ in range(2)]
             tensors = stack_tensors(models)
             got = generator_stack(*tensors).matrices
-            assert got.tobytes() == per_block_assembly(*tensors).tobytes()
+            assert got.tobytes() == per_block_assembly(*tensors[1:]).tobytes()
 
     def test_degenerate_member_raises_the_single_model_error(self):
         sm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -401,13 +407,47 @@ class TestGeneratorStack:
         assert np.isfinite(stationary_blocks(generator_stack(*stack_tensors([connected, connected])))).all()
 
 
+class TestOneGeneratorType:
+    """One model's generator is a GeneratorStack of one; single-model calls take only that."""
+
+    def test_single_model_generator_is_a_stack_of_one(self):
+        rng = np.random.default_rng(53)
+        model = random_model(rng, dim=2, n_channels=3, silent=1)
+        ext = extended_liouvillian(model)
+        assert isinstance(ext, jumpfeedback.GeneratorStack)
+        assert ext.channels == model.channels
+        assert ext.matrices.shape == (1, 3 * 4, 3 * 4)
+
+    def test_single_model_calls_refuse_a_larger_stack(self):
+        # two copies of one model: every check passes, so only unpacking the
+        # one member stops member 0's numbers from coming back
+        rng = np.random.default_rng(54)
+        model = random_model(rng, dim=2, n_channels=2)
+        pair = generator_stack(*stack_tensors([model, model]))
+        state = feedback_steady_state(model)
+        weights = CountingWeights.activity(model.channels)
+        v = pair.vectors(state.blocks[None])[0]
+        calls = [
+            lambda: dynamics.propagate(pair, v, [0.5, 1.0]),
+            lambda: feedback_steady_state(model, ext=pair),
+            lambda: power_spectrum(pair, weights, [0.0, 1.0]),
+            lambda: power_spectrum(pair, weights, [0.0, 1.0], state=state),
+            lambda: two_point_correlation(pair, weights, [0.0, 1.0]),
+            lambda: two_point_correlation(pair, weights, [0.0, 1.0], state=state),
+            lambda: spectral_gap(pair),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="too many values to unpack"):
+                call()
+
+
 class TestHermitianBasis:
     """The real coordinates of the memory-block sector that propagation runs in."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_basis_is_orthonormal_and_hermitian(self, dim):
         rng = np.random.default_rng(196 + dim)
-        stack = extended_liouvillian(random_model(rng, dim=dim, n_channels=2)).stack
+        stack = extended_liouvillian(random_model(rng, dim=dim, n_channels=2))
         u = stack.hermitian_basis
         npt.assert_allclose(u.conj().T @ u, np.eye(dim * dim), atol=1e-15)
         for column in u.T:
@@ -418,9 +458,8 @@ class TestHermitianBasis:
     def test_coordinates_and_real_form(self, silent):
         rng = np.random.default_rng(201 + silent)
         model = random_model(rng, dim=3, n_channels=3, silent=silent)
-        ext = extended_liouvillian(model)
-        stack = ext.stack
-        v = ext.vector(embed(model.channels, [0.2, 0.3, 0.5], random_density(rng, 3)))
+        stack = extended_liouvillian(model)
+        v = stack.vectors(embed(model.channels, [0.2, 0.3, 0.5], random_density(rng, 3)).blocks[None])[0]
         coords = stack.coordinates(v)
         # hermitian blocks have real coordinates, and the map inverts
         assert np.abs(coords.imag).max() < 1e-16
@@ -429,15 +468,15 @@ class TestHermitianBasis:
         npt.assert_allclose(stack.from_coordinates(stack.coordinates(w)), w, atol=1e-14)
         # the real form is the block-diagonal change of basis of the generator
         full = np.kron(np.eye(model.n_channels), stack.hermitian_basis)
-        dense = full.conj().T @ ext.matrix @ full
-        scale = np.abs(ext.matrix).max()
+        dense = full.conj().T @ stack.matrices[0] @ full
+        scale = np.abs(stack.matrices[0]).max()
         assert np.abs(dense.imag).max() <= 1e-14 * scale
         assert np.abs(stack.real_matrices[0] - dense.real).max() <= 1e-14 * scale
         assert stack.real_matrices.dtype == float
         assert not stack.real_matrices.flags.writeable
         # and it acts on coordinates as the generator acts on vectors
         npt.assert_allclose(
-            stack.real_matrices[0] @ coords.real, stack.coordinates(ext.matrix @ v).real,
+            stack.real_matrices[0] @ coords.real, stack.coordinates(stack.matrices[0] @ v).real,
             atol=1e-13 * scale,
         )
 
@@ -445,8 +484,12 @@ class TestHermitianBasis:
         model = no_feedback(np.zeros((2, 2)), [np.array([[0.0, 1.0], [0.0, 0.0]])], labels=["a"])
         # vector order (rho00, rho10, rho01, rho11): hermiticity is kept only
         # when the coherences rho10 and rho01 = conj(rho10) rotate oppositely
-        kept = hybrid.ExtendedGenerator(model=model, matrix=np.diag([0.0, -1j, 1j, 0.0]))
-        npt.assert_allclose(np.abs(kept.stack.real_matrices[0]).max(), 1.0, rtol=1e-15)
-        broken = hybrid.ExtendedGenerator(model=model, matrix=np.diag([0.0, -1j, -1j, 0.0]))
+        kept = hybrid.GeneratorStack(
+            model.channels, model.jump_ops[None], np.diag([0.0, -1j, 1j, 0.0])[None]
+        )
+        npt.assert_allclose(np.abs(kept.real_matrices[0]).max(), 1.0, rtol=1e-15)
+        broken = hybrid.GeneratorStack(
+            model.channels, model.jump_ops[None], np.diag([0.0, -1j, -1j, 0.0])[None]
+        )
         with pytest.raises(ValidationError, match="generator 0 does not preserve hermiticity"):
-            broken.stack.real_matrices
+            broken.real_matrices

@@ -10,6 +10,7 @@ import pytest
 
 from jumpfeedback import (
     DegenerateSteadyStateError,
+    GeneratorStack,
     ValidationError,
     drazin,
     spectral_gap,
@@ -138,7 +139,8 @@ class TestSteadyState:
     def test_spectral_gap_of_hopping_model(self):
         # populations relax at a+b = 2, coherences at (a+b)/2 = 1
         gen = classical_hopping(1.0, 1.0)
-        assert abs(spectral_gap(gen) - 1.0) < 1e-9
+        stack = GeneratorStack(("0",), np.zeros((1, 1, 1, 2, 2)), gen.matrix[None])
+        assert abs(spectral_gap(stack) - 1.0) < 1e-9
 
 
 class TestDrazin:
