@@ -11,6 +11,7 @@ thread pools (applied before numpy loads when the console script starts).
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -33,7 +34,7 @@ from .fcs import (
     weighted_jump_rates,
 )
 from .hybrid import HybridState, embed, extended_liouvillian, generator_stack
-from .model import check_density, check_distribution, check_hermitian, feedback_model
+from .model import check_density, check_distribution, check_grid, check_hermitian, feedback_model
 from .models import (
     MaserParams,
     QubitParams,
@@ -48,17 +49,6 @@ from .models import (
 from .trajectories import MAX_TRAJECTORIES, check_step, mc_estimate, rank_one_jumps, whole_steps
 
 __all__ = ["main", "run_config", "model_from_config", "model_to_config"]
-
-TASK_KINDS = (
-    "steady",
-    "evolve",
-    "correlation",
-    "spectrum",
-    "noise",
-    "trajectories",
-    "sweep",
-)
-
 
 def _fail(path, message):
     raise ConfigError(f"{path}: {message}")
@@ -217,14 +207,24 @@ def model_from_config(mcfg, path="model"):
     return model, canon
 
 
-def _model_from_config(mcfg, path):
-    """(model, canonical section, builtin parameter object or None)."""
+def _model_from_config(mcfg, path, sweep=None):
+    """(model, canonical section, builtin parameter object or None).
+
+    A builtin that the task section ``sweep`` sweeps is built at the grid's
+    first point, since no computation reads the base values it sweeps.
+    """
     mcfg = _expect_map(mcfg, path)
     if "builtin" in mcfg:
         _no_extra_keys(mcfg, {"builtin", "params"}, path)
         name = _expect_str(mcfg["builtin"], f"{path}.builtin")
         canon_params = _canon_builtin_params(name, mcfg.get("params", {}), f"{path}.params")
-        model, params = _build_builtin(name, canon_params)
+        point = canon_params
+        if sweep is not None:
+            # a grid that fails is reported by the task section, in its turn
+            with contextlib.suppress(ConfigError):
+                parameter, values, also = _sweep_grid(sweep, name)
+                point = {**canon_params, parameter: values[0], **{k: v[0] for k, v in also.items()}}
+        model, params = _build_builtin(name, point)
         return model, {"builtin": name, "params": canon_params}, params
 
     _no_extra_keys(
@@ -455,13 +455,10 @@ def _grid_from_config(gcfg, path, allow_negative=True):
         vals = (np.linspace if key == "linspace" else np.logspace)(start, stop, num)
     else:
         _fail(path, "expected an array of numbers or {linspace/logspace: [...]}")
-    if not len(vals):
-        _fail(path, "grid must be non-empty")
-    if not np.isfinite(vals).all():
-        _fail(path, "grid values must be finite")
-    if not allow_negative and (vals < 0).any():
-        _fail(path, "grid values must be non-negative")
-    return vals.tolist()
+    try:
+        return check_grid(vals, "grid values", non_negative=not allow_negative).tolist()
+    except ValidationError as exc:
+        _fail(path, str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -521,147 +518,130 @@ def _state_rows(blocks):
 def _parse_task(tcfg, ctx):
     tcfg = _expect_map(tcfg, "task")
     kind = _expect_str(tcfg.get("kind", ""), "task.kind")
-    if kind not in TASK_KINDS:
-        _fail("task.kind", f"must be one of {TASK_KINDS}")
-    model = ctx["model"]
-    canon = {"kind": kind}
+    if kind not in _TASKS:
+        _fail("task.kind", f"must be one of {tuple(_TASKS)}")
+    keys, parse, _, needs = _TASKS[kind]
+    _no_extra_keys(tcfg, {"kind", *keys}, "task")
+    canon = {"kind": kind, **(parse(tcfg, ctx) if parse else {})}
+    for section in needs:
+        if ctx[section] is None:
+            article = "an" if section == "initial" else "a"
+            _fail(section, f"task {kind!r} needs {article} {section} section")
+    return canon
 
-    if kind == "steady":
-        _no_extra_keys(tcfg, {"kind"}, "task")
 
-    elif kind == "evolve":
-        _no_extra_keys(tcfg, {"kind", "times"}, "task")
-        times = _grid_from_config(tcfg.get("times"), "task.times", allow_negative=False)
-        if any(b <= a for a, b in zip(times, times[1:])):
-            _fail("task.times", "must be strictly increasing")
-        if ctx["initial"] is None:
-            _fail("initial", "task 'evolve' needs an initial section")
-        canon.update(times=times)
+def _parse_evolve(tcfg, ctx):
+    times = _grid_from_config(tcfg.get("times"), "task.times", allow_negative=False)
+    if any(b <= a for a, b in zip(times, times[1:])):
+        _fail("task.times", "must be strictly increasing")
+    return {"times": times}
 
-    elif kind == "correlation":
-        _no_extra_keys(tcfg, {"kind", "taus"}, "task")
-        taus = _grid_from_config(tcfg.get("taus"), "task.taus", allow_negative=False)
-        if ctx["weights"] is None:
-            _fail("weights", "task 'correlation' needs a weights section")
-        canon.update(taus=taus)
 
-    elif kind == "spectrum":
-        _no_extra_keys(tcfg, {"kind", "omegas"}, "task")
-        omegas = _grid_from_config(tcfg.get("omegas"), "task.omegas")
-        if ctx["weights"] is None:
-            _fail("weights", "task 'spectrum' needs a weights section")
-        canon.update(omegas=omegas)
+def _parse_correlation(tcfg, ctx):
+    return {"taus": _grid_from_config(tcfg.get("taus"), "task.taus", allow_negative=False)}
 
-    elif kind == "noise":
-        _no_extra_keys(tcfg, {"kind"}, "task")
-        if ctx["weights"] is None:
-            _fail("weights", "task 'noise' needs a weights section")
 
-    elif kind == "trajectories":
-        _no_extra_keys(
-            tcfg,
-            {"kind", "n_traj", "horizon", "scheme", "dt", "burn_in", "dump"},
-            "task",
+def _parse_spectrum(tcfg, ctx):
+    return {"omegas": _grid_from_config(tcfg.get("omegas"), "task.omegas")}
+
+
+def _parse_trajectories(tcfg, ctx):
+    n_traj = _expect_int(tcfg.get("n_traj"), "task.n_traj")
+    if n_traj < 1:
+        _fail("task.n_traj", "must be at least 1")
+    if n_traj > MAX_TRAJECTORIES:
+        _fail("task.n_traj", f"must be at most 2**32 = {MAX_TRAJECTORIES}")
+    horizon = _expect_number(tcfg.get("horizon"), "task.horizon")
+    if horizon <= 0:
+        _fail("task.horizon", "must be positive")
+    scheme = tcfg.get("scheme", "waiting-time")
+    if scheme not in ("waiting-time", "fixed-step"):
+        _fail("task.scheme", "must be 'waiting-time' or 'fixed-step'")
+    dt = None
+    if scheme == "fixed-step":
+        dt = _expect_number(tcfg.get("dt"), "task.dt")
+        if dt <= 0:
+            _fail("task.dt", "must be positive")
+        if whole_steps(horizon, dt) is None:
+            _fail("task.dt", "horizon must be an integer number of steps")
+        check_step(ctx["model"], dt)
+    elif "dt" in tcfg:
+        _fail("task.dt", "only meaningful for the fixed-step scheme")
+    burn_in = _expect_number(tcfg.get("burn_in", 0.0), "task.burn_in")
+    if not 0.0 <= burn_in < horizon:
+        _fail("task.burn_in", "must lie in [0, horizon)")
+    dump = _expect_bool(tcfg.get("dump", False), "task.dump")
+    canon = dict(n_traj=n_traj, horizon=horizon, scheme=scheme, burn_in=burn_in, dump=dump)
+    return canon if dt is None else {**canon, "dt": dt}
+
+
+def _sweep_grid(tcfg, name):
+    """A sweep's parameter, its sorted values and the ``also`` values in lockstep."""
+    numeric = {f.name for f in dataclasses.fields(_BUILTINS[name][0])}
+    parameter = _expect_str(tcfg.get("parameter", ""), "task.parameter")
+    if parameter not in numeric:
+        _fail(
+            "task.parameter",
+            f"not a numeric parameter of {name!r}; choose from {sorted(numeric)}",
         )
-        n_traj = _expect_int(tcfg.get("n_traj"), "task.n_traj")
-        if n_traj < 1:
-            _fail("task.n_traj", "must be at least 1")
-        if n_traj > MAX_TRAJECTORIES:
-            _fail("task.n_traj", f"must be at most 2**32 = {MAX_TRAJECTORIES}")
-        horizon = _expect_number(tcfg.get("horizon"), "task.horizon")
-        if horizon <= 0:
-            _fail("task.horizon", "must be positive")
-        scheme = tcfg.get("scheme", "waiting-time")
-        if scheme not in ("waiting-time", "fixed-step"):
-            _fail("task.scheme", "must be 'waiting-time' or 'fixed-step'")
-        dt = None
-        if scheme == "fixed-step":
-            dt = _expect_number(tcfg.get("dt"), "task.dt")
-            if dt <= 0:
-                _fail("task.dt", "must be positive")
-            if whole_steps(horizon, dt) is None:
-                _fail("task.dt", "horizon must be an integer number of steps")
-            check_step(model, dt)
-        elif "dt" in tcfg:
-            _fail("task.dt", "only meaningful for the fixed-step scheme")
-        burn_in = _expect_number(tcfg.get("burn_in", 0.0), "task.burn_in")
-        if not 0.0 <= burn_in < horizon:
-            _fail("task.burn_in", "must lie in [0, horizon)")
-        dump = _expect_bool(tcfg.get("dump", False), "task.dump")
-        if ctx["weights"] is None:
-            _fail("weights", "task 'trajectories' needs a weights section")
-        if ctx["initial"] is None:
-            _fail("initial", "task 'trajectories' needs an initial section")
-        canon.update(n_traj=n_traj, horizon=horizon, scheme=scheme, burn_in=burn_in, dump=dump)
-        if dt is not None:
-            canon["dt"] = dt
+    raw_values = _grid_from_config(tcfg.get("values"), "task.values")
+    # secondary parameters varied in lockstep with the primary one
+    also_cfg = _expect_map(tcfg.get("also", {}), "task.also")
+    also = {}
+    for key, spec in also_cfg.items():
+        if key not in numeric or key == parameter:
+            _fail(f"task.also.{key}", f"not an independent numeric parameter of {name!r}")
+        vals = _grid_from_config(spec, f"task.also.{key}")
+        if len(vals) != len(raw_values):
+            _fail(f"task.also.{key}", "must have the same length as task.values")
+        also[key] = vals
+    order = sorted(range(len(raw_values)), key=raw_values.__getitem__)
+    values = [raw_values[i] for i in order]
+    return parameter, values, {k: [v[i] for i in order] for k, v in sorted(also.items())}
 
-    elif kind == "sweep":
-        _no_extra_keys(
-            tcfg, {"kind", "parameter", "values", "also", "inner", "variants"}, "task"
-        )
-        if ctx["builtin"] is None:
-            _fail("task", "sweep needs a builtin model (named numeric parameters)")
-        name, base = ctx["builtin"]
-        cls, tensors_of, extras = _BUILTINS[name]
-        numeric = {f.name for f in dataclasses.fields(cls)}
-        parameter = _expect_str(tcfg.get("parameter", ""), "task.parameter")
-        if parameter not in numeric:
-            _fail(
-                "task.parameter",
-                f"not a numeric parameter of {name!r}; choose from {sorted(numeric)}",
-            )
-        raw_values = _grid_from_config(tcfg.get("values"), "task.values")
-        # secondary parameters varied in lockstep with the primary one
-        also_cfg = _expect_map(tcfg.get("also", {}), "task.also")
-        also = {}
-        for key, spec in also_cfg.items():
-            if key not in numeric or key == parameter:
-                _fail(f"task.also.{key}", f"not an independent numeric parameter of {name!r}")
-            vals = _grid_from_config(spec, f"task.also.{key}")
-            if len(vals) != len(raw_values):
-                _fail(f"task.also.{key}", "must have the same length as task.values")
-            also[key] = vals
-        order = sorted(range(len(raw_values)), key=raw_values.__getitem__)
-        values = [raw_values[i] for i in order]
-        also = {k: [v[i] for i in order] for k, v in sorted(also.items())}
-        inner = tcfg.get("inner", "steady")
-        if inner not in ("steady", "noise"):
-            _fail("task.inner", "must be 'steady' or 'noise'")
-        if inner == "noise" and ctx["weights_cfg"] is None:
-            _fail("weights", "sweep with inner 'noise' needs a weights section")
-        variants_cfg = tcfg.get("variants", [{"label": "run"}])
-        variants_cfg = _expect_list(variants_cfg, "task.variants")
-        if not variants_cfg:
-            _fail("task.variants", "must be non-empty")
-        variants = []
-        grids = []
-        seen = set()
-        for i, vc in enumerate(variants_cfg):
-            vpath = f"task.variants[{i}]"
-            vc = dict(_expect_map(vc, vpath))
-            label = _expect_str(vc.pop("label", ""), f"{vpath}.label")
-            if not label:
-                _fail(vpath, "each variant needs a nonempty 'label'")
-            if label in seen:
-                _fail(vpath, f"duplicate variant label {label!r}")
-            seen.add(label)
-            merged = _canon_builtin_params(name, {**base, **vc}, vpath)
-            variants.append({"label": label, **vc})
-            # the whole grid, checked at every point; all numeric parameters are
-            # arrays, so the tensors have the grid axis even if only weights vary
-            grid = {**merged, parameter: values, **also}
-            params = cls(**{k: np.full(len(values), v) for k, v in grid.items() if k not in extras})
-            if ctx["weights_cfg"] == "work":
-                _check_work_energies(params)
-            tensors = tensors_of(params, **{k: merged[k] for k in extras})
-            check_hermitian(tensors[0], ctx["model"].channels)
-            grids.append((params, tensors))
-        ctx["grids"] = grids
-        canon.update(parameter=parameter, values=values, inner=inner, variants=variants)
-        if also:
-            canon["also"] = also
 
+def _parse_sweep(tcfg, ctx):
+    if ctx["builtin"] is None:
+        _fail("task", "sweep needs a builtin model (named numeric parameters)")
+    name, base = ctx["builtin"]
+    cls, tensors_of, extras = _BUILTINS[name]
+    parameter, values, also = _sweep_grid(tcfg, name)
+    inner = tcfg.get("inner", "steady")
+    if inner not in ("steady", "noise"):
+        _fail("task.inner", "must be 'steady' or 'noise'")
+    if inner == "noise" and ctx["weights_cfg"] is None:
+        _fail("weights", "sweep with inner 'noise' needs a weights section")
+    variants_cfg = tcfg.get("variants", [{"label": "run"}])
+    variants_cfg = _expect_list(variants_cfg, "task.variants")
+    if not variants_cfg:
+        _fail("task.variants", "must be non-empty")
+    variants = []
+    grids = []
+    seen = set()
+    for i, vc in enumerate(variants_cfg):
+        vpath = f"task.variants[{i}]"
+        vc = dict(_expect_map(vc, vpath))
+        label = _expect_str(vc.pop("label", ""), f"{vpath}.label")
+        if not label:
+            _fail(vpath, "each variant needs a nonempty 'label'")
+        if label in seen:
+            _fail(vpath, f"duplicate variant label {label!r}")
+        seen.add(label)
+        merged = _canon_builtin_params(name, {**base, **vc}, vpath)
+        variants.append({"label": label, **vc})
+        # the whole grid, checked at every point; all numeric parameters are
+        # arrays, so the tensors have the grid axis even if only weights vary
+        grid = {**merged, parameter: values, **also}
+        params = cls(**{k: np.full(len(values), v) for k, v in grid.items() if k not in extras})
+        if ctx["weights_cfg"] == "work":
+            _check_work_energies(params)
+        tensors = tensors_of(params, **{k: merged[k] for k in extras})
+        check_hermitian(tensors[0], ctx["model"].channels)
+        grids.append((params, tensors))
+    ctx["grids"] = grids
+    canon = {"parameter": parameter, "values": values, "inner": inner, "variants": variants}
+    if also:
+        canon["also"] = also
     return canon
 
 
@@ -680,12 +660,14 @@ def parse_config(raw):
     if "task" not in raw:
         _fail("config", "missing 'task' section")
 
-    model, model_canon, params = _model_from_config(raw["model"], "model")
+    swept = isinstance(raw["task"], dict) and raw["task"].get("kind") == "sweep"
+    model, model_canon, params = _model_from_config(
+        raw["model"], "model", raw["task"] if swept else None
+    )
     builtin = None
     if "builtin" in model_canon:
         builtin = (model_canon["builtin"], model_canon["params"])
 
-    swept = isinstance(raw["task"], dict) and raw["task"].get("kind") == "sweep"
     weights, weights_canon = _weights_from_config(raw.get("weights"), model, params, swept)
 
     initial = None
@@ -902,14 +884,20 @@ def _run_sweep(ctx, out):
     out.add("sweep", header, np.hstack(tables))
 
 
-_RUNNERS = {
-    "steady": _run_steady,
-    "evolve": _run_evolve,
-    "correlation": _run_correlation,
-    "spectrum": _run_spectrum,
-    "noise": _run_noise,
-    "trajectories": _run_trajectories,
-    "sweep": _run_sweep,
+# every task kind, in the order the task.kind message lists them: its keys
+# besides "kind", its parser of those (None: no keys), its runner and the
+# config sections it needs
+_TASKS = {
+    "steady": ((), None, _run_steady, ()),
+    "evolve": (("times",), _parse_evolve, _run_evolve, ("initial",)),
+    "correlation": (("taus",), _parse_correlation, _run_correlation, ("weights",)),
+    "spectrum": (("omegas",), _parse_spectrum, _run_spectrum, ("weights",)),
+    "noise": ((), None, _run_noise, ("weights",)),
+    "trajectories": (
+        ("n_traj", "horizon", "scheme", "dt", "burn_in", "dump"),
+        _parse_trajectories, _run_trajectories, ("weights", "initial"),
+    ),
+    "sweep": (("parameter", "values", "also", "inner", "variants"), _parse_sweep, _run_sweep, ()),
 }
 
 
@@ -939,7 +927,8 @@ def run_config(raw, base_dir="."):
     directory = os.path.normpath(os.path.join(base_dir, ctx["directory"]))
     os.makedirs(directory, exist_ok=True)
     out = _Outputs(directory, ctx["prefix"])
-    _RUNNERS[ctx["task"]["kind"]](ctx, out)
+    _, _, run, _ = _TASKS[ctx["task"]["kind"]]
+    run(ctx, out)
 
     report = {
         "version": __version__,

@@ -15,7 +15,7 @@ import scipy.linalg
 
 from .errors import PositivityError, ValidationError
 from .hybrid import HybridState, extended_liouvillian
-from .model import check_density
+from .model import check_density, check_grid
 
 __all__ = [
     "EvolutionResult",
@@ -38,15 +38,6 @@ class EvolutionResult:
 
     times: np.ndarray
     states: tuple
-
-
-def _check_times(times):
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) == 0 or not np.isfinite(times).all():
-        raise ValidationError("times must be a non-empty 1-d array of finite values")
-    if np.any(np.diff(times) < 0):
-        raise ValidationError("times must be non-decreasing")
-    return times
 
 
 def _checked_states(ext, vectors, times):
@@ -83,13 +74,12 @@ def propagate(ext, vector, times, start=0.0):
     input whose blocks are not hermitian stays exact.  A run of steps with
     one propagator P advances in blocks: once b states of the run are known,
     P^b maps all of them to the next b states in one product (b = 1, 2, 4,
-    ...).  The states go back to the vector layout in one product.  Times
-    and ``start`` must be finite, else :class:`ValidationError`.
+    ...).  The states go back to the vector layout in one product.  The
+    times, led by ``start``, must pass :func:`check_grid`, so ``times`` may
+    be empty.
     """
     times = np.asarray(times, dtype=float)
-    # written so that NaN fails too
-    if not (np.isfinite(times).all() and np.isfinite(start)):
-        raise ValidationError("times must be finite")
+    check_grid(np.append(start, times) if times.ndim == 1 else times, "times")
     steps = np.diff(times, prepend=start)
     tol = 4.0 * np.finfo(float).eps * np.abs(times).max(initial=abs(start))
     order = np.argsort(steps, kind="stable")
@@ -132,7 +122,7 @@ def evolve_extended(model, state0, times, ext=None):
     :class:`ValidationError`; one of another model with the same labels is
     the caller's responsibility.
     """
-    times = _check_times(times)
+    times = check_grid(times, "times", non_decreasing=True)
     if state0.labels != model.channels:
         raise ValidationError("state labels do not match model channels")
     ext = _check_generator(model, ext)

@@ -19,7 +19,7 @@ import scipy.linalg
 from .dynamics import propagate, stationary_blocks
 from .errors import DimensionError, ResolventError, StencilError, ValidationError
 from .hybrid import HybridState
-from .model import label_table
+from .model import check_grid, label_table
 
 __all__ = [
     "CountingWeights",
@@ -196,6 +196,20 @@ def _resolve_stationary(ext, state):
     return state, ext.vectors(state.blocks[None])[0]
 
 
+def _two_time_terms(ext, weights, state):
+    """Terms of the stationary two-time formulas of ``ext``, a stack of one.
+
+    Returns the state (see :func:`_resolve_stationary`), its vector v, J v,
+    the row t J, the current t J v, checked to be finite and real, and the
+    background K.  J is :func:`current_superop`.
+    """
+    state, v = _resolve_stationary(ext, state)
+    jmat = current_superop(ext, weights)
+    jv = jmat @ v
+    current = float(_real_part(ext.trace_row @ jv, "average current"))
+    return state, v, jv, ext.trace_row @ jmat, current, noise_background(ext, weights, state)
+
+
 def stationary_noises(stack, nu, blocks, rates=None):
     """Zero-frequency noise D = K - 2 Tr[J L+ J rho_ss] of every member.
 
@@ -244,21 +258,9 @@ def two_point_correlation(ext, weights, taus, state=None):
     non-stationary input raises :class:`ValidationError`, and so does a
     value that is not finite or not real, naming its lag.
     """
-    taus = np.asarray(taus, dtype=float)
-    if taus.ndim != 1 or len(taus) == 0:
-        raise ValidationError("taus must be a non-empty 1-d array")
-    # written so that NaN fails too
-    if not np.isfinite(taus).all():
-        raise ValidationError("lags must be finite")
-    if taus.min() < 0:
-        raise ValidationError("lags must be non-negative (F is even in tau)")
+    taus = check_grid(taus, "lags", non_negative="F is even in tau")
     order = np.argsort(taus, kind="stable")
-    state, v = _resolve_stationary(ext, state)
-    jmat = current_superop(ext, weights)
-    tj = ext.trace_row @ jmat
-    jv = jmat @ v
-    current = float(_real_part(ext.trace_row @ jv, "average current"))
-    background = noise_background(ext, weights, state)
+    _, _, jv, tj, current, background = _two_time_terms(ext, weights, state)
     lags = taus[order]
     raw = propagate(ext, jv, lags) @ tj
     values = np.empty(len(taus))
@@ -320,25 +322,16 @@ def power_spectrum(ext, weights, omegas, state=None):
     :class:`ValidationError`.  Values follow the order of ``omegas``, which
     must be finite.
     """
-    omegas = np.asarray(omegas, dtype=float)
-    if omegas.ndim != 1 or len(omegas) == 0:
-        raise ValidationError("omegas must be a non-empty 1-d array")
-    # written so that NaN fails too
-    if not np.isfinite(omegas).all():
-        raise ValidationError("frequencies must be finite")
-    state, v = _resolve_stationary(ext, state)
-    jmat = current_superop(ext, weights)
-    t = ext.trace_row
-    background = noise_background(ext, weights, state)
+    omegas = check_grid(omegas, "frequencies")
+    state, v, jv, tj, _, background = _two_time_terms(ext, weights, state)
     values = np.empty(len(omegas))
     zero = omegas == 0.0
     worst = None
     if not zero.all():
         finite = omegas[~zero]
         shifts = 1j * finite
-        jv = jmat @ v
         # project off the stationary direction before the resolvent
-        b = jv - v * (t @ jv)
+        b = jv - v * (ext.trace_row @ jv)
         (lmat,) = ext.matrices
         x = _resolvent_columns(lmat, b, shifts)
         resid = np.linalg.norm(x * shifts - lmat @ x - b[:, None], axis=0)
@@ -354,7 +347,7 @@ def power_spectrum(ext, weights, omegas, state=None):
                 f"(relative residual {resid[i]:.3e})"
             )
         worst = float(resid.max())
-        values[~zero] = background + 2.0 * ((t @ jmat) @ x).real
+        values[~zero] = background + 2.0 * (tj @ x).real
     if zero.any():
         values[zero] = stationary_noises(ext, weights.per_transition, state.blocks[None])[0]
     return SpectrumSamples(
@@ -407,16 +400,12 @@ def noise_by_quadrature(ext, weights, state=None, t_max=None, gap_factor=40.0):
         # NaN fails the chained comparison
         if value is not None and not 0.0 < value < np.inf:
             raise ValidationError(f"{name} must be finite and positive, got {value}")
-    state, v = _resolve_stationary(ext, state)
+    _, _, jv, tj, current, background = _two_time_terms(ext, weights, state)
     if t_max is None:
         gap = spectral_gap(ext)
         if gap <= 0:
             raise ValidationError("generator has no spectral gap; pass t_max explicitly")
         t_max = gap_factor / gap
-    jmat = current_superop(ext, weights)
-    jv = jmat @ v
-    current = (ext.trace_row @ jv).real
-    tj = ext.trace_row @ jmat
     # eigen-propagation keeps each integrand sample cheap
     (matrix,) = ext.matrices
     evals, vecs = np.linalg.eig(matrix)
@@ -427,7 +416,6 @@ def noise_by_quadrature(ext, weights, state=None, t_max=None, gap_factor=40.0):
         return ((coeff_l * np.exp(evals * tau)) @ coeff_r).real - current**2
 
     val, _ = scipy.integrate.quad(integrand, 0.0, t_max, limit=400)
-    background = noise_background(ext, weights, state)
     return background + 2.0 * val
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import DegenerateSteadyStateError, DimensionError, PositivityError, ValidationError
-from .model import check_density, check_distribution, label_table
+from .model import check_density, check_distribution, label_table, loss_matrices
 
 __all__ = [
     "HybridState",
@@ -302,7 +302,10 @@ class GeneratorStack:
 
 
 def _gain_matrices(ops, nu):
-    # vec(L X L^dag) = (conj(L) kron L) vec(X); row (k, i, j), column (q, l, p)
+    # vec(L X L^dag) = (conj(L) kron L) vec(X); row (k, i, j), column (q, l, p).
+    # An einsum, not a broadcast conj(L) * L: numpy's broadcast complex
+    # product can leave round-off in the imaginary part of |L_ij|^2, which
+    # real_matrices' hermiticity check then sees on a zero generator
     size = ops.shape[1] * ops.shape[-1] ** 2
     return np.einsum(
         "zkqil,zkqjp->zkijqlp", nu[..., None, None] * ops.conj(), ops
@@ -317,15 +320,14 @@ def generator_stack(channels, hamiltonians, jump_ops, silent_ops):
     axis.  Block (k, q) is the gain conj(L_k(q)) (x) L_k(q), which moves the
     memory from q to k.  Block (k, k) adds the drift of memory value k,
     -i (1 (x) H_eff - conj(H_eff) (x) 1) with H_eff = H(k) - i W(k) / 2 and
-    W the loss operator of every monitored and silent channel at k, and the
-    gains of the silent operators, which leave the memory at k.  Each term
-    is one array operation over all members.
+    W the loss of every monitored and silent channel at k
+    (:func:`loss_matrices`), and the gains of the silent operators, which
+    leave the memory at k.  Each term is one array operation over all
+    members.
     """
     p, m, d = hamiltonians.shape[:3]
     n = d * d
-    loss = np.einsum("zkqij,zkqil->zqjl", jump_ops.conj(), jump_ops)
-    loss += np.einsum("zsqij,zsqil->zqjl", silent_ops.conj(), silent_ops)
-    h_eff = hamiltonians - 0.5j * loss
+    h_eff = hamiltonians - 0.5j * loss_matrices(jump_ops, silent_ops)
     eye = np.eye(d)
     # 1 (x) H_eff and conj(H_eff) (x) 1 for every k, indexed like the gains
     drift = -1j * (
@@ -333,10 +335,7 @@ def generator_stack(channels, hamiltonians, jump_ops, silent_ops):
     )
     silent_gain = np.einsum("zskil,zskjp->zkijlp", silent_ops.conj(), silent_ops)
     diagonal = (drift + silent_gain).reshape(p, m, n, n)
-    # an einsum, not a broadcast conj(L) * L: numpy's broadcast complex
-    # product can leave round-off in the imaginary part of |L_ij|^2, which
-    # real_matrices' hermiticity check then sees on a zero generator
-    blocks = np.einsum("zkqil,zkqjp->zkijqlp", jump_ops.conj(), jump_ops).reshape(p, m, n, m, n)
+    blocks = _gain_matrices(jump_ops, np.float64(1.0)).reshape(p, m, n, m, n)
     k = np.arange(m)
     blocks[:, k, :, k] += diagonal.swapaxes(0, 1)
     return GeneratorStack(channels, jump_ops, blocks.reshape(p, m * n, m * n))

@@ -23,9 +23,11 @@ __all__ = [
     "FeedbackModel",
     "check_density",
     "check_distribution",
+    "check_grid",
     "check_hermitian",
     "feedback_model",
     "label_table",
+    "loss_matrices",
     "validate",
     "no_feedback",
 ]
@@ -101,14 +103,18 @@ class FeedbackModel:
         except ValueError:
             raise ValidationError(f"unknown channel label {label!r}") from None
 
-    def loss_operator(self, q):
-        """sum_k L_k(q)^dag L_k(q) over all channels (silent included)."""
-        ops = self.jump_ops[:, q]
-        w = np.einsum("kij,kil->jl", ops.conj(), ops)
-        if len(self.silent_ops):
-            sops = self.silent_ops[:, q]
-            w = w + np.einsum("kij,kil->jl", sops.conj(), sops)
-        return w
+
+def loss_matrices(jump_ops, silent_ops):
+    """Loss W(q) = sum_k L_k(q)^dag L_k(q) over monitored, then silent channels.
+
+    ``jump_ops`` is ``(..., m, m, d, d)`` and ``silent_ops`` ``(..., s, m,
+    d, d)``, as in :class:`FeedbackModel`, with any leading stack axes; the
+    result is ``(..., m, d, d)``, indexed by the memory value q.
+    """
+    monitored, silent = (
+        np.einsum("...kqij,...kqil->...qjl", ops.conj(), ops) for ops in (jump_ops, silent_ops)
+    )
+    return monitored + silent
 
 
 def feedback_model(dim, channels, hamiltonians, jump_ops, silent_ops=None):
@@ -221,6 +227,27 @@ def label_table(table, labels, what, entry_shape=(), dtype=float):
                 )
             out[i] = entry
     return out
+
+
+def check_grid(values, what, non_negative=False, non_decreasing=False):
+    """``values`` as a float array once it is a grid: non-empty, 1-d and finite.
+
+    ``non_negative`` (True, or the reason the message gives in parentheses)
+    and ``non_decreasing`` add the caller's bounds.  The first rule that
+    fails raises :class:`ValidationError`; ``what`` names the grid.
+    """
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 1 or not len(v):
+        raise ValidationError(f"{what} must be a non-empty 1-d array")
+    # written so that NaN fails too
+    if not np.isfinite(v).all():
+        raise ValidationError(f"{what} must be finite")
+    if non_negative and v.min() < 0:
+        reason = f" ({non_negative})" if isinstance(non_negative, str) else ""
+        raise ValidationError(f"{what} must be non-negative{reason}")
+    if non_decreasing and (np.diff(v) < 0).any():
+        raise ValidationError(f"{what} must be non-decreasing")
+    return v
 
 
 def check_distribution(p, what):

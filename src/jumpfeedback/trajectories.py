@@ -45,7 +45,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
-from .model import check_density, check_distribution, label_table
+from .model import check_density, check_distribution, label_table, loss_matrices
 
 __all__ = [
     "TrajectoryRecord",
@@ -368,8 +368,7 @@ class _Batch:
         m, d = model.n_channels, model.dim
         self.m, self.d, self.n_ops = m, d, m + len(model.silent_labels)
         self.labels = model.channels + model.silent_labels
-        loss = np.stack([model.loss_operator(k) for k in range(m)])
-        self.h_eff = model.hamiltonians - 0.5j * loss
+        self.h_eff = model.hamiltonians - 0.5j * loss_matrices(model.jump_ops, model.silent_ops)
         rho0 = np.asarray(rho0, dtype=complex)
         if rho0.shape != (d, d):
             raise ValidationError(f"initial state has shape {rho0.shape}, expected ({d}, {d})")
@@ -785,8 +784,7 @@ def check_step(model, dt):
     # written so that NaN fails too
     if not dt < np.inf:
         raise ValidationError("dt must be finite")
-    loss = np.stack([model.loss_operator(k) for k in range(model.n_channels)])
-    max_rate = np.linalg.eigvalsh(loss).max()
+    max_rate = np.linalg.eigvalsh(loss_matrices(model.jump_ops, model.silent_ops)).max()
     if dt * max_rate > MAX_STEP_PROBABILITY:
         raise ValidationError(
             f"dt * max total rate = {dt * max_rate:.3g} exceeds "
@@ -913,12 +911,18 @@ def mc_estimate(
     _run_batch(batch, memories0, horizon, scheme, dt)
 
     charge = batch.charge
-    mean = charge.mean()
-    centered = charge - mean
-    var = centered @ centered / (n_traj - 1) if n_traj > 1 else 0.0
-    mean_se = np.sqrt(var / n_traj)
-    m4 = np.mean(centered**4)
-    var_se = np.sqrt(max(m4 - var**2, 0.0) / n_traj)
+    # charges near the float64 range overflow here; the check below names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = charge.mean()
+        centered = charge - mean
+        var = centered @ centered / (n_traj - 1) if n_traj > 1 else 0.0
+        mean_se = np.sqrt(var / n_traj)
+        m4 = np.mean(centered**4)
+        var_se = np.sqrt(max(m4 - var**2, 0.0) / n_traj)
+    for name, value in [("mean_charge", mean), ("mean_charge_se", mean_se), ("var_charge", var),
+                        ("var_charge_se", var_se)]:
+        if not np.isfinite(value):
+            raise ValidationError(f"{name} is {value}: the charge statistics overflow float64")
     freq = np.bincount(batch.memory, minlength=m) / n_traj
     freq_se = np.sqrt(freq * (1.0 - freq) / n_traj)
 

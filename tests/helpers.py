@@ -32,6 +32,7 @@ from jumpfeedback import (
     unvec,
     vec,
 )
+from jumpfeedback.model import loss_matrices
 from jumpfeedback.superops import _as_operator
 
 
@@ -327,11 +328,12 @@ def waiting_time_reference(model, weights, rho0, k0, stream, horizon, burn_in=0.
     """
     m = model.n_channels
     ops = np.concatenate([model.jump_ops, model.silent_ops])  # ops[q, k] = L_q(k)
+    loss = loss_matrices(model.jump_ops, model.silent_ops)
     rho, k, t = np.asarray(rho0, dtype=complex), k0, 0.0
     times, channels, before, charge = [], [], [], 0.0
 
     def evolved(s):
-        u_s = scipy.linalg.expm(-1j * s * (model.hamiltonians[k] - 0.5j * model.loss_operator(k)))
+        u_s = scipy.linalg.expm(-1j * s * (model.hamiltonians[k] - 0.5j * loss[k]))
         return u_s @ rho @ u_s.conj().T
 
     while True:

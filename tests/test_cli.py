@@ -1366,3 +1366,119 @@ class TestThreadEnvironment:
             check=True,
         )
         assert out.stdout.strip() == __version__
+
+
+class TestTaskDeclarations:
+    """Each task kind's required sections give the same message under both verbs."""
+
+    MISSING = [
+        ("evolve", EVOLVE, "initial", "initial: task 'evolve' needs an initial section"),
+        ("correlation", CORRELATION, "weights", "weights: task 'correlation' needs a weights section"),
+        ("spectrum", {"kind": "spectrum", "omegas": [0.0, 1.0]}, "weights",
+         "weights: task 'spectrum' needs a weights section"),
+        ("noise", {"kind": "noise"}, "weights", "weights: task 'noise' needs a weights section"),
+        ("trajectories", TRAJECTORIES, "weights",
+         "weights: task 'trajectories' needs a weights section"),
+        ("trajectories", TRAJECTORIES, "initial",
+         "initial: task 'trajectories' needs an initial section"),
+        ("sweep", {"kind": "sweep", "parameter": "nbar", "values": [0.5, 1.0], "inner": "noise"},
+         "weights", "weights: sweep with inner 'noise' needs a weights section"),
+    ]
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "kind, task, section, message", MISSING, ids=[f"{m[0]}-{m[2]}" for m in MISSING]
+    )
+    def test_missing_section(self, tmp_path, capsys, verb, kind, task, section, message):
+        out = tmp_path / "out"
+        cfg = base_config(out, task)
+        cfg["weights"] = "activity"
+        cfg["initial"] = {"memory": "-1", "system": "ground"}
+        del cfg[section]
+        assert main([verb, write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_unknown_kind_lists_the_kinds_in_order(self, tmp_path, capsys, verb):
+        assert main([verb, write_config(tmp_path, base_config(tmp_path, {"kind": "dance"}))]) == 2
+        assert capsys.readouterr().err == (
+            "config error: task.kind: must be one of ('steady', 'evolve', 'correlation', "
+            "'spectrum', 'noise', 'trajectories', 'sweep')\n"
+        )
+
+
+class TestGridRuleMessages:
+    """The CLI reports the grid rule's message after the config path."""
+
+    @pytest.mark.parametrize(
+        "task, message",
+        [
+            ({"kind": "correlation", "taus": []}, "task.taus: grid values must be a non-empty 1-d array"),
+            ({"kind": "correlation", "taus": [0.0, -1.0]}, "task.taus: grid values must be non-negative"),
+            ({"kind": "evolve", "times": []}, "task.times: grid values must be a non-empty 1-d array"),
+            ({"kind": "spectrum", "omegas": []}, "task.omegas: grid values must be a non-empty 1-d array"),
+            ({"kind": "spectrum", "omegas": {"logspace": [0, 400, 3]}},
+             "task.omegas: grid values must be finite"),
+        ],
+        ids=["taus_empty", "taus_negative", "times_empty", "omegas_empty", "omegas_overflow"],
+    )
+    def test_validate_prints_the_rule(self, tmp_path, capsys, task, message):
+        cfg = base_config(tmp_path, task)
+        cfg["weights"] = "activity"
+        cfg["initial"] = {"memory": "-1", "system": "ground"}
+        with np.errstate(over="ignore"):
+            assert main(["validate", write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+class TestSweepOfAnInvalidBase:
+    """A sweep is checked at the grid it runs, not at the base value of its parameter."""
+
+    BASE = {"nl": 0.0, "nr": 0.0, "gl": 0.5, "gr": 0.5, "feedback": False}
+
+    def config(self, directory, classical_base):
+        # gl*nl + gr*nr = 0 leaves the classical drive rate undefined at the base
+        params = {**self.BASE, "classical": True} if classical_base else dict(self.BASE)
+        variants = [{"label": "run"} if classical_base else {"label": "run", "classical": True}]
+        return {
+            "model": {"builtin": "maser", "params": params},
+            "weights": "activity",
+            "task": {"kind": "sweep", "parameter": "nl", "values": [0.2, 0.1], "inner": "noise",
+                     "variants": variants},
+            "output": {"directory": str(directory), "prefix": "s"},
+        }
+
+    def test_both_verbs_run_and_equal_the_variant_form(self, tmp_path, capsys):
+        path = write_config(tmp_path, self.config(tmp_path / "base", True), "base.json")
+        assert main(["validate", path]) == 0
+        assert capsys.readouterr().out.startswith("ok: dim 3, channels ['E_l', 'I_l', 'E_r', 'I_r'], 2 silent")
+        assert main(["run", path]) == 0
+        report, _, files = run_config(self.config(tmp_path / "variant", False))
+        with open(tmp_path / "base" / "s_sweep.csv") as fh, open(files[0]) as fv:
+            assert fh.read() == fv.read()
+        with open(tmp_path / "base" / "s_report.json") as fh:
+            assert json.load(fh)["config"]["model"]["params"]["nl"] == 0.0
+
+
+class TestMonteCarloOverflow:
+    """A Monte Carlo summary that overflows is an error, not an inf or nan in the CSV."""
+
+    @pytest.mark.parametrize(
+        "weight, name", [(1e300, "mean_charge_se is inf"), (1e80, "var_charge_se is nan")]
+    )
+    def test_run_exits_1_and_writes_no_csv(self, tmp_path, capsys, weight, name):
+        out = tmp_path / "out"
+        cfg = {
+            "model": {"builtin": "maser", "params": {"nl": 1.0, "nr": 2.0, "gl": 0.5, "gr": 0.5,
+                                                     "wl": 8.0, "wr": 2.0}},
+            "weights": {"per_channel": {"E_l": weight}},
+            "initial": {"memory": "E_l", "system": "ground"},
+            "task": {"kind": "trajectories", "n_traj": 4, "horizon": 2.0},
+            "seed": 0,
+            "output": {"directory": str(out)},
+        }
+        assert main(["run", write_config(tmp_path, cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ValidationError: {name}")
+        assert not glob.glob(str(out / "*.csv"))

@@ -201,7 +201,7 @@ class TestInputChecks:
         model = random_model(rng, dim=2, n_channels=2)
         state0 = initial_state(rng, model)
         for times in ([0.0, np.nan], [np.nan, 1.0]):
-            with pytest.raises(ValidationError, match="finite values"):
+            with pytest.raises(ValidationError, match="times must be finite"):
                 evolve_extended(model, state0, times)
 
     def test_non_finite_state_names_its_time(self):

@@ -4,17 +4,33 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import scipy.linalg
+
 from jumpfeedback import (
+    CountingWeights,
     DimensionError,
     FeedbackModel,
     ValidationError,
+    embed,
+    evolve_extended,
+    extended_liouvillian,
     feedback_model,
     no_feedback,
+    power_spectrum,
+    two_point_correlation,
     validate,
 )
-from jumpfeedback.model import label_table
+from jumpfeedback.dynamics import propagate
+from jumpfeedback.model import check_grid, label_table, loss_matrices
 
-from helpers import random_hermitian, random_operator
+from helpers import (
+    extended_jumps,
+    extended_silent_jumps,
+    random_density,
+    random_hermitian,
+    random_model,
+    random_operator,
+)
 
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -104,7 +120,8 @@ class TestFeedbackModel:
             silent_ops={"s": 2.0 * SM.T},
         )
         expected = SM.conj().T @ SM + 4.0 * SM @ SM.conj().T
-        npt.assert_allclose(model.loss_operator(0), expected, atol=1e-14)
+        (loss,) = loss_matrices(model.jump_ops, model.silent_ops)
+        npt.assert_allclose(loss, expected, atol=1e-14)
 
 
 class TestLabelTable:
@@ -225,3 +242,79 @@ class TestNoFeedback:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValidationError, match="duplicate channel labels"):
             no_feedback(np.zeros((2, 2)), [SM, SM.T], labels=["a", "a"])
+
+
+class TestLossMatrices:
+    """The stacked loss W(q) is the dense oracle's sum of E^dag E, block by block."""
+
+    @pytest.mark.parametrize("silent", [0, 2])
+    def test_stack_equals_the_dense_oracle_per_memory(self, silent):
+        rng = np.random.default_rng(2301 + silent)
+        for m, d in [(1, 1), (2, 3), (3, 2), (4, 2)]:
+            models = [random_model(rng, dim=d, n_channels=m, silent=silent) for _ in range(3)]
+            loss = loss_matrices(
+                np.stack([model.jump_ops for model in models]),
+                np.stack([model.silent_ops for model in models]),
+            )
+            assert loss.shape == (3, m, d, d)
+            for model, w in zip(models, loss):
+                ops = [*extended_jumps(model), *extended_silent_jumps(model)]
+                dense = sum(op.conj().T @ op for op in ops)
+                # block diagonal in the memory: W(q) in block (q, q), nothing off it
+                npt.assert_allclose(
+                    scipy.linalg.block_diag(*w), dense, rtol=0, atol=1e-13 * np.abs(dense).max()
+                )
+
+
+class TestGridRule:
+    """Every grid goes through check_grid, under its caller's name and bounds."""
+
+    @staticmethod
+    def setup():
+        rng = np.random.default_rng(2302)
+        model = random_model(rng, dim=2, n_channels=2)
+        return model, extended_liouvillian(model), embed(model.channels, [0.5, 0.5], random_density(rng, 2))
+
+    BAD = [
+        ([0.0, np.nan], "must be finite"),
+        ([], "must be a non-empty 1-d array"),
+        ([[0.0, 1.0]], "must be a non-empty 1-d array"),
+    ]
+
+    @pytest.mark.parametrize("grid, message", BAD + [([0.0, 2.0, 1.0], "must be non-decreasing")])
+    def test_evolve_extended(self, grid, message):
+        model, _, state0 = self.setup()
+        with pytest.raises(ValidationError, match=f"^times {message}$"):
+            evolve_extended(model, state0, grid)
+
+    @pytest.mark.parametrize("grid, message", [BAD[0], BAD[2]])
+    def test_propagate(self, grid, message):
+        # the grid starts at ``start``, so no times at all is a grid too
+        model, ext, state0 = self.setup()
+        v0 = ext.vectors(state0.blocks[None])[0]
+        with pytest.raises(ValidationError, match=f"^times {message}$"):
+            propagate(ext, v0, grid)
+        assert propagate(ext, v0, []).shape == (0, len(v0))
+
+    @pytest.mark.parametrize(
+        "grid, message", BAD + [([0.0, -1.0], r"must be non-negative \(F is even in tau\)")]
+    )
+    def test_two_point_correlation(self, grid, message):
+        model, ext, _ = self.setup()
+        with pytest.raises(ValidationError, match=f"^lags {message}$"):
+            two_point_correlation(ext, CountingWeights.activity(model.channels), grid)
+
+    @pytest.mark.parametrize("grid, message", BAD)
+    def test_power_spectrum(self, grid, message):
+        model, ext, _ = self.setup()
+        with pytest.raises(ValidationError, match=f"^frequencies {message}$"):
+            power_spectrum(ext, CountingWeights.activity(model.channels), grid)
+        # negative frequencies are allowed
+        assert len(power_spectrum(ext, CountingWeights.activity(model.channels), [-1.0]).values)
+
+    def test_rule_returns_the_float_grid(self):
+        got = check_grid([3, -0.0, 1], "g")
+        assert got.dtype == float and got.tolist() == [3.0, -0.0, 1.0]
+        assert str(got[1]) == "-0.0"
+        with pytest.raises(ValidationError, match="^g must be non-negative$"):
+            check_grid([-1.0], "g", non_negative=True)

@@ -37,6 +37,7 @@ from jumpfeedback import (
 )
 
 import jumpfeedback.trajectories as trajectories
+from jumpfeedback.model import loss_matrices
 from jumpfeedback.trajectories import (
     LOOKAHEAD,
     MAX_ROOT_ITERATIONS,
@@ -283,8 +284,9 @@ def survival_samples(model, rng, n_states=40, t_max=40.0):
     [S(t_max), 1), where the root of S(t) = u lies in (0, t_max].
     """
     coeffs, decays = [], []
+    loss = loss_matrices(model.jump_ops, model.silent_ops)
     for k in range(model.n_channels):
-        h_eff = model.hamiltonians[k] - 0.5j * model.loss_operator(k)
+        h_eff = model.hamiltonians[k] - 0.5j * loss[k]
         evals, v = np.linalg.eig(h_eff)
         vinv = np.linalg.inv(v)
         gram_t = (v.conj().T @ v).T
@@ -738,7 +740,8 @@ class TestWaitingTimeReference:
                 fired.extend(channels)
             if model.silent_labels:
                 assert max(fired) >= model.n_channels
-                v = np.linalg.eig(model.hamiltonians[0] - 0.5j * model.loss_operator(0))[1]
+                loss = loss_matrices(model.jump_ops, model.silent_ops)
+                v = np.linalg.eig(model.hamiltonians[0] - 0.5j * loss[0])[1]
                 assert np.abs(v.conj().T @ v - np.eye(model.dim)).max() > 0.1
 
 
@@ -966,6 +969,21 @@ class TestSilentChannels:
 
 
 class TestValidation:
+    @pytest.mark.parametrize(
+        "weight, message", [(1e300, "mean_charge_se is inf"), (1e80, "var_charge_se is nan")]
+    )
+    def test_summary_that_overflows_raises(self, weight, message):
+        # at 1e80 the variance is finite (3.3e159) but its fourth moment overflows
+        model = maser_model(MaserParams(nl=1.0, nr=2.0, gl=0.5, gr=0.5, wl=8.0, wr=2.0))
+        weights = CountingWeights.from_channel_weights(model.channels, {"E_l": weight})
+        rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        with pytest.raises(ValidationError, match=f"^{message}: "):
+            mc_estimate(model, weights, rho0, {"E_l": 1.0}, 2.0, 4, master_seed=0)
+        # the same run at weight 1 has finite summaries and passes
+        weights = CountingWeights.from_channel_weights(model.channels, {"E_l": 1.0})
+        est = mc_estimate(model, weights, rho0, {"E_l": 1.0}, 2.0, 4, master_seed=0)
+        assert (est.mean_charge, est.var_charge) == (0.5, 1.0 / 3.0)
+
     def test_rejects_bad_horizon_and_burn_in(self):
         model, weights, rho0 = qubit_setup()
         with pytest.raises(ValidationError, match="horizon"):
