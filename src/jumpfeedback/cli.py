@@ -11,7 +11,6 @@ thread pools (applied before numpy loads when the console script starts).
 """
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import math
@@ -26,7 +25,6 @@ from .dynamics import evolve_extended, stationary_blocks
 from .errors import ConfigError, JumpFeedbackError, ValidationError
 from .fcs import (
     CountingWeights,
-    jump_rate_table,
     power_spectrum,
     stationarity_residuals,
     stationary_noises,
@@ -34,7 +32,14 @@ from .fcs import (
     weighted_jump_rates,
 )
 from .hybrid import HybridState, embed, extended_liouvillian, generator_stack
-from .model import check_density, check_distribution, check_grid, check_hermitian, feedback_model
+from .model import (
+    check_density,
+    check_distribution,
+    check_grid,
+    check_hermitian,
+    feedback_model,
+    jump_rate_table,
+)
 from .models import (
     MaserParams,
     QubitParams,
@@ -46,7 +51,7 @@ from .models import (
     work_table,
     work_weights,
 )
-from .trajectories import MAX_TRAJECTORIES, check_step, mc_estimate, rank_one_jumps, whole_steps
+from .trajectories import MAX_TRAJECTORIES, check_run, mc_estimate, rank_one_jumps, whole_steps
 
 __all__ = ["main", "run_config", "model_from_config", "model_to_config"]
 
@@ -203,29 +208,35 @@ def model_from_config(mcfg, path="model"):
     Returns (model, canonical section).  Exactly one of ``builtin`` and
     ``dim`` selects the source.
     """
-    model, canon, _ = _model_from_config(mcfg, path)
+    model, canon, _, _ = _model_from_config(mcfg, path)
     return model, canon
 
 
 def _model_from_config(mcfg, path, sweep=None):
-    """(model, canonical section, builtin parameter object or None).
+    """(model, canonical section, builtin parameter object or None, sweep grid).
 
     A builtin that the task section ``sweep`` sweeps is built at the grid's
-    first point, since no computation reads the base values it sweeps.
+    first point, since no computation reads the base values it sweeps.  The
+    grid is :func:`_sweep_grid` of it, or the :class:`ConfigError` that
+    raised, for the task section to report in its turn; None without a
+    swept builtin.
     """
     mcfg = _expect_map(mcfg, path)
     if "builtin" in mcfg:
         _no_extra_keys(mcfg, {"builtin", "params"}, path)
         name = _expect_str(mcfg["builtin"], f"{path}.builtin")
         canon_params = _canon_builtin_params(name, mcfg.get("params", {}), f"{path}.params")
-        point = canon_params
+        point, grid = canon_params, None
         if sweep is not None:
-            # a grid that fails is reported by the task section, in its turn
-            with contextlib.suppress(ConfigError):
-                parameter, values, also = _sweep_grid(sweep, name)
+            try:
+                grid = _sweep_grid(sweep, name)
+            except ConfigError as exc:
+                grid = exc
+            else:
+                parameter, values, also = grid
                 point = {**canon_params, parameter: values[0], **{k: v[0] for k, v in also.items()}}
         model, params = _build_builtin(name, point)
-        return model, {"builtin": name, "params": canon_params}, params
+        return model, {"builtin": name, "params": canon_params}, params, grid
 
     _no_extra_keys(
         mcfg, {"dim", "channels", "hamiltonians", "jump_ops", "silent_ops"}, path
@@ -281,7 +292,7 @@ def _model_from_config(mcfg, path, sweep=None):
         jump_ops=jump_ops,
         silent_ops=silent_ops or None,
     )
-    return model, model_to_config(model), None
+    return model, model_to_config(model), None, None
 
 
 def model_to_config(model):
@@ -564,13 +575,13 @@ def _parse_trajectories(tcfg, ctx):
             _fail("task.dt", "must be positive")
         if whole_steps(horizon, dt) is None:
             _fail("task.dt", "horizon must be an integer number of steps")
-        check_step(ctx["model"], dt)
     elif "dt" in tcfg:
         _fail("task.dt", "only meaningful for the fixed-step scheme")
     burn_in = _expect_number(tcfg.get("burn_in", 0.0), "task.burn_in")
     if not 0.0 <= burn_in < horizon:
         _fail("task.burn_in", "must lie in [0, horizon)")
     dump = _expect_bool(tcfg.get("dump", False), "task.dump")
+    check_run(ctx["model"], n_traj, horizon, scheme, dt, burn_in)
     canon = dict(n_traj=n_traj, horizon=horizon, scheme=scheme, burn_in=burn_in, dump=dump)
     return canon if dt is None else {**canon, "dt": dt}
 
@@ -605,7 +616,9 @@ def _parse_sweep(tcfg, ctx):
         _fail("task", "sweep needs a builtin model (named numeric parameters)")
     name, base = ctx["builtin"]
     cls, tensors_of, extras = _BUILTINS[name]
-    parameter, values, also = _sweep_grid(tcfg, name)
+    if isinstance(ctx["sweep_grid"], ConfigError):
+        raise ctx["sweep_grid"]
+    parameter, values, also = ctx["sweep_grid"]
     inner = tcfg.get("inner", "steady")
     if inner not in ("steady", "noise"):
         _fail("task.inner", "must be 'steady' or 'noise'")
@@ -661,7 +674,7 @@ def parse_config(raw):
         _fail("config", "missing 'task' section")
 
     swept = isinstance(raw["task"], dict) and raw["task"].get("kind") == "sweep"
-    model, model_canon, params = _model_from_config(
+    model, model_canon, params, sweep_grid = _model_from_config(
         raw["model"], "model", raw["task"] if swept else None
     )
     builtin = None
@@ -694,6 +707,7 @@ def parse_config(raw):
     ctx = {
         "model": model,
         "builtin": builtin,
+        "sweep_grid": sweep_grid,
         "weights": weights,
         "weights_cfg": weights_canon,
         "initial": initial,
@@ -779,7 +793,7 @@ def _run_noise(ctx, out):
     nu = ctx["weights"].per_transition
     stack = extended_liouvillian(ctx["model"])
     blocks = _stationary_stack(stack, out)
-    rates = jump_rate_table(stack, blocks)
+    rates = jump_rate_table(stack.jump_ops, blocks)
     current = weighted_jump_rates(stack, nu, blocks, "average current", rates)[0]
     noise = stationary_noises(stack, nu, blocks, rates)[0]
     background = weighted_jump_rates(stack, nu**2, blocks, "noise background", rates)[0]
@@ -870,7 +884,7 @@ def _run_sweep(ctx, out):
             tables.append(_state_rows(blocks))
         if weights_cfg is not None:
             nu = work_table(params) if weights_cfg == "work" else ctx["weights"].per_transition
-            rates = jump_rate_table(stack, blocks)
+            rates = jump_rate_table(stack.jump_ops, blocks)
             columns = [weighted_jump_rates(stack, nu, blocks, "average current", rates)]
             if inner == "noise":
                 columns.append(stationary_noises(stack, nu, blocks, rates))

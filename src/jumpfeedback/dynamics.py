@@ -15,7 +15,7 @@ import scipy.linalg
 
 from .errors import PositivityError, ValidationError
 from .hybrid import HybridState, extended_liouvillian
-from .model import check_density, check_grid
+from .model import check_density, check_grid, jump_rate_table
 
 __all__ = [
     "EvolutionResult",
@@ -170,9 +170,7 @@ def memory_distribution_rate(model, state):
     """
     if state.labels != model.channels:
         raise ValidationError("state labels do not match model channels")
-    m = model.n_channels
-    blocks = state.blocks
     # rates[k, q] = Tr[L_k(q) rho(q) L_k(q)^dag]
-    rates = np.einsum("kqab,qbc,kqac->kq", model.jump_ops, blocks, model.jump_ops.conj()).real
+    rates = jump_rate_table(model.jump_ops[None], state.blocks[None])[0].real
     np.fill_diagonal(rates, 0.0)
     return rates.sum(axis=1) - rates.sum(axis=0)

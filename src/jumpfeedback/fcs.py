@@ -19,7 +19,7 @@ import scipy.linalg
 from .dynamics import propagate, stationary_blocks
 from .errors import DimensionError, ResolventError, StencilError, ValidationError
 from .hybrid import HybridState
-from .model import check_grid, label_table
+from .model import check_grid, check_positive, jump_rate_table, label_table
 
 __all__ = [
     "CountingWeights",
@@ -33,7 +33,6 @@ __all__ = [
     "steady_noise",
     "stationary_noises",
     "stationarity_residuals",
-    "jump_rate_table",
     "weighted_jump_rates",
     "spectral_gap",
     "noise_by_quadrature",
@@ -126,27 +125,16 @@ def _real_part(z, what, tol=IMAG_RESIDUE_TOL):
     return z.real
 
 
-def jump_rate_table(stack, blocks):
-    """Tr[L_k(q) rho(q) L_k(q)^dag] of every member of a stack, ``(P, m, m)``.
-
-    Read off the jump operators; ``blocks`` is ``(P, m, d, d)``.  Entry
-    [z, k, q] is complex as computed; :func:`weighted_jump_rates` weights
-    it and checks that the sum is real.
-    """
-    ops = stack.jump_ops
-    return np.einsum("zkqab,zqbc,zkqac->zkq", ops, blocks, ops.conj())
-
-
 def weighted_jump_rates(stack, nu, blocks, what, rates=None):
     """sum_kq nu[k, q] Tr[L_k(q) rho(q) L_k(q)^dag] of every member of a stack.
 
     ``blocks`` is ``(P, m, d, d)`` and ``nu`` is ``(P, m, m)`` or shared;
     ``what`` names the quantity in the error a non-real trace raises.
-    ``rates``, when given, is :func:`jump_rate_table` of the same stack
-    and blocks, so that several weights share one table.
+    ``rates``, when given, is :func:`jump_rate_table` of the stack's jump
+    operators and the same blocks, so that several weights share one table.
     """
     if rates is None:
-        rates = jump_rate_table(stack, blocks)
+        rates = jump_rate_table(stack.jump_ops, blocks)
     return _real_part(np.sum(nu * rates, axis=(1, 2)), what)
 
 
@@ -373,9 +361,7 @@ def spectral_gap(gen, zero_rtol=1e-9):
     An eigenvalue counts as zero when its modulus is at most ``zero_rtol``
     times the largest modulus; ``zero_rtol`` must be finite and positive.
     """
-    # NaN fails the chained comparison
-    if not 0.0 < zero_rtol < np.inf:
-        raise ValidationError(f"zero_rtol must be finite and positive, got {zero_rtol}")
+    check_positive(zero_rtol, "zero_rtol")
     (matrix,) = gen.matrices
     evals = np.linalg.eigvals(matrix)
     scale = max(np.abs(evals).max(), 1e-300)
@@ -396,10 +382,9 @@ def noise_by_quadrature(ext, weights, state=None, t_max=None, gap_factor=40.0):
     """
     import scipy.integrate
 
-    for name, value in (("t_max", t_max), ("gap_factor", gap_factor)):
-        # NaN fails the chained comparison
-        if value is not None and not 0.0 < value < np.inf:
-            raise ValidationError(f"{name} must be finite and positive, got {value}")
+    if t_max is not None:
+        check_positive(t_max, "t_max")
+    check_positive(gap_factor, "gap_factor")
     _, _, jv, tj, current, background = _two_time_terms(ext, weights, state)
     if t_max is None:
         gap = spectral_gap(ext)
@@ -470,8 +455,7 @@ def tilted_cumulants(ext, weights, chi_step=1e-4):
         the stencil's round-off estimate (64/12) eps ||L||_2 / chi_step^2
         exceeds 1e-2 |D|; the message names a larger ``chi_step``.
     """
-    if not 0.0 < chi_step < np.inf:
-        raise ValidationError(f"chi_step must be finite and positive, got {chi_step}")
+    check_positive(chi_step, "chi_step")
     (matrix,) = ext.matrices
     base_evals = np.linalg.eigvals(matrix)
     if len(base_evals) > 1:

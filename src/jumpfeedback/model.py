@@ -25,7 +25,9 @@ __all__ = [
     "check_distribution",
     "check_grid",
     "check_hermitian",
+    "check_positive",
     "feedback_model",
+    "jump_rate_table",
     "label_table",
     "loss_matrices",
     "validate",
@@ -115,6 +117,16 @@ def loss_matrices(jump_ops, silent_ops):
         np.einsum("...kqij,...kqil->...qjl", ops.conj(), ops) for ops in (jump_ops, silent_ops)
     )
     return monitored + silent
+
+
+def jump_rate_table(jump_ops, blocks):
+    """Tr[L_k(q) rho(q) L_k(q)^dag] of every member of a stack, ``(P, m, m)``.
+
+    ``jump_ops`` is ``(P, m, m, d, d)``, as in :class:`FeedbackModel` with a
+    stack axis, and ``blocks`` ``(P, m, d, d)``.  Entry [z, k, q] is complex
+    as computed; callers take the real part or weight and check it.
+    """
+    return np.einsum("zkqab,zqbc,zkqac->zkq", jump_ops, blocks, jump_ops.conj())
 
 
 def feedback_model(dim, channels, hamiltonians, jump_ops, silent_ops=None):
@@ -248,6 +260,16 @@ def check_grid(values, what, non_negative=False, non_decreasing=False):
     if non_decreasing and (np.diff(v) < 0).any():
         raise ValidationError(f"{what} must be non-decreasing")
     return v
+
+
+def check_positive(value, what):
+    """``value`` once > 0 (else "<what> must be positive") and finite ("... must be finite")."""
+    if value <= 0:
+        raise ValidationError(f"{what} must be positive")
+    # written so that NaN fails too
+    if not value < np.inf:
+        raise ValidationError(f"{what} must be finite")
+    return value
 
 
 def check_distribution(p, what):

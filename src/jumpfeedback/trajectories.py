@@ -45,7 +45,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
-from .model import check_density, check_distribution, label_table, loss_matrices
+from .model import check_density, check_distribution, check_positive, label_table, loss_matrices
 
 __all__ = [
     "TrajectoryRecord",
@@ -362,7 +362,7 @@ class _Batch:
     ``events``, and :meth:`records` builds each trajectory's record from them.
     """
 
-    def __init__(self, model, weights, rho0, n, streams, burn_in, record, block, window, eigen):
+    def __init__(self, model, weights, rho0, eigen, burn_in, record):
         if weights.channels != model.channels:
             raise ValidationError("weights channels do not match the model")
         m, d = model.n_channels, model.dim
@@ -408,23 +408,27 @@ class _Batch:
         self.charge_table[:m, :] = weights.per_transition
 
         self.burn_in = burn_in
-        self.charge = np.zeros(n)
         self.rounds = 0
         self.jump_events = 0
         self.survival_evaluations = 0
         # one (trajectories, times, channels, memories) chunk per round, if recording
         self.events = [] if record else None
+        # a waiting-time round uses two uniforms, so a pair never straddles a block
+        self.block, self.window = (WAITING_BLOCK, 2) if eigen else (UNIFORM_BLOCK, LOOKAHEAD)
+
+    def open(self, streams, n):
+        """Size the batch for n trajectories on ``streams``: their charges and uniform buffers."""
+        self.charge = np.zeros(n)
         # pre-drawn uniforms: row i holds a block of stream i, ``window``
         # columns of padding and one column that holds stream i + 1's first
         # uniform (see ``draw_first``); ptr[i] is the next unused column
         # (block: draw a new block first)
         self.streams = streams
-        self.block, self.window = block, window
-        self.row_width = block + window + 1
+        self.row_width = self.block + self.window + 1
         self.flat_buf = np.zeros(n * self.row_width + 1)
         self.uniform_buf = self.flat_buf[1:].reshape(n, self.row_width)
-        self.windows = sliding_window_view(self.uniform_buf, window, axis=1)
-        self.ptr = np.full(n, block)
+        self.windows = sliding_window_view(self.uniform_buf, self.window, axis=1)
+        self.ptr = np.full(n, self.block)
 
     def start(self, memories0):
         """Put every trajectory in rho0 at its initial memory index."""
@@ -682,7 +686,7 @@ class _ClassTables:
         return batch.normalized((self.anchors[c, b][:, None] @ self.powers[ks, s])[:, 0], ks)
 
 
-def _run_fixed(batch, horizon, dt):
+def _run_fixed(batch, n_steps, dt):
     """Each round finds the first jumping step of every active trajectory
     within its next LOOKAHEAD steps, or advances it by the whole window.
 
@@ -693,9 +697,6 @@ def _run_fixed(batch, horizon, dt):
     the same uniforms with the same jump probabilities, so they find the
     same jumps up to the round-off of those probabilities.
     """
-    n_steps = whole_steps(horizon, dt)
-    if n_steps is None:
-        raise ValidationError("horizon must be an integer number of steps")
     powers, look = _lookahead_tables(batch.h_eff, batch.rate_rows, dt)
     n_cols = batch.n_ops + 1
     n = len(batch.memory)
@@ -766,58 +767,52 @@ def _run_fixed(batch, horizon, dt):
 
 
 def whole_steps(horizon, dt):
-    """Steps of size dt in horizon, or None unless whole within 1e-9 * max(1, horizon).
+    """Steps of size dt in horizon, or None unless whole within 1e-9 * horizon.
 
-    Written so that a step count that is not finite is not whole.
+    Written so that a step count that is not finite is not whole; for a
+    positive horizon, neither is zero steps.
     """
     n = np.round(horizon / dt)
-    return int(n) if abs(n * dt - horizon) <= 1e-9 * max(1.0, horizon) else None
+    return int(n) if abs(n * dt - horizon) <= 1e-9 * horizon else None
 
 
-def check_step(model, dt):
-    """Raise ValidationError unless dt is positive and finite and keeps
-    dt * (max total jump rate) <= MAX_STEP_PROBABILITY."""
+def check_run(model, n_traj, horizon, scheme, dt=None, burn_in=0.0):
+    """Fixed-step count of a run once n_traj, horizon, burn_in, scheme and, for
+    fixed-step, dt, dt * (max total rate) <= MAX_STEP_PROBABILITY and whole
+    steps pass, in that order; None for waiting-time, which ignores dt."""
+    if n_traj < 1:
+        raise ValidationError("need at least one trajectory")
+    if n_traj > MAX_TRAJECTORIES:
+        raise ValidationError(f"n_traj must be at most 2**32 = {MAX_TRAJECTORIES}, got {n_traj}")
+    check_positive(horizon, "horizon")
+    if not 0.0 <= burn_in < horizon:
+        raise ValidationError("burn_in must lie in [0, horizon)")
+    if scheme not in ("waiting-time", "fixed-step"):
+        raise ValidationError(f"unknown scheme {scheme!r}")
+    if scheme == "waiting-time":
+        return None
     if dt is None:
         raise ValidationError("fixed-step scheme needs dt")
-    if dt <= 0:
-        raise ValidationError("dt must be positive")
-    # written so that NaN fails too
-    if not dt < np.inf:
-        raise ValidationError("dt must be finite")
+    check_positive(dt, "dt")
     max_rate = np.linalg.eigvalsh(loss_matrices(model.jump_ops, model.silent_ops)).max()
     if dt * max_rate > MAX_STEP_PROBABILITY:
         raise ValidationError(
             f"dt * max total rate = {dt * max_rate:.3g} exceeds "
             f"{MAX_STEP_PROBABILITY}; reduce the step"
         )
+    n_steps = whole_steps(horizon, dt)
+    if n_steps is None:
+        raise ValidationError("horizon must be an integer number of steps")
+    return n_steps
 
 
-def _new_batch(model, weights, rho0, n, streams, horizon, scheme, dt, burn_in, record):
-    """Check the run settings and build a batch of n trajectories (see :func:`_run_batch`)."""
-    if horizon <= 0:
-        raise ValidationError("horizon must be positive")
-    # written so that NaN fails too
-    if not horizon < np.inf:
-        raise ValidationError("horizon must be finite")
-    if not 0.0 <= burn_in < horizon:
-        raise ValidationError("burn_in must lie in [0, horizon)")
-    if scheme not in ("waiting-time", "fixed-step"):
-        raise ValidationError(f"unknown scheme {scheme!r}")
-    fixed = scheme == "fixed-step"
-    if fixed:
-        check_step(model, dt)
-    # a waiting-time round uses two uniforms, so a pair never straddles a block
-    block, window = (UNIFORM_BLOCK, LOOKAHEAD) if fixed else (WAITING_BLOCK, 2)
-    return _Batch(model, weights, rho0, n, streams, burn_in, record, block, window, not fixed)
-
-
-def _run_batch(batch, memories0, horizon, scheme, dt):
-    """Run every trajectory of a batch from its initial memory to the horizon."""
+def _run_batch(batch, memories0, horizon, n_steps, dt):
+    """Run every trajectory of a batch to the horizon; ``n_steps`` is None for waiting-time."""
     batch.start(memories0)
-    if scheme == "fixed-step":
-        _run_fixed(batch, horizon, dt)
-    else:
+    if n_steps is None:
         _run_waiting(batch, horizon)
+    else:
+        _run_fixed(batch, n_steps, dt)
 
 
 def sample_trajectory(
@@ -855,12 +850,14 @@ def sample_trajectory(
     burn_in : float
         Jumps before this time carry no charge.
     """
+    n_steps = check_run(model, 1, horizon, scheme, dt, burn_in)
     if rng is None:
         rng = 0
     stream = trajectory_stream(rng, 0) if isinstance(rng, (int, np.integer)) else rng
     k0_idx = model.channel_index(k0)
-    batch = _new_batch(model, weights, rho0, 1, _OneStream(stream), horizon, scheme, dt, burn_in, True)
-    _run_batch(batch, [k0_idx], horizon, scheme, dt)
+    batch = _Batch(model, weights, rho0, scheme == "waiting-time", burn_in, True)
+    batch.open(_OneStream(stream), 1)
+    _run_batch(batch, [k0_idx], horizon, n_steps, dt)
     return batch.records([k0_idx], horizon)[0]
 
 
@@ -895,20 +892,16 @@ def mc_estimate(
     collect_records : bool
         Keep the full per-trajectory event records (memory heavy).
     """
-    if n_traj < 1:
-        raise ValidationError("need at least one trajectory")
-    if n_traj > MAX_TRAJECTORIES:
-        raise ValidationError(f"n_traj must be at most 2**32 = {MAX_TRAJECTORIES}, got {n_traj}")
+    n_steps = check_run(model, n_traj, horizon, scheme, dt, burn_in)
     m = model.n_channels
     dist = check_distribution(label_table(memory0, model.channels, "memory0"), "memory0")
-
-    streams = _KeyedStreams(_philox_keys(master_seed, np.arange(n_traj, dtype=np.uint32)[:, None]))
-    batch = _new_batch(
-        model, weights, rho0, n_traj, streams, horizon, scheme, dt, burn_in, collect_records
-    )
+    batch = _Batch(model, weights, rho0, scheme == "waiting-time", burn_in, collect_records)
+    # O(n_traj) work only once every input has passed
+    keys = _philox_keys(master_seed, np.arange(n_traj, dtype=np.uint32)[:, None])
+    batch.open(_KeyedStreams(keys), n_traj)
     memories0 = np.searchsorted(np.cumsum(dist), batch.draw_first(), side="right")
     np.clip(memories0, 0, m - 1, out=memories0)
-    _run_batch(batch, memories0, horizon, scheme, dt)
+    _run_batch(batch, memories0, horizon, n_steps, dt)
 
     charge = batch.charge
     # charges near the float64 range overflow here; the check below names it

@@ -437,9 +437,13 @@ class TestValidateRejectsWhatRunRejects:
              "config error: task.dt: horizon must be an integer number of steps"),
             ({**FIXED_STEP, "dt": 0.5}, "ground", 1,
              "error: ValidationError: dt * max total rate = 0.75 exceeds 0.05; reduce the step"),
+            # 1.5 steps were once two steps, within an absolute tolerance of 1e-9
+            ({**FIXED_STEP, "horizon": 1.5e-9, "dt": 1e-9}, "ground", 2,
+             "config error: task.dt: horizon must be an integer number of steps"),
         ],
         ids=[
-            "nonhermitian", "negative", "slightly_negative", "dt_negative", "dt_fraction", "dt_long"
+            "nonhermitian", "negative", "slightly_negative", "dt_negative", "dt_fraction", "dt_long",
+            "dt_tiny_fraction",
         ],
     )
     def test_both_verbs_reject(self, tmp_path, capsys, verb, task, system, code, message):
@@ -1459,6 +1463,34 @@ class TestSweepOfAnInvalidBase:
             assert fh.read() == fv.read()
         with open(tmp_path / "base" / "s_report.json") as fh:
             assert json.load(fh)["config"]["model"]["params"]["nl"] == 0.0
+
+
+class TestSweepGridParsedOnce:
+    """parse_config reads a sweep's grid once; a grid error is still the task section's."""
+
+    TASK = {"kind": "sweep", "parameter": "nbar", "values": [2.0, 0.5], "also": {"gamma": [1.0, 2.0]}}
+
+    def test_one_parse_per_config(self, tmp_path, monkeypatch):
+        calls = []
+        real = cli._sweep_grid
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "_sweep_grid", counted)
+        _, canon = parse_config(base_config(tmp_path, self.TASK))
+        assert len(calls) == 1
+        assert canon["task"]["values"] == [0.5, 2.0]
+
+    def test_grid_error_raised_after_the_sections_before_the_task(self, tmp_path):
+        cfg = base_config(tmp_path, {**self.TASK, "values": [0.5, float("nan")]})
+        with pytest.raises(ConfigError, match=r"^task\.values\[1\]: expected a finite number"):
+            parse_config(cfg)
+        # a seed error comes first, as the seed is read before the task
+        cfg["seed"] = -1
+        with pytest.raises(ConfigError, match=r"^seed: must be non-negative"):
+            parse_config(cfg)
 
 
 class TestMonteCarloOverflow:

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from jumpfeedback import (
+    MaserParams,
     PositivityError,
     ValidationError,
     embed,
@@ -12,11 +13,13 @@ from jumpfeedback import (
     extended_liouvillian,
     feedback_steady_state,
     marginals,
+    maser_model,
     memory_distribution_rate,
     no_feedback,
     steady_state,
 )
 from jumpfeedback import dynamics
+from jumpfeedback.model import jump_rate_table
 
 from helpers import (
     child_env,
@@ -265,6 +268,25 @@ class TestSteadyState:
 
 
 class TestMemoryRate:
+    def test_equals_the_shared_rate_table_bit_for_bit(self):
+        # the rate table that currents and noise read, computed for a stack
+        # of three models; each member's rates give the memory rate exactly
+        rng = np.random.default_rng(62)
+        maser = [maser_model(MaserParams(nl=nl, nr=2.0, gl=0.5, gr=0.3)) for nl in (0.1, 0.7, 1.9)]
+        cases = [[random_model(rng, dim=d, n_channels=m, silent=1) for _ in range(3)]
+                 for m, d in [(1, 1), (2, 2), (3, 2), (2, 4)]]
+        for models in cases + [maser]:
+            states = [initial_state(rng, model) for model in models[:2]]
+            states.append(feedback_steady_state(models[2]))
+            table = jump_rate_table(
+                np.stack([model.jump_ops for model in models]),
+                np.stack([state.blocks for state in states]),
+            )
+            for model, state, rates in zip(models, states, table.real.copy()):
+                np.fill_diagonal(rates, 0.0)
+                net = rates.sum(axis=1) - rates.sum(axis=0)
+                assert np.array_equal(memory_distribution_rate(model, state), net)
+
     def test_rates_sum_to_zero(self):
         rng = np.random.default_rng(59)
         model = random_model(rng, dim=3, n_channels=3, silent=1)

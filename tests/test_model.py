@@ -10,18 +10,24 @@ from jumpfeedback import (
     CountingWeights,
     DimensionError,
     FeedbackModel,
+    QubitParams,
     ValidationError,
     embed,
     evolve_extended,
     extended_liouvillian,
     feedback_model,
+    mc_estimate,
     no_feedback,
+    noise_by_quadrature,
     power_spectrum,
+    qubit_cooling_model,
+    spectral_gap,
+    tilted_cumulants,
     two_point_correlation,
     validate,
 )
 from jumpfeedback.dynamics import propagate
-from jumpfeedback.model import check_grid, label_table, loss_matrices
+from jumpfeedback.model import check_grid, check_positive, label_table, loss_matrices
 
 from helpers import (
     extended_jumps,
@@ -318,3 +324,45 @@ class TestGridRule:
         assert str(got[1]) == "-0.0"
         with pytest.raises(ValidationError, match="^g must be non-negative$"):
             check_grid([-1.0], "g", non_negative=True)
+
+
+class TestPositiveRule:
+    """Every positive scalar setting goes through check_positive under its own name.
+
+    A value <= 0 (-inf included) is not positive; after that NaN and inf
+    are not finite.
+    """
+
+    @staticmethod
+    def call(name, value):
+        model = qubit_cooling_model(QubitParams(nbar=0.5, gamma=1.0))
+        weights = CountingWeights.activity(model.channels)
+        rho0 = np.diag([1.0, 0.0]).astype(complex)
+        ext = extended_liouvillian(model)
+        calls = {
+            "horizon": lambda: mc_estimate(model, weights, rho0, [1.0, 0.0], value, 2),
+            "dt": lambda: mc_estimate(
+                model, weights, rho0, [1.0, 0.0], 5.0, 2, scheme="fixed-step", dt=value
+            ),
+            "zero_rtol": lambda: spectral_gap(ext, zero_rtol=value),
+            "t_max": lambda: noise_by_quadrature(ext, weights, t_max=value),
+            "gap_factor": lambda: noise_by_quadrature(ext, weights, gap_factor=value),
+            "chi_step": lambda: tilted_cumulants(ext, weights, chi_step=value),
+        }
+        return calls[name]()
+
+    NAMES = ["horizon", "dt", "zero_rtol", "t_max", "gap_factor", "chi_step"]
+    BAD = [(np.nan, "finite"), (np.inf, "finite"), (-np.inf, "positive"), (0.0, "positive"),
+           (-1.0, "positive")]
+
+    @pytest.mark.parametrize("value, word", BAD)
+    @pytest.mark.parametrize("name", NAMES)
+    def test_bad_value_raises_the_rule_message(self, name, value, word):
+        with pytest.raises(ValidationError, match=f"^{name} must be {word}$"):
+            check_positive(value, name)
+        with pytest.raises(ValidationError, match=f"^{name} must be {word}$"):
+            self.call(name, value)
+
+    def test_rule_returns_a_good_value(self):
+        assert check_positive(0.5, "x") == 0.5
+        assert check_positive(5e-324, "x") == 5e-324

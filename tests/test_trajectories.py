@@ -43,7 +43,7 @@ from jumpfeedback.trajectories import (
     MAX_ROOT_ITERATIONS,
     _jump_time,
     _lookahead_tables,
-    check_step,
+    check_run,
     rank_one_jumps,
     whole_steps,
 )
@@ -1012,20 +1012,42 @@ class TestValidation:
     def test_rejects_a_step_that_is_not_finite(self, dt, message):
         model, weights, rho0 = qubit_setup()
         with pytest.raises(ValidationError, match=f"^{message}$"):
-            check_step(model, dt)
+            check_run(model, 2, 5.0, "fixed-step", dt)
         with pytest.raises(ValidationError, match=f"^{message}$"):
             mc_estimate(model, weights, rho0, [1.0, 0.0], 5.0, 2, scheme="fixed-step", dt=dt)
         with pytest.raises(ValidationError, match=f"^{message}$"):
             sample_trajectory(model, weights, rho0, "-1", 5.0, scheme="fixed-step", rng=3, dt=dt)
 
-    def test_more_trajectories_than_stream_indices_rejected_before_any_work(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"n_traj": 2**32 + 1}, "n_traj must be at most 2\\*\\*32"),
+            ({"horizon": -1.0}, "horizon must be positive"),
+            ({"burn_in": 5.0}, "burn_in must lie in"),
+            ({"scheme": "euler"}, "unknown scheme"),
+            ({"scheme": "fixed-step", "dt": np.nan}, "dt must be finite"),
+            ({"scheme": "fixed-step", "dt": 1.0}, "exceeds"),
+            ({"scheme": "fixed-step", "dt": 0.13}, "integer number of steps"),
+            ({"rho0": 2.0 * np.eye(2)}, "initial state is not unit trace"),
+            ({"weights": CountingWeights.activity(("x", "y"))}, "weights channels"),
+        ],
+        ids=["n_traj", "horizon", "burn_in", "scheme", "dt", "rate", "whole_steps", "rho0", "weights"],
+    )
+    def test_more_trajectories_than_stream_indices_rejected_before_any_work(
+        self, monkeypatch, change, message
+    ):
+        # not only n_traj: every setting, rho0 and the weights fail before a
+        # stream key is derived or a buffer allocated (the fixed-step uniform
+        # buffer of 20000 trajectories alone is 170 MB)
         def no_keys(*args):
             raise AssertionError("keys derived")
 
         monkeypatch.setattr(trajectories, "_philox_keys", no_keys)
         model, weights, rho0 = qubit_setup()
-        with pytest.raises(ValidationError, match="n_traj must be at most 2\\*\\*32"):
-            mc_estimate(model, weights, rho0, [1.0, 0.0], 5.0, 2**32 + 1)
+        run = dict(weights=weights, rho0=rho0, horizon=5.0, n_traj=20000, scheme="waiting-time")
+        run.update(change)
+        with pytest.raises(ValidationError, match=message):
+            mc_estimate(model, memory0=[1.0, 0.0], **run)
 
     def test_rejects_bad_memory0(self):
         model, weights, rho0 = qubit_setup()
@@ -1057,6 +1079,27 @@ class TestValidation:
     def test_a_step_count_that_overflows_is_not_whole(self):
         assert whole_steps(1e300, 1e-300) is None
         assert whole_steps(5.0, 0.01) == 500
+
+    def test_whole_steps_is_relative_to_a_tiny_horizon(self):
+        # an absolute tolerance of 1e-9 once made 1.5 steps of 1e-9 two
+        # steps, recording jumps at t = 2e-9 past the horizon, and half a
+        # step zero steps
+        assert whole_steps(1.5e-9, 1e-9) is None
+        assert whole_steps(5e-10, 1e-9) is None
+        assert whole_steps(3e-9, 1e-9) == 3
+        model = qubit_cooling_model(QubitParams(nbar=0.0, gamma=4e7))
+        weights = CountingWeights.activity(model.channels)
+        excited = np.diag([0.0, 1.0]).astype(complex)
+        with pytest.raises(ValidationError, match="integer number of steps"):
+            mc_estimate(
+                model, weights, excited, [1.0, 0.0], 1.5e-9, 2000, scheme="fixed-step", dt=1e-9
+            )
+        rec = mc_estimate(
+            model, weights, excited, [1.0, 0.0], 2e-9, 200, scheme="fixed-step", dt=1e-9,
+            collect_records=True,
+        ).records
+        times = np.concatenate([r.jump_times for r in rec])
+        assert times.size and times.max() <= 2e-9
 
     def test_rejects_bad_initial_state(self):
         model, weights, _ = qubit_setup()
