@@ -33,6 +33,7 @@ from .errors import (
     JumpFeedbackError,
     PositivityError,
     ResolventError,
+    SettingError,
     StencilError,
     ValidationError,
 )

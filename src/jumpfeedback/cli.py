@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import evolve_extended, stationary_blocks
-from .errors import ConfigError, JumpFeedbackError, ValidationError
+from .errors import ConfigError, JumpFeedbackError, SettingError, ValidationError
 from .fcs import (
     CountingWeights,
     power_spectrum,
@@ -51,7 +51,7 @@ from .models import (
     work_table,
     work_weights,
 )
-from .trajectories import MAX_TRAJECTORIES, check_run, mc_estimate, rank_one_jumps, whole_steps
+from .trajectories import check_run, mc_estimate, rank_one_jumps
 
 __all__ = ["main", "run_config", "model_from_config", "model_to_config"]
 
@@ -558,30 +558,20 @@ def _parse_spectrum(tcfg, ctx):
 
 def _parse_trajectories(tcfg, ctx):
     n_traj = _expect_int(tcfg.get("n_traj"), "task.n_traj")
-    if n_traj < 1:
-        _fail("task.n_traj", "must be at least 1")
-    if n_traj > MAX_TRAJECTORIES:
-        _fail("task.n_traj", f"must be at most 2**32 = {MAX_TRAJECTORIES}")
     horizon = _expect_number(tcfg.get("horizon"), "task.horizon")
-    if horizon <= 0:
-        _fail("task.horizon", "must be positive")
     scheme = tcfg.get("scheme", "waiting-time")
-    if scheme not in ("waiting-time", "fixed-step"):
-        _fail("task.scheme", "must be 'waiting-time' or 'fixed-step'")
     dt = None
     if scheme == "fixed-step":
         dt = _expect_number(tcfg.get("dt"), "task.dt")
-        if dt <= 0:
-            _fail("task.dt", "must be positive")
-        if whole_steps(horizon, dt) is None:
-            _fail("task.dt", "horizon must be an integer number of steps")
-    elif "dt" in tcfg:
+    elif scheme == "waiting-time" and "dt" in tcfg:
         _fail("task.dt", "only meaningful for the fixed-step scheme")
     burn_in = _expect_number(tcfg.get("burn_in", 0.0), "task.burn_in")
-    if not 0.0 <= burn_in < horizon:
-        _fail("task.burn_in", "must lie in [0, horizon)")
     dump = _expect_bool(tcfg.get("dump", False), "task.dump")
-    check_run(ctx["model"], n_traj, horizon, scheme, dt, burn_in)
+    # the run's own rule; a setting it names is a config error of that key
+    try:
+        check_run(ctx["model"], n_traj, horizon, scheme, dt, burn_in)
+    except SettingError as exc:
+        _fail(f"task.{exc.setting}", exc.reason)
     canon = dict(n_traj=n_traj, horizon=horizon, scheme=scheme, burn_in=burn_in, dump=dump)
     return canon if dt is None else {**canon, "dt": dt}
 
@@ -975,9 +965,11 @@ def _task_detail(model, task):
         return f" ({len(task['values'])} points x {len(task['variants'])} variants)"
     if task["kind"] != "trajectories":
         return ""
-    if task["scheme"] == "waiting-time":
-        return " (waiting-time)"
-    return f" (fixed-step, {'class tables' if rank_one_jumps(model) else 'lookahead'})"
+    if rank_one_jumps(model):
+        path = "class tables"
+    else:
+        path = "per-state" if task["scheme"] == "waiting-time" else "lookahead"
+    return f" ({task['scheme']}, {path})"
 
 
 def main(argv=None):

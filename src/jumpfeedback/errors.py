@@ -13,6 +13,19 @@ class ValidationError(JumpFeedbackError, ValueError):
     """An input fails a structural requirement (hermiticity, normalization, ...)."""
 
 
+class SettingError(ValidationError):
+    """A ValidationError of one named setting.
+
+    ``setting`` names it and ``reason`` says what is wrong without the name,
+    for a caller that names settings its own way (the CLI's config paths).
+    The message defaults to "<setting> <reason>".
+    """
+
+    def __init__(self, setting, reason, message=None):
+        super().__init__(message or f"{setting} {reason}")
+        self.setting, self.reason = setting, reason
+
+
 class DegenerateSteadyStateError(JumpFeedbackError, RuntimeError):
     """The generator kernel is not one-dimensional."""
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, SettingError, ValidationError
 
 HERM_TOL = 1e-12  # hermiticity tolerance of every H(q), relative to its largest entry
 # a density matrix: hermitian within this relative to its largest entry (at
@@ -263,12 +263,13 @@ def check_grid(values, what, non_negative=False, non_decreasing=False):
 
 
 def check_positive(value, what):
-    """``value`` once > 0 (else "<what> must be positive") and finite ("... must be finite")."""
+    """``value`` once > 0 (else "<what> must be positive") and finite ("... must be
+    finite"); the error is a :class:`SettingError` of ``what``."""
     if value <= 0:
-        raise ValidationError(f"{what} must be positive")
+        raise SettingError(what, "must be positive")
     # written so that NaN fails too
     if not value < np.inf:
-        raise ValidationError(f"{what} must be finite")
+        raise SettingError(what, "must be finite")
     return value
 
 

@@ -4,7 +4,11 @@ Two sampling schemes share one event-driven engine.  Each round finds the
 next jump of every active trajectory in one vectorized search, then applies
 all those jumps through one path: channel pick, state update (one gathered
 product with a stacked (memory, channel) table, or for a trajectory on a
-class table the class the jump leads to), charge, records and memory.
+class the class the jump leads to), charge, records and memory.  When every
+jump operator has rank <= 1 (:func:`rank_one_jumps`), the state after a
+jump depends only on (memory, channel), and both schemes run on the classes
+of :func:`_classes`: a trajectory carries only its class and the time, or
+steps, since the class began.
 
 * ``"waiting-time"`` (default): between jumps the conditional state evolves
   under the no-jump propagator exp(-i H_eff(k) t).  States are held in the
@@ -12,22 +16,23 @@ class table the class the jump leads to), charge, records and memory.
   the survival probability S(t), is a sum of exponentials whose d^2 growth
   factors come from d exponentials, exp(r_ab t) = e^{kappa_a t}
   conj(e^{kappa_b t}).  The next jump time solves S(t) = u
-  (inverse-transform sampling) by a safeguarded Halley iteration on log S
-  from t = 0, falling back to bisection when a step leaves the bracket; the
-  channel follows the relative jump rates at that instant.  No
-  time-discretization error.  A near-defective H_eff, whose eigenvectors
-  are no usable basis, is refused in favour of the fixed-step scheme.
+  (inverse-transform sampling) by a safeguarded Halley iteration on log S,
+  falling back to bisection when a step leaves the bracket; the channel
+  follows the relative jump rates at that instant.  No time-discretization
+  error.  On classes, the search starts from per-class tables of log S
+  (:class:`_SurvivalTables`), and states are formed at the horizon only;
+  otherwise it starts at t = 0 from each trajectory's own state.  A
+  near-defective H_eff, whose eigenvectors are no usable basis, is refused
+  in favour of the fixed-step scheme.
 * ``"fixed-step"``: the literal discrete unraveling with step dt; channel q
   fires with probability dt * Tr[L_q rho L_q^dag], otherwise the normalized
   no-jump map 1 + dt L_0(k) is applied.  One matrix product with a table
   built from powers of that map gives the jump weights over the next
   LOOKAHEAD steps; a trajectory jumps at its first step whose uniform falls
   below them, or advances by the whole window.  Jumps are exactly those of
-  stepping one dt at a time.  States stay in the physical basis.  When every
-  jump operator has rank <= 1 (:func:`rank_one_jumps`), the state after a
-  jump depends only on (memory, channel); a trajectory then carries only
-  its class and the steps since, and its window is read from per-class
-  tables built once per batch (:class:`_ClassTables`).
+  stepping one dt at a time.  States stay in the physical basis.  On
+  classes, the window is read from per-class tables built once per batch
+  (:class:`_ClassTables`).
 
 Randomness is drawn from counter-based per-trajectory streams derived from
 ``(master_seed, trajectory_index)``, so results are bit-for-bit reproducible
@@ -44,7 +49,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ValidationError
+from .errors import SettingError, ValidationError
 from .model import check_density, check_distribution, check_positive, label_table, loss_matrices
 
 __all__ = [
@@ -64,6 +69,8 @@ LOOKAHEAD = 64  # fixed-step steps searched for a jump per round
 MAX_TRAJECTORIES = 2**32  # stream indices are 32-bit words
 RANK_TOL = 1e-10  # a jump operator with s_1 <= RANK_TOL * s_0 has rank <= 1
 TABLE_FLOATS = 1 << 18  # entries the class tables of a batch may hold (2 MiB)
+SURVIVAL_POINTS = 257  # times per class at which the waiting-time tables hold log S
+LOG_U_MAX = 53 * np.log(2.0)  # -log u of the smallest positive uniform, 2**-53
 ROOT_TOLERANCE = 1e-14  # relative bracket width at which a jump-time root has converged
 ACCEPT_STEP = 1e-7  # relative Halley step that is taken as the last one
 MAX_ROOT_ITERATIONS = 100
@@ -261,7 +268,8 @@ class McEstimate:
     rounds over the batch, ``jump_events`` the jumps it applied, monitored
     and silent, and ``survival_evaluations`` the per-trajectory exponential
     evaluations of the waiting-time survival: one horizon check per round,
-    plus one per root-search step past t = 0 (0 for fixed-step).
+    plus one per point a root search evaluates, a tabled start included (a
+    search from t = 0 takes its first step free); 0 for fixed-step.
     """
 
     n_traj: int
@@ -292,29 +300,44 @@ def _growth(kappa, t):
     return (e[:, :, None] * e.conj()[:, None, :]).reshape(len(t), kappa.shape[1] ** 2)
 
 
-def _jump_time(coeff, kappa, u, t_max, evaluations=None):
-    """Solve S(t) = u for t in (0, t_max], S(t) = Re sum_ab coeff_ab exp(r_ab t).
+def _moments(coeff, kappa):
+    """Rows of c, c r and c r^2 for survival coefficients ``coeff`` and decays ``kappa``.
 
-    ``coeff`` holds flat rows of c_ab and ``kappa`` the decays with
-    r_ab = kappa_a + kappa_b^*.  Requires S(0) = 1 > u >= S(t_max) with S
-    non-increasing.  Halley steps on f = log S - log u start at t = 0,
-    where every exponential is 1 and S, S', S'' cost no evaluation; a step
-    that leaves the bracket [lo, hi] kept around the root is replaced by
-    bisection.  A step no longer than ACCEPT_STEP * max(t, 1), whose Newton
-    step is as short, is taken and ends the search, since the next one would
-    be of the order of its cube.  Every element stops on its own test, so its
-    arithmetic never depends on the rest of the batch.  ``evaluations``, if
-    given, gains each element's survival evaluations (one per step taken at
-    t > 0).
+    S, S' and S'' at t are their sums weighted by the growth exp(r t),
+    r_ab = kappa_a + kappa_b^*.
+    """
+    rates = (kappa[:, :, None] + kappa.conj()[:, None, :]).reshape(coeff.shape)
+    return np.stack([coeff, coeff * rates, coeff * rates * rates], axis=1)
+
+
+def _jump_time(moments, kappa, u, t_max, start=None, evaluations=None):
+    """Solve S(t) = u for t in (0, t_max], S(t) = Re sum_ab c_ab exp(r_ab t).
+
+    ``moments`` holds the rows of :func:`_moments` and ``kappa`` the decays
+    with r_ab = kappa_a + kappa_b^*.  Requires S(0) = 1 > u >= S(t_max)
+    with S non-increasing.  Halley steps on f = log S - log u start at
+    ``start`` in [0, t_max], or at t = 0, where every exponential is 1 and
+    S, S', S'' cost no evaluation; a step that leaves the bracket [lo, hi]
+    kept around the root is replaced by bisection.  A step no longer than
+    ACCEPT_STEP * max(t, 1), whose Newton step is as short, is taken and
+    ends the search, since the next one would be of the order of its cube.
+    Every element stops on its own test, so its arithmetic never depends on
+    the rest of the batch.  ``evaluations``, if given, gains each element's
+    survival evaluations (one per point past t = 0 searched, a given start
+    included).
     """
     n = len(u)
-    rates = (kappa[:, :, None] + kappa.conj()[:, None, :]).reshape(coeff.shape)
-    # rows of c, c r and c r^2: S, S' and S'' are their sums weighted by the growth
-    moments = np.stack([coeff, coeff * rates, coeff * rates * rates], axis=1)
     t = np.zeros(n)
     idx = np.arange(n)
-    lo, hi, x, log_u = np.zeros(n), np.array(t_max, dtype=float), t.copy(), np.log(u)
-    s, ds, d2s = moments.sum(axis=2).real.T
+    lo, hi, log_u = np.zeros(n), np.array(t_max, dtype=float), np.log(u)
+    if start is None:
+        x = t.copy()
+        s, ds, d2s = moments.sum(axis=2).real.T
+    else:
+        x = np.array(start, dtype=float)
+        s, ds, d2s = np.einsum("nkx,nx->kn", moments, _growth(kappa, x)).real
+        if evaluations is not None:
+            evaluations += 1
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(MAX_ROOT_ITERATIONS):
             above = s > u
@@ -349,7 +372,7 @@ def _jump_time(coeff, kappa, u, t_max, evaluations=None):
 
 class _Batch:
     """A batch of trajectories: stacked (memory, channel) tables, the state
-    of every trajectory, and the one path that applies jumps for both schemes.
+    of every trajectory, and the paths that apply jumps for both schemes.
 
     A trajectory at memory k holds its state as a flat row a = A.ravel()
     (row-major) with rho = V_k A V_k^dag.  The basis V_k holds the
@@ -386,13 +409,14 @@ class _Batch:
             self.decay = -1j * evals
         else:
             basis = np.broadcast_to(np.eye(d, dtype=complex), (m, d, d))
-        self.basis = basis
-        vinv, vh = np.linalg.inv(basis), basis.conj().swapaxes(1, 2)
+        self.eigen, self.basis = eigen, basis
+        self.vinv = vinv = np.linalg.inv(basis)
+        vh = basis.conj().swapaxes(1, 2)
         # ops[k, q] = L_q(k), monitored channels first; those reset the memory to q
         ops = np.concatenate([model.jump_ops, model.silent_ops]).swapaxes(0, 1)
         self.ops = ops
-        # fixed-step rounds run on class tables (see _run_fixed)
-        self.rank_one = not eigen and rank_one_jumps(model)
+        # rounds run on classes (see _classes), for either scheme
+        self.rank_one = rank_one_jumps(model)
         ch = np.arange(self.n_ops)
         self.next_memory = np.where(ch < m, ch, np.arange(m)[:, None])
         jump = vinv[self.next_memory] @ ops @ basis[:, None]
@@ -565,7 +589,10 @@ def _run_waiting(batch, horizon):
         growth = _growth(kappa, t_wait)
         jumps = u >= np.einsum("nx,nx->n", coeff, growth).real
         evaluations = np.zeros(np.count_nonzero(jumps), dtype=np.intp)
-        t_wait[jumps] = _jump_time(coeff[jumps], kappa[jumps], u[jumps], t_wait[jumps], evaluations)
+        moments = _moments(coeff[jumps], kappa[jumps])
+        t_wait[jumps] = _jump_time(
+            moments, kappa[jumps], u[jumps], t_wait[jumps], evaluations=evaluations
+        )
         batch.survival_evaluations += len(active) + int(evaluations.sum())
         # conditional states at the jump instants, or at the horizon
         growth[jumps] = _growth(kappa[jumps], t_wait[jumps])
@@ -575,6 +602,101 @@ def _run_waiting(batch, horizon):
         t[active] = np.where(jumps, t[active] + t_wait, horizon)
         active = active[jumps]
         batch.apply_jumps(active, rows[jumps], t[active], u_pick[jumps])
+
+
+class _SurvivalTables:
+    """Waiting-time tables of the classes (:func:`_classes`) of a batch.
+
+    A trajectory whose class c began a time t ago has survived with
+    S_c(t) = Re sum_x coeff[c, x] exp(r_x t) since (see :func:`_run_waiting`)
+    and jumps through channel q at the rate Re sum_x rates[c, q, x]
+    exp(r_x t).  ``moments`` holds each class's rows for S, S' and S''
+    (:func:`_moments`).  log S and its first two derivatives are tabled at
+    ``grid``, SURVIVAL_POINTS times over [0, horizon] unless the growth rows
+    that build them would exceed TABLE_FLOATS entries for the most classes
+    a batch of the model can have, so that the grid never depends on the
+    batch.  ``keys`` holds each class's -log S, made non-decreasing, capped
+    just above LOG_U_MAX and offset by the class, for one sorted search.
+    """
+
+    def __init__(self, batch, horizon):
+        self.initial, self.after, ks, rows = _classes(batch)
+        self.rows = rows
+        n_cls, width = rows.shape
+        self.kappa = kappa = batch.decay[ks]
+        self.coeff = rows * batch.trace_rows[ks]
+        self.moments = _moments(self.coeff, kappa)
+        self.rates = batch.rate_rows[ks] * rows[:, None, :]
+        most = batch.m * (1 + batch.n_ops)
+        n_points = min(SURVIVAL_POINTS, max(2, TABLE_FLOATS // (2 * width * most)))
+        self.grid = grid = np.linspace(0.0, horizon, n_points)
+        growth = _growth(np.repeat(kappa, n_points, axis=0), np.tile(grid, n_cls))
+        growth = growth.reshape(n_cls, n_points, width)
+        s, ds, d2s = np.einsum("ckx,cgx->kcg", self.moments, growth).real
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_s = np.log(s)
+            self.dlog_s = (ds / s).ravel()
+            self.d2log_s = (d2s / s).ravel() - self.dlog_s**2
+        self.log_s = log_s.ravel()
+        depth = np.where(s > 0.0, -log_s, np.inf)
+        depth = np.minimum(np.maximum.accumulate(depth, axis=1), LOG_U_MAX + 1.0)
+        self.keys = (depth + (LOG_U_MAX + 2.0) * np.arange(n_cls)[:, None]).ravel()
+
+    def start(self, c, u, t_max):
+        """Root-search starts for S_c(t) = u in (0, t_max]: one Halley step on
+        log S - log u from the tabled time below the root, kept between that
+        time and the next one, and within t_max."""
+        n_points = len(self.grid)
+        log_u = np.log(u)
+        first = c * n_points
+        key = (LOG_U_MAX + 2.0) * c + np.minimum(-log_u, LOG_U_MAX)
+        j = np.maximum(np.searchsorted(self.keys, key, side="right") - 1, first)
+        p = j - first
+        f, df, d2f = self.log_s[j] - log_u, self.dlog_s[j], self.d2log_s[j]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = -2.0 * f * df / (2.0 * df * df - f * d2f)
+        lo = self.grid[p]
+        hi = np.minimum(self.grid[np.minimum(p + 1, n_points - 1)], t_max)
+        # a step that is not a number keeps the tabled time
+        return np.fmin(np.fmax(lo + step, lo), hi)
+
+
+def _run_classes(batch, horizon):
+    """Waiting-time rounds of a batch whose jump operators have rank <= 1.
+
+    A trajectory carries only its class and the time its class began, and
+    its search for the next jump starts from its class's table (see
+    :class:`_SurvivalTables`).  A round draws the same two uniforms as in
+    :func:`_run_waiting` and finds the same jumps up to the round-off of the
+    survival; states are formed once, at the horizon.
+    """
+    tables = _SurvivalTables(batch, horizon)
+    cls = tables.initial[batch.memory]
+    begun = np.zeros(len(cls))
+    active = np.arange(len(cls))
+    while active.size:
+        batch.rounds += 1
+        c = cls[active]
+        t_wait = horizon - begun[active]
+        u, u_pick = batch.draw(active).T
+        kappa = tables.kappa[c]
+        jumps = u >= np.einsum("nx,nx->n", tables.coeff[c], _growth(kappa, t_wait)).real
+        n_active = len(active)
+        active, c, kappa, u, t_wait = active[jumps], c[jumps], kappa[jumps], u[jumps], t_wait[jumps]
+        evaluations = np.zeros(len(active), dtype=np.intp)
+        t_jump = _jump_time(
+            tables.moments[c], kappa, u, t_wait, tables.start(c, u, t_wait), evaluations=evaluations
+        )
+        batch.survival_evaluations += n_active + int(evaluations.sum())
+        w = (tables.rates[c] @ _growth(kappa, t_jump)[:, :, None])[:, :, 0].real
+        cum = np.cumsum(np.maximum(w, 0.0), axis=1)
+        picks = batch.pick(cum, u_pick[jumps] * cum[:, -1])
+        ks = batch.memory[active]
+        begun[active] += t_jump
+        batch.land(active, begun[active], picks)
+        cls[active] = tables.after[ks, picks]
+    rows = tables.rows[cls] * _growth(tables.kappa[cls], horizon - begun)
+    batch.states = batch.normalized(rows, batch.memory)
 
 
 def _lookahead_tables(h_eff, rate_rows, dt):
@@ -608,22 +730,57 @@ def rank_one_jumps(model):
 
     Rank <= 1 means s_1 <= RANK_TOL * s_0 for the operator's singular
     values.  Then the state right after a jump depends only on (memory,
-    channel), and the fixed-step scheme reads its rounds from per-class
-    tables (:class:`_ClassTables`); otherwise it searches every
-    trajectory's own state with the lookahead tables.
+    channel), and both schemes run their rounds on classes (:func:`_classes`):
+    the fixed-step scheme reads per-class tables (:class:`_ClassTables`), the
+    waiting-time scheme per-class survivals (:class:`_SurvivalTables`).
+    Otherwise every trajectory carries its own state.
     """
     s = np.linalg.svd(np.concatenate([model.jump_ops, model.silent_ops]), compute_uv=False)
     return s.shape[-1] < 2 or bool((s[..., 1] <= RANK_TOL * s[..., 0]).all())
 
 
-class _ClassTables:
-    """Fixed-step tables of the classes of a batch whose jump operators have rank <= 1.
+def _classes(batch):
+    """The classes of a batch whose jump operators have rank <= 1.
 
-    A jump through L = |a><b| leaves |a><a| whatever the state before, so a
-    trajectory s steps after its last jump is in the state P^s rho_c of its
-    class c, normalized.  A class is rho0 at an initial memory, or the state
-    L L^dag normalized that channel q leaves when it fires at memory k;
-    classes of equal memory and state are one.  ``cum[c, s]`` holds the
+    A jump through L = |a><b| leaves |a><a| whatever the state before.  A
+    class is rho0 at an initial memory, or the state L L^dag normalized that
+    channel q leaves when it fires at memory k, held as a row in the batch
+    basis of its memory; classes of equal memory and row are one.  Returns
+    the class each memory starts in and the class each jump (k, q) leads to,
+    both -1 where there is none (a memory no trajectory starts at, a channel
+    whose operator is 0, which never fires), and the memory and row of every
+    class.
+    """
+    gain = batch.ops @ batch.ops.conj().swapaxes(2, 3)
+    traces = np.trace(gain, axis1=2, axis2=3).real
+    post = gain / np.where(traces > 0, traces, 1.0)[:, :, None, None]
+    if batch.eigen:
+        vinv = batch.vinv[batch.next_memory]
+        post = vinv @ post @ vinv.conj().swapaxes(2, 3)
+    index, rows, memories = {}, [], []
+
+    def add(k, row):
+        key = (k, row.tobytes())
+        if key not in index:
+            index[key] = len(rows)
+            rows.append(row)
+            memories.append(k)
+        return index[key]
+
+    initial = np.full(batch.m, -1)
+    for k in np.unique(batch.memory).tolist():
+        initial[k] = add(k, batch.initial_rows[k])
+    after = np.full((batch.m, batch.n_ops), -1)
+    for k, q in zip(*np.nonzero(traces > 0)):
+        after[k, q] = add(batch.next_memory[k, q], post[k, q].ravel())
+    return initial, after, np.array(memories, dtype=np.intp), np.array(rows)
+
+
+class _ClassTables:
+    """Fixed-step tables of the classes (:func:`_classes`) of a batch.
+
+    A trajectory s steps after its last jump is in the state P^s rho_c of
+    its class c, normalized.  ``cum[c, s]`` holds the
     cumulative jump probabilities dt Tr[L_q rho_s L_q^dag] / Tr rho_s over
     the channels; the last, their sum, is the probability that step s
     jumps, and ``windows[c, s]`` holds it for the LOOKAHEAD steps from s.
@@ -635,37 +792,16 @@ class _ClassTables:
     """
 
     def __init__(self, batch, powers, look, n_steps):
-        m, n_ops = batch.m, batch.n_ops
-        gain = batch.ops @ batch.ops.conj().swapaxes(2, 3)
-        traces = np.trace(gain, axis1=2, axis2=3).real
-        index, starts, memories = {}, [], []
-
-        def add(k, row):
-            key = (k, row.tobytes())
-            if key not in index:
-                index[key] = len(starts)
-                starts.append(row)
-                memories.append(k)
-            return index[key]
-
-        # the class each memory starts in and the class each jump (k, q)
-        # leads to; -1 for a channel whose operator is 0, which never fires
-        self.initial = np.full(m, -1)
-        for k in np.unique(batch.memory).tolist():
-            self.initial[k] = add(k, batch.initial_rows[k])
-        self.after = np.full((m, n_ops), -1)
-        for k, q in zip(*np.nonzero(traces > 0)):
-            self.after[k, q] = add(batch.next_memory[k, q], (gain[k, q] / traces[k, q]).ravel())
-
-        n_cls, n_cols = len(starts), n_ops + 1
-        self.memory = ks = np.array(memories, dtype=np.intp)
+        n_ops = batch.n_ops
+        self.initial, self.after, ks, rows = _classes(batch)
+        n_cls, n_cols = len(rows), n_ops + 1
+        self.memory = ks
         cap = max(1, TABLE_FLOATS // (LOOKAHEAD * n_cls * n_cols) - 1)
         blocks = min(-(-n_steps // LOOKAHEAD), cap)
         self.end = blocks * LOOKAHEAD
-        self.anchors = np.empty((n_cls, blocks + 1, len(starts[0])), dtype=complex)
+        self.anchors = np.empty((n_cls, blocks + 1, rows.shape[1]), dtype=complex)
         cum = np.empty((n_cls, blocks + 1, LOOKAHEAD, n_ops))
         look, advance = look[ks], powers[ks, LOOKAHEAD]
-        rows = np.array(starts)
         for b in range(blocks + 1):
             if b:
                 rows = batch.normalized((rows[:, None] @ advance)[:, 0], ks)
@@ -779,16 +915,26 @@ def whole_steps(horizon, dt):
 def check_run(model, n_traj, horizon, scheme, dt=None, burn_in=0.0):
     """Fixed-step count of a run once n_traj, horizon, burn_in, scheme and, for
     fixed-step, dt, dt * (max total rate) <= MAX_STEP_PROBABILITY and whole
-    steps pass, in that order; None for waiting-time, which ignores dt."""
+    steps pass, in that order; None for waiting-time, which ignores dt.
+
+    A setting out of its own range raises a :class:`SettingError` that names
+    it (whole steps name dt); the rate bound, which holds for the model and
+    dt together, raises a plain ValidationError.
+    """
     if n_traj < 1:
-        raise ValidationError("need at least one trajectory")
+        raise SettingError("n_traj", "must be at least 1", "need at least one trajectory")
     if n_traj > MAX_TRAJECTORIES:
-        raise ValidationError(f"n_traj must be at most 2**32 = {MAX_TRAJECTORIES}, got {n_traj}")
+        raise SettingError(
+            "n_traj", f"must be at most 2**32 = {MAX_TRAJECTORIES}",
+            f"n_traj must be at most 2**32 = {MAX_TRAJECTORIES}, got {n_traj}",
+        )
     check_positive(horizon, "horizon")
     if not 0.0 <= burn_in < horizon:
-        raise ValidationError("burn_in must lie in [0, horizon)")
+        raise SettingError("burn_in", "must lie in [0, horizon)")
     if scheme not in ("waiting-time", "fixed-step"):
-        raise ValidationError(f"unknown scheme {scheme!r}")
+        raise SettingError(
+            "scheme", "must be 'waiting-time' or 'fixed-step'", f"unknown scheme {scheme!r}"
+        )
     if scheme == "waiting-time":
         return None
     if dt is None:
@@ -802,17 +948,20 @@ def check_run(model, n_traj, horizon, scheme, dt=None, burn_in=0.0):
         )
     n_steps = whole_steps(horizon, dt)
     if n_steps is None:
-        raise ValidationError("horizon must be an integer number of steps")
+        message = "horizon must be an integer number of steps"
+        raise SettingError("dt", message, message)
     return n_steps
 
 
 def _run_batch(batch, memories0, horizon, n_steps, dt):
     """Run every trajectory of a batch to the horizon; ``n_steps`` is None for waiting-time."""
     batch.start(memories0)
-    if n_steps is None:
-        _run_waiting(batch, horizon)
-    else:
+    if n_steps is not None:
         _run_fixed(batch, n_steps, dt)
+    elif batch.rank_one:
+        _run_classes(batch, horizon)
+    else:
+        _run_waiting(batch, horizon)
 
 
 def sample_trajectory(

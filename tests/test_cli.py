@@ -102,7 +102,8 @@ class TestVerbs:
         [
             ("maser", "fixed-step", "fixed-step, class tables"),
             ("rank two", "fixed-step", "fixed-step, lookahead"),
-            ("maser", "waiting-time", "waiting-time"),
+            ("maser", "waiting-time", "waiting-time, class tables"),
+            ("rank two", "waiting-time", "waiting-time, per-state"),
         ],
     )
     def test_validate_names_the_monte_carlo_path(self, tmp_path, capsys, model, scheme, detail):
@@ -440,10 +441,20 @@ class TestValidateRejectsWhatRunRejects:
             # 1.5 steps were once two steps, within an absolute tolerance of 1e-9
             ({**FIXED_STEP, "horizon": 1.5e-9, "dt": 1e-9}, "ground", 2,
              "config error: task.dt: horizon must be an integer number of steps"),
+            # every other setting of the run rule, one at a time
+            ({**TRAJECTORIES, "n_traj": 0}, "ground", 2, "config error: task.n_traj: must be at least 1"),
+            ({**TRAJECTORIES, "horizon": 0.0}, "ground", 2,
+             "config error: task.horizon: must be positive"),
+            ({**TRAJECTORIES, "burn_in": -0.5}, "ground", 2,
+             "config error: task.burn_in: must lie in [0, horizon)"),
+            ({**TRAJECTORIES, "scheme": "euler"}, "ground", 2,
+             "config error: task.scheme: must be 'waiting-time' or 'fixed-step'"),
+            ({**FIXED_STEP, "dt": 0.0}, "ground", 2, "config error: task.dt: must be positive"),
         ],
         ids=[
             "nonhermitian", "negative", "slightly_negative", "dt_negative", "dt_fraction", "dt_long",
-            "dt_tiny_fraction",
+            "dt_tiny_fraction", "n_traj_zero", "horizon_zero", "burn_in_negative", "scheme_unknown",
+            "dt_zero",
         ],
     )
     def test_both_verbs_reject(self, tmp_path, capsys, verb, task, system, code, message):

@@ -43,6 +43,7 @@ from jumpfeedback.trajectories import (
     MAX_ROOT_ITERATIONS,
     _jump_time,
     _lookahead_tables,
+    _moments,
     check_run,
     rank_one_jumps,
     whole_steps,
@@ -328,7 +329,7 @@ class TestJumpTimeRoot:
         else:
             model = qubit_setup(nbar=1.0, gamma=0.8)[0]
         coeff, kappa, u, t_max, survival = survival_samples(model, rng)
-        root = _jump_time(coeff, kappa, u, t_max)
+        root = _jump_time(_moments(coeff, kappa), kappa, u, t_max)
         assert np.abs(root - bisection_root(survival, u, t_max)).max() < 1e-12
         assert np.abs(survival(root) - u).max() < 4 * np.finfo(float).eps
 
@@ -344,7 +345,7 @@ class TestJumpTimeRoot:
         fraction = np.concatenate([rng.random(40), 1.0 - near, near])
         s_end = survival(t_max)
         u = s_end + (1.0 - s_end) * fraction
-        root = _jump_time(coeff, kappa, u, t_max)
+        root = _jump_time(_moments(coeff, kappa), kappa, u, t_max)
         assert root.min() < 1e-10 and root.max() > 0.999 * t_max[0]
         ref = bisection_root(survival, u, t_max)
         assert (np.abs(root - ref) / np.maximum(ref, 1.0)).max() < 1e-12
@@ -357,7 +358,7 @@ class TestJumpTimeRoot:
         coeff = np.tile([2.0, 0.0, 0.0, -1.0], (len(u), 1)).astype(complex)
         kappa = np.tile([-0.5, -1.0], (len(u), 1)).astype(complex)
         t_max = np.full(len(u), 40.0)
-        root = _jump_time(coeff, kappa, u, t_max)
+        root = _jump_time(_moments(coeff, kappa), kappa, u, t_max)
 
         def survival(t):
             return 2.0 * np.exp(-t) - np.exp(-2.0 * t)
@@ -369,10 +370,11 @@ class TestJumpTimeRoot:
         rng = np.random.default_rng(121)
         model = qubit_setup(nbar=1.0, gamma=0.8)[0]
         coeff, kappa, u, t_max, _ = survival_samples(model, rng)
-        batch = _jump_time(coeff, kappa, u, t_max)
+        batch = _jump_time(_moments(coeff, kappa), kappa, u, t_max)
         for i in (0, 7, len(u) - 1):
             sl = slice(i, i + 1)
-            assert _jump_time(coeff[sl], kappa[sl], u[sl], t_max[sl])[0] == batch[i]
+            alone = _jump_time(_moments(coeff[sl], kappa[sl]), kappa[sl], u[sl], t_max[sl])
+            assert alone[0] == batch[i]
 
 def expected_charge_discrete(model, weights, rho0, mem_dist, horizon, dt, burn_in=0.0):
     """Exact mean charge of the fixed-step chain.
@@ -704,6 +706,105 @@ class TestClassTables:
             assert t.anchors.shape == first.anchors.shape
 
 
+def waiting_case(name):
+    """(model, weights, rho0, memory0) of a waiting-time class case."""
+    if name == "maser":
+        model, weights = maser_model(BENCH_MASER), work_weights(BENCH_MASER)
+        return model, weights, np.eye(3) / 3, {c: 0.25 for c in model.channels}
+    if name == "classical maser":
+        model, weights, rho0 = class_case(name)
+        return model, weights, rho0, {c: 0.25 for c in model.channels}
+    if name == "qubit nbar = 0":
+        # no absorption: the ground state is dark and S levels off at 1/2
+        model, weights, _ = qubit_setup(nbar=0.0, gamma=0.8)
+        return model, weights, np.eye(2) / 2, [0.5, 0.5]
+    model = poisson_model(1.0)
+    return model, CountingWeights.activity(model.channels), np.eye(1), [1.0]
+
+
+class TestSurvivalTables:
+    """Rank-one jump operators: waiting-time rounds run on classes."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The survival tables every batch builds, in order."""
+        tables = []
+
+        class Recorded(trajectories._SurvivalTables):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tables.append(self)
+
+        monkeypatch.setattr(trajectories, "_SurvivalTables", Recorded)
+        return tables
+
+    @staticmethod
+    def estimate(name, seed):
+        model, weights, rho0, mem0 = waiting_case(name)
+        return mc_estimate(
+            model, weights, rho0, mem0, 10.0, 200, master_seed=seed, burn_in=2.0,
+            collect_records=True,
+        )
+
+    @staticmethod
+    def assert_same_run(a, b, survival=None):
+        """Equal runs up to the round-off of the roots: jump times within
+        1e-14 * max(t, 1) or, given ``survival(record, t)``, jump times at
+        which the survivals agree within 2 eps."""
+        assert (a.rounds, a.jump_events) == (b.rounds, b.jump_events)
+        assert a.mean_charge == b.mean_charge
+        assert a.var_charge == b.var_charge
+        npt.assert_array_equal(a.memory_freq, b.memory_freq)
+        for ra, rb in zip(a.records, b.records):
+            npt.assert_array_equal(ra.jump_channels, rb.jump_channels)
+            npt.assert_array_equal(ra.memory_before, rb.memory_before)
+            assert ra.final_memory == rb.final_memory
+            for ta, tb in zip(ra.jump_times, rb.jump_times):
+                if abs(ta - tb) > 1e-14 * max(tb, 1.0):
+                    assert survival is not None
+                    assert abs(survival(ra, ta) - survival(rb, tb)) <= 2 * np.finfo(float).eps
+            npt.assert_allclose(ra.final_state, rb.final_state, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["maser", "classical maser", "qubit nbar = 0", "poisson"])
+    def test_classes_reproduce_the_per_state_rounds(self, built, monkeypatch, name):
+        classes = self.estimate(name, 209)
+        assert len(built) == 1
+        monkeypatch.setattr(trajectories, "rank_one_jumps", lambda model: False)
+        per_state = self.estimate(name, 209)
+        assert len(built) == 1
+        assert classes.jump_events > 50
+        survival = None
+        if name == "qubit nbar = 0":
+            # where S levels off the root is ill-conditioned in t: S' is
+            # ~1e-3 at t = 8, so S's round-off moves it by ~1e-13.  Every
+            # jump is a first one, after which the ground state is dark
+            model, _, rho0, _ = waiting_case(name)
+            h_eff = model.hamiltonians - 0.5j * loss_matrices(model.jump_ops, model.silent_ops)
+
+            def survival(record, t):
+                assert len(record.jump_times) == 1
+                prop = scipy.linalg.expm(-1j * t * h_eff[record.initial_memory])
+                return np.trace(prop @ rho0 @ prop.conj().T).real
+
+        self.assert_same_run(classes, per_state, survival)
+        assert classes.survival_evaluations <= per_state.survival_evaluations
+
+    def test_a_rank_two_operator_keeps_the_per_state_rounds(self, built):
+        model, weights, rho0 = class_case("rank two")
+        est = mc_estimate(model, weights, rho0, [0.5, 0.5], 10.0, 20, master_seed=210)
+        assert est.jump_events > 0
+        assert built == []
+
+    def test_starts_only_change_the_cost(self, built, monkeypatch):
+        tabled = self.estimate("maser", 211)
+        points = trajectories.SURVIVAL_POINTS
+        monkeypatch.setattr(trajectories, "SURVIVAL_POINTS", 2)
+        coarse = self.estimate("maser", 211)
+        assert [len(t.grid) for t in built] == [points, 2]
+        self.assert_same_run(tabled, coarse)
+        assert tabled.survival_evaluations < coarse.survival_evaluations
+
+
 class TestWaitingTimeReference:
     """The eigen-coordinate engine reproduces a physical-basis stepper."""
 
@@ -765,15 +866,26 @@ class TestSurvivalEvaluations:
         assert fixed.rounds >= 100 / LOOKAHEAD
 
     @pytest.mark.parametrize("seed", [129, 130])
-    def test_halley_search_stays_cheap_on_the_benchmark_batch(self, seed):
+    def test_halley_search_stays_cheap_on_the_benchmark_batch(self, monkeypatch, seed):
         # the maser batch of the Monte Carlo benchmark workload
         params = MaserParams(nl=1.0, nr=2.0, gl=0.5, gr=0.5, lam=1.0, delta=0.0, wl=8.0, wr=2.0)
         model, weights = maser_model(params), work_weights(params)
+        per_root = []
+
+        def counted(*args, **kwargs):
+            t = _jump_time(*args, **kwargs)
+            per_root.append(kwargs.get("evaluations", args[-1]).copy())
+            return t
+
+        monkeypatch.setattr(trajectories, "_jump_time", counted)
         est = mc_estimate(
             model, weights, np.eye(3, dtype=complex) / 3, {c: 0.25 for c in model.channels},
             20.0, 400, master_seed=seed, burn_in=5.0,
         )
         assert est.survival_evaluations <= 3.0 * est.jump_events
+        per_root = np.concatenate(per_root)
+        assert len(per_root) == est.jump_events
+        assert per_root.max() <= 2
 
 
 class TestDeterminism:
