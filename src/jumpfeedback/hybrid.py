@@ -101,7 +101,13 @@ def embed(labels, memory_dist, conditionals):
         conditionals = dict.fromkeys(labels, conditionals)
     if not conditionals:
         raise ValidationError("no conditional states supplied")
-    d = np.shape(next(iter(conditionals.values())))[0]
+    label, first = next(iter(conditionals.items()))
+    shape = np.shape(first)
+    if not shape:
+        raise DimensionError(
+            f"conditionals entry {str(label)!r} has shape {shape}, expected (d, d)"
+        )
+    d = shape[0]
     cond = label_table(conditionals, labels, "conditionals", (d, d), complex)
     used = probs > 0.0
     names = [c for c, u in zip(labels, used) if u]

@@ -2,12 +2,12 @@
 
 Two sampling schemes share one event-driven engine.  Each round finds the
 next jump of every active trajectory in one vectorized search, then applies
-all those jumps through one path: channel pick, state update (one gathered
-product with a stacked (memory, channel) table, or for a trajectory on a
-class the class the jump leads to), charge, records and memory.  When every
-jump operator has rank <= 1 (:func:`rank_one_jumps`), the state after a
-jump depends only on (memory, channel), and both schemes run on the classes
-of :func:`_classes`: a trajectory carries only its class and the time, or
+all those jumps: channel pick, state update (one gathered product with a
+stacked (memory, channel) table, or for a trajectory on a class the class
+the jump leads to), charge, records and memory.  When every jump operator
+has rank <= 1 (:func:`rank_one_jumps`), the state after a jump depends only
+on (memory, channel), and both schemes run on the classes of
+:func:`_classes`: a trajectory carries only its class and the time, or
 steps, since the class began.
 
 * ``"waiting-time"`` (default): between jumps the conditional state evolves
@@ -19,11 +19,14 @@ steps, since the class began.
   (inverse-transform sampling) by a safeguarded Halley iteration on log S,
   falling back to bisection when a step leaves the bracket; the channel
   follows the relative jump rates at that instant.  No time-discretization
-  error.  On classes, the search starts from per-class tables of log S
-  (:class:`_SurvivalTables`), and states are formed at the horizon only;
-  otherwise it starts at t = 0 from each trajectory's own state.  A
-  near-defective H_eff, whose eigenvectors are no usable basis, is refused
-  in favour of the fixed-step scheme.
+  error.  One round loop serves every model: a trajectory holds the index
+  of its row of survival terms and the time the row began.  On classes the
+  rows are per-class tables (:class:`_SurvivalTables`), whose log S starts
+  each search; otherwise each trajectory has its own row
+  (:class:`_SurvivalRows`), replaced by the post-jump state at each jump and
+  searched from t = 0.  Either way states are formed at the horizon only.
+  A near-defective H_eff, whose eigenvectors are no usable basis, is
+  refused in favour of the fixed-step scheme.
 * ``"fixed-step"``: the literal discrete unraveling with step dt; channel q
   fires with probability dt * Tr[L_q rho L_q^dag], otherwise the normalized
   no-jump map 1 + dt L_0(k) is applied.  One matrix product with a table
@@ -43,6 +46,7 @@ trajectory i.  Monitored jumps reset the memory to their channel; silent
 jumps update the state only and never carry charge.
 """
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -86,8 +90,15 @@ _XSHIFT = np.uint32(16)
 
 
 def _uint32_words(n):
-    """Little-endian 32-bit words of a non-negative integer, as SeedSequence splits it."""
-    n = int(n)
+    """Little-endian 32-bit words of a non-negative integer, as SeedSequence splits it.
+
+    Only integers pass (numpy's too): a fraction truncated to an integer
+    would share that integer's stream.
+    """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValidationError(f"expected a non-negative integer, got {n!r}") from None
     if n < 0:
         raise ValidationError(f"expected a non-negative integer, got {n}")
     words = [n & _MASK32]
@@ -269,7 +280,8 @@ class McEstimate:
     and silent, and ``survival_evaluations`` the per-trajectory exponential
     evaluations of the waiting-time survival: one horizon check per round,
     plus one per point a root search evaluates, a tabled start included (a
-    search from t = 0 takes its first step free); 0 for fixed-step.
+    search from t = 0, as on a per-trajectory row, takes its first step
+    free); 0 for fixed-step.
     """
 
     n_traj: int
@@ -316,8 +328,9 @@ def _jump_time(moments, kappa, u, t_max, start=None, evaluations=None):
     ``moments`` holds the rows of :func:`_moments` and ``kappa`` the decays
     with r_ab = kappa_a + kappa_b^*.  Requires S(0) = 1 > u >= S(t_max)
     with S non-increasing.  Halley steps on f = log S - log u start at
-    ``start`` in [0, t_max], or at t = 0, where every exponential is 1 and
-    S, S', S'' cost no evaluation; a step that leaves the bracket [lo, hi]
+    ``start`` in [0, t_max] (a class table's start), or, given None (a
+    per-trajectory row), at t = 0, where every exponential is 1 and S, S',
+    S'' cost no evaluation; a step that leaves the bracket [lo, hi]
     kept around the root is replaced by bisection.  A step no longer than
     ACCEPT_STEP * max(t, 1), whose Newton step is as short, is taken and
     ends the search, since the next one would be of the order of its cube.
@@ -372,7 +385,8 @@ def _jump_time(moments, kappa, u, t_max, start=None, evaluations=None):
 
 class _Batch:
     """A batch of trajectories: stacked (memory, channel) tables, the state
-    of every trajectory, and the paths that apply jumps for both schemes.
+    of every trajectory, the channel pick and landing of jumps for both
+    schemes, and the own-state jumps of the fixed-step scheme.
 
     A trajectory at memory k holds its state as a flat row a = A.ravel()
     (row-major) with rho = V_k A V_k^dag.  The basis V_k holds the
@@ -497,22 +511,17 @@ class _Batch:
         """State rows at memories ``ks`` scaled to unit trace."""
         return rows / np.einsum("nx,nx->n", rows, self.trace_rows[ks]).real[:, None]
 
-    def apply_jumps(self, sel, rows, t_jump, u, dt=None):
-        """One jump for each trajectory in ``sel``, in state ``rows``, at times ``t_jump``.
+    def apply_jumps(self, sel, rows, t_jump, u, dt):
+        """One fixed-step jump for each trajectory in ``sel``, in state ``rows``, at ``t_jump``.
 
-        The channel is picked with uniform ``u`` from the jump weights
-        Tr[L_q rho L_q^dag] of the state: in proportion to them
-        (waiting-time), or as the step's outcome when channel q fires with
-        probability dt times its weight (fixed-step, ``dt`` given).  Without
-        ``dt`` the rows need not be normalized, since the pick is relative
-        and the post-jump state is normalized.  Returns the picked channels.
+        The channel is the step's outcome for uniform ``u`` when channel q
+        fires with probability dt Tr[L_q rho L_q^dag].  Returns the picked
+        channels.
         """
         ks = self.memory[sel]
-        w = (self.rate_rows[ks] @ rows[:, :, None])[:, :, 0].real
-        if dt is not None:
-            w *= dt
+        w = dt * (self.rate_rows[ks] @ rows[:, :, None])[:, :, 0].real
         cum = np.cumsum(np.maximum(w, 0.0), axis=1)
-        picks = self.pick(cum, u if dt is not None else u * cum[:, -1])
+        picks = self.pick(cum, u)
         a = (self.jump_maps[ks, picks] @ rows[:, :, None])[:, :, 0]
         self.states[sel] = self.normalized(a, self.next_memory[ks, picks])
         self.land(sel, t_jump, picks)
@@ -571,47 +580,88 @@ def _run_waiting(batch, horizon):
     """Each round samples the next jump of every active trajectory exactly.
 
     With H_eff(k) = V diag(lambda) V^-1 and kappa = -i lambda, a state row
-    evolves without a jump as a_ab exp(r_ab t), r_ab = kappa_a + kappa_b^*,
-    and its trace, the survival, is Re sum_x c_x exp(r_x t) with
-    c = a * trace_rows[k].  The growth factors at the horizon serve both the
-    horizon check and the evolution of the trajectories that do not jump.
+    a evolves without a jump as a_ab exp(r_ab t), r_ab = kappa_a + kappa_b^*,
+    so a trajectory holds only the index of its row in a table of survival
+    terms (:class:`_SurvivalRows`) and the time its row began.  Rank-one
+    models index per-class tables (:class:`_SurvivalTables`), whose tabled
+    log S starts each root search; any other model holds one row per
+    trajectory, replaced at each jump by the normalized post-jump row, and
+    searches from t = 0.  States are formed once, at the horizon.
     """
-    t = np.zeros(len(batch.memory))
-    active = np.arange(len(t))
+    n = len(batch.memory)
+    if batch.rank_one:
+        table = _SurvivalTables(batch, horizon)
+        row = table.initial[batch.memory]
+    else:
+        table = _SurvivalRows(batch, batch.states, batch.memory)
+        row = np.arange(n)
+    begun = np.zeros(n)
+    active = np.arange(n)
     while active.size:
         batch.rounds += 1
-        ks = batch.memory[active]
-        a, kappa = batch.states[active], batch.decay[ks]
-        coeff = a * batch.trace_rows[ks]
-        t_wait = horizon - t[active]
+        c = row[active]
+        t_wait = horizon - begun[active]
         # the time uniform and the channel uniform of the round
         u, u_pick = batch.draw(active).T
-        growth = _growth(kappa, t_wait)
-        jumps = u >= np.einsum("nx,nx->n", coeff, growth).real
-        evaluations = np.zeros(np.count_nonzero(jumps), dtype=np.intp)
-        moments = _moments(coeff[jumps], kappa[jumps])
-        t_wait[jumps] = _jump_time(
-            moments, kappa[jumps], u[jumps], t_wait[jumps], evaluations=evaluations
+        kappa = table.kappa[c]
+        jumps = u >= np.einsum("nx,nx->n", table.coeff[c], _growth(kappa, t_wait)).real
+        n_active = len(active)
+        active, c, kappa, u, t_wait = active[jumps], c[jumps], kappa[jumps], u[jumps], t_wait[jumps]
+        evaluations = np.zeros(len(active), dtype=np.intp)
+        t_jump = _jump_time(
+            table.moments[c], kappa, u, t_wait, table.start(c, u, t_wait), evaluations=evaluations
         )
-        batch.survival_evaluations += len(active) + int(evaluations.sum())
-        # conditional states at the jump instants, or at the horizon
-        growth[jumps] = _growth(kappa[jumps], t_wait[jumps])
-        rows = a * growth
-        stay = ~jumps
-        batch.states[active[stay]] = batch.normalized(rows[stay], ks[stay])
-        t[active] = np.where(jumps, t[active] + t_wait, horizon)
-        active = active[jumps]
-        batch.apply_jumps(active, rows[jumps], t[active], u_pick[jumps])
+        batch.survival_evaluations += n_active + int(evaluations.sum())
+        growth = _growth(kappa, t_jump)
+        w = (table.rates[c] @ growth[:, :, None])[:, :, 0].real
+        cum = np.cumsum(np.maximum(w, 0.0), axis=1)
+        picks = batch.pick(cum, u_pick[jumps] * cum[:, -1])
+        ks = batch.memory[active]
+        begun[active] += t_jump
+        batch.land(active, begun[active], picks)
+        if batch.rank_one:
+            row[active] = table.after[ks, picks]
+        else:
+            rows = (batch.jump_maps[ks, picks] @ (table.rows[c] * growth)[:, :, None])[:, :, 0]
+            table.replace(batch, c, rows, batch.memory[active])
+    rows = table.rows[row] * _growth(table.kappa[row], horizon - begun)
+    batch.states = batch.normalized(rows, batch.memory)
 
 
-class _SurvivalTables:
+class _SurvivalRows:
+    """Survival terms of state rows; used alone, one row per trajectory.
+
+    Row x, held in the batch basis of its memory ks[x], has survived a time
+    t after it began with S_x(t) = Re sum_y coeff[x, y] exp(r_y t), and
+    jumps through channel q at the rate Re sum_y rates[x, q, y] exp(r_y t)
+    (see :func:`_run_waiting`).  ``moments`` holds each row's terms for S,
+    S' and S'' (:func:`_moments`).  The root search of a row starts at
+    t = 0.
+    """
+
+    def __init__(self, batch, rows, ks):
+        self.rows = rows
+        self.kappa = kappa = batch.decay[ks]
+        self.coeff = rows * batch.trace_rows[ks]
+        self.moments = _moments(self.coeff, kappa)
+        self.rates = batch.rate_rows[ks] * rows[:, None, :]
+
+    def start(self, c, u, t_max):
+        """No tabled start: the searches of rows ``c`` begin at t = 0."""
+        return None
+
+    def replace(self, batch, c, rows, ks):
+        """Rows ``c`` begin anew from state rows ``rows`` at memories ``ks``, normalized."""
+        new = _SurvivalRows(batch, batch.normalized(rows, ks), ks)
+        self.rows[c], self.kappa[c], self.coeff[c] = new.rows, new.kappa, new.coeff
+        self.moments[c], self.rates[c] = new.moments, new.rates
+
+
+class _SurvivalTables(_SurvivalRows):
     """Waiting-time tables of the classes (:func:`_classes`) of a batch.
 
-    A trajectory whose class c began a time t ago has survived with
-    S_c(t) = Re sum_x coeff[c, x] exp(r_x t) since (see :func:`_run_waiting`)
-    and jumps through channel q at the rate Re sum_x rates[c, q, x]
-    exp(r_x t).  ``moments`` holds each class's rows for S, S' and S''
-    (:func:`_moments`).  log S and its first two derivatives are tabled at
+    Row c of the survival terms is class c, which a trajectory keeps until
+    its next jump.  log S and its first two derivatives are tabled at
     ``grid``, SURVIVAL_POINTS times over [0, horizon] unless the growth rows
     that build them would exceed TABLE_FLOATS entries for the most classes
     a batch of the model can have, so that the grid never depends on the
@@ -621,16 +671,12 @@ class _SurvivalTables:
 
     def __init__(self, batch, horizon):
         self.initial, self.after, ks, rows = _classes(batch)
-        self.rows = rows
+        super().__init__(batch, rows, ks)
         n_cls, width = rows.shape
-        self.kappa = kappa = batch.decay[ks]
-        self.coeff = rows * batch.trace_rows[ks]
-        self.moments = _moments(self.coeff, kappa)
-        self.rates = batch.rate_rows[ks] * rows[:, None, :]
         most = batch.m * (1 + batch.n_ops)
         n_points = min(SURVIVAL_POINTS, max(2, TABLE_FLOATS // (2 * width * most)))
         self.grid = grid = np.linspace(0.0, horizon, n_points)
-        growth = _growth(np.repeat(kappa, n_points, axis=0), np.tile(grid, n_cls))
+        growth = _growth(np.repeat(self.kappa, n_points, axis=0), np.tile(grid, n_cls))
         growth = growth.reshape(n_cls, n_points, width)
         s, ds, d2s = np.einsum("ckx,cgx->kcg", self.moments, growth).real
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -659,44 +705,6 @@ class _SurvivalTables:
         hi = np.minimum(self.grid[np.minimum(p + 1, n_points - 1)], t_max)
         # a step that is not a number keeps the tabled time
         return np.fmin(np.fmax(lo + step, lo), hi)
-
-
-def _run_classes(batch, horizon):
-    """Waiting-time rounds of a batch whose jump operators have rank <= 1.
-
-    A trajectory carries only its class and the time its class began, and
-    its search for the next jump starts from its class's table (see
-    :class:`_SurvivalTables`).  A round draws the same two uniforms as in
-    :func:`_run_waiting` and finds the same jumps up to the round-off of the
-    survival; states are formed once, at the horizon.
-    """
-    tables = _SurvivalTables(batch, horizon)
-    cls = tables.initial[batch.memory]
-    begun = np.zeros(len(cls))
-    active = np.arange(len(cls))
-    while active.size:
-        batch.rounds += 1
-        c = cls[active]
-        t_wait = horizon - begun[active]
-        u, u_pick = batch.draw(active).T
-        kappa = tables.kappa[c]
-        jumps = u >= np.einsum("nx,nx->n", tables.coeff[c], _growth(kappa, t_wait)).real
-        n_active = len(active)
-        active, c, kappa, u, t_wait = active[jumps], c[jumps], kappa[jumps], u[jumps], t_wait[jumps]
-        evaluations = np.zeros(len(active), dtype=np.intp)
-        t_jump = _jump_time(
-            tables.moments[c], kappa, u, t_wait, tables.start(c, u, t_wait), evaluations=evaluations
-        )
-        batch.survival_evaluations += n_active + int(evaluations.sum())
-        w = (tables.rates[c] @ _growth(kappa, t_jump)[:, :, None])[:, :, 0].real
-        cum = np.cumsum(np.maximum(w, 0.0), axis=1)
-        picks = batch.pick(cum, u_pick[jumps] * cum[:, -1])
-        ks = batch.memory[active]
-        begun[active] += t_jump
-        batch.land(active, begun[active], picks)
-        cls[active] = tables.after[ks, picks]
-    rows = tables.rows[cls] * _growth(tables.kappa[cls], horizon - begun)
-    batch.states = batch.normalized(rows, batch.memory)
 
 
 def _lookahead_tables(h_eff, rate_rows, dt):
@@ -956,12 +964,10 @@ def check_run(model, n_traj, horizon, scheme, dt=None, burn_in=0.0):
 def _run_batch(batch, memories0, horizon, n_steps, dt):
     """Run every trajectory of a batch to the horizon; ``n_steps`` is None for waiting-time."""
     batch.start(memories0)
-    if n_steps is not None:
-        _run_fixed(batch, n_steps, dt)
-    elif batch.rank_one:
-        _run_classes(batch, horizon)
-    else:
+    if n_steps is None:
         _run_waiting(batch, horizon)
+    else:
+        _run_fixed(batch, n_steps, dt)
 
 
 def sample_trajectory(
@@ -1002,7 +1008,7 @@ def sample_trajectory(
     n_steps = check_run(model, 1, horizon, scheme, dt, burn_in)
     if rng is None:
         rng = 0
-    stream = trajectory_stream(rng, 0) if isinstance(rng, (int, np.integer)) else rng
+    stream = rng if isinstance(rng, np.random.Generator) else trajectory_stream(rng, 0)
     k0_idx = model.channel_index(k0)
     batch = _Batch(model, weights, rho0, scheme == "waiting-time", burn_in, True)
     batch.open(_OneStream(stream), 1)

@@ -1,7 +1,10 @@
 """The report comparison of tools/compare_outputs.py."""
 
 import importlib.util
+import json
 import os
+
+from jumpfeedback.cli import _task_detail, parse_config
 
 TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "compare_outputs.py")
 _spec = importlib.util.spec_from_file_location("compare_outputs", TOOL)
@@ -35,3 +38,23 @@ def test_numbers_carry_their_relative_difference():
     text = compare_outputs.describe_difference("version", "0.1.0", "0.2.0")
     assert text == "  version: parent '0.1.0', change '0.2.0'"
     assert compare_outputs.describe_difference("x", True, False).endswith("change False")
+
+
+def test_monte_carlo_set_reaches_every_engine_path(tmp_path):
+    # an unchanged output only shows an engine path unchanged if some config takes it
+    paths = {}
+    for path in compare_outputs.write_trajectory_configs(str(tmp_path)):
+        with open(path) as fh:
+            ctx, _ = parse_config(json.load(fh))
+        detail = _task_detail(ctx["model"], ctx["task"])
+        paths.setdefault(detail, set()).add(ctx["prefix"].rsplit("_s", 1)[0])
+    assert paths == {
+        " (waiting-time, class tables)": {
+            "mc_maser_waiting-time", "mc_maser_classical_waiting-time", "mc_qubit_waiting-time"
+        },
+        " (waiting-time, per-state)": {"mc_rank_two_waiting-time"},
+        " (fixed-step, class tables)": {
+            "mc_maser_fixed-step", "mc_maser_classical_fixed-step", "mc_qubit_fixed-step"
+        },
+        " (fixed-step, lookahead)": {"mc_rank_two_fixed-step"},
+    }

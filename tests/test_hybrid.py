@@ -108,6 +108,15 @@ class TestEmbedMarginals:
         with pytest.raises(ValidationError, match="unknown"):
             embed(("a",), {"zz": 1.0}, rho)
 
+    @pytest.mark.parametrize(
+        "conditionals", [1.0, {"a": 1.0}, np.float64(2)], ids=["float", "mapping", "numpy_scalar"]
+    )
+    def test_scalar_conditional_is_a_dimension_error(self, conditionals):
+        from jumpfeedback import DimensionError
+
+        with pytest.raises(DimensionError, match=r"conditionals entry 'a' has shape \(\)"):
+            embed(("a", "b"), [0.5, 0.5], conditionals)
+
     def test_rejects_nonnormalized_conditional(self):
         with pytest.raises(ValidationError, match="unit trace"):
             embed(("a",), {"a": 1.0}, {"a": np.eye(2, dtype=complex)})

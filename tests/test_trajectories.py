@@ -108,6 +108,17 @@ class TestStreams:
             trajectory_stream(-1, 0)
         with pytest.raises(ValidationError, match="non-negative"):
             trajectory_stream(0, -1)
+        # a fraction is not truncated onto another seed's stream
+        with pytest.raises(ValidationError, match="non-negative integer, got 1.5"):
+            trajectory_stream(1.5, 0)
+        with pytest.raises(ValidationError, match="non-negative integer, got 1.5"):
+            trajectory_stream(0, 1.5)
+        model = poisson_model(1.0)
+        weights = CountingWeights.activity(model.channels)
+        with pytest.raises(ValidationError, match="non-negative integer, got 1.5"):
+            mc_estimate(model, weights, np.eye(1), [1.0], 1.0, 2, master_seed=1.5)
+        with pytest.raises(ValidationError, match="non-negative integer, got 1.5"):
+            sample_trajectory(model, weights, np.eye(1), model.channels[0], 1.0, rng=1.5)
 
     @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**100])
     def test_uniforms_equal_seed_sequence_philox(self, seed):
@@ -847,11 +858,16 @@ class TestWaitingTimeReference:
 
 
 class TestSurvivalEvaluations:
-    def test_counted_per_jump_and_reproducible(self):
-        params = MaserParams(nl=1.0, nr=2.0, gl=0.5, gr=0.5, lam=1.0, delta=0.0, wl=8.0, wr=2.0)
-        model, weights = maser_model(params), work_weights(params)
-        mem0 = {c: 0.25 for c in model.channels}
-        rho0 = np.eye(3, dtype=complex) / 3
+    # the maser takes the class tables, the rank-two model one row per trajectory
+    @pytest.mark.parametrize("name", ["maser", "rank two"])
+    def test_counted_per_jump_and_reproducible(self, name):
+        if name == "maser":
+            model, weights = maser_model(BENCH_MASER), work_weights(BENCH_MASER)
+            rho0 = np.eye(3, dtype=complex) / 3
+        else:
+            model, weights, rho0 = class_case(name)
+        assert rank_one_jumps(model) == (name == "maser")
+        mem0 = {c: 1.0 / model.n_channels for c in model.channels}
         a, b = (
             mc_estimate(model, weights, rho0, mem0, 10.0, 50, master_seed=127) for _ in range(2)
         )

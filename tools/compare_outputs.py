@@ -27,8 +27,8 @@ maximally mixed system); ``qubit_cooling`` with gamma 0.8 and nbar 1
 (activity weights, uniform initial memory, ground state); and an explicit
 two-level model whose jump operator "a" has rank 2 (activity weights,
 uniform initial memory, ground state).  The first three have rank-one jump
-operators, so their fixed-step runs take the class tables; the last takes
-the lookahead search.
+operators, so both schemes run them on class tables; the last takes the
+per-state waiting-time rounds and the fixed-step lookahead search.
 
 Exit status: 0 when every CSV agrees within ``--tol`` (default 1e-12) and
 nothing else differs, 1 otherwise.
